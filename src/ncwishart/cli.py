@@ -1022,14 +1022,6 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("NCWISHART_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -1039,11 +1031,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--output", metavar="PATH", default=None,
         help="write the report atomically to PATH instead of stdout",
-    )
-    common.add_argument(
-        "--threads", type=_positive_int, default=_default_threads(),
-        help="worker-count hint recorded in the report "
-             "(default: NCWISHART_THREADS or 1)",
     )
 
     parser = argparse.ArgumentParser(

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -24,6 +23,14 @@ from .polyc import PolyC, PolyXC, SeriesZ
 _C = PolyC.c()
 _ONE_PLUS_C = PolyC.of(1, 1)
 _X = PolyXC.x()
+
+
+def _fill_below(member, first: int, n: int) -> None:
+    """Cache member(first), ..., member(n - 1) in increasing order, so that
+    the recurrence for member(n) finds its predecessors cached and recurses
+    one level deep, whatever the recursion limit."""
+    for m in range(first, n):
+        member(m)
 
 
 class Family(str, Enum):
@@ -57,6 +64,7 @@ def chebyshev_C(n: int) -> PolyXC:
         return _X
     if n == 2:
         return _X * chebyshev_C(1) - 2 * chebyshev_C(0)
+    _fill_below(chebyshev_C, 3, n)
     return _X * chebyshev_C(n - 1) - chebyshev_C(n - 2)
 
 
@@ -75,6 +83,7 @@ def chebyshev_S(n: int) -> PolyXC:
         return PolyXC.one()
     if n == 1:
         return _X
+    _fill_below(chebyshev_S, 2, n)
     return _X * chebyshev_S(n - 1) - chebyshev_S(n - 2)
 
 
@@ -101,6 +110,7 @@ def gamma_tilde(n: int) -> PolyXC:
     shifted_x = _X - _ONE_PLUS_C
     if n == 2:
         return shifted_x * gamma_tilde(1) - 2 * _C * gamma_tilde(0)
+    _fill_below(gamma_tilde, 3, n)
     return shifted_x * gamma_tilde(n - 1) - _C * gamma_tilde(n - 2)
 
 
@@ -164,6 +174,7 @@ def pi_poly(n: int) -> PolyXC:
         return PolyXC.of(
             -(_C ** 3), PolyC.of(1, 2, 3), PolyC.of(-2, -3), PolyC.one()
         )
+    _fill_below(pi_poly, 4, n)
     return (_X - _ONE_PLUS_C) * pi_poly(n - 1) - _C * pi_poly(n - 2)
 
 
@@ -248,13 +259,6 @@ class TransitionMatrix:
 
     def to_json(self) -> list[list[list[str]]]:
         return [[cell.as_json() for cell in row] for row in self.rows]
-
-    def to_csv_rows(self) -> list[list[str]]:
-        header = ["row"] + [f"k{k}" for k in range(self.size)]
-        out = [header]
-        for n, row in enumerate(self.rows):
-            out.append([str(n)] + [str(cell) for cell in row] + [""] * (self.size - n - 1))
-        return out
 
 
 @lru_cache(maxsize=None)

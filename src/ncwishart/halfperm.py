@@ -68,10 +68,6 @@ def initial_point(perm: Perm, block, ref) -> int:
     raise ValueError("walk never reached the block")
 
 
-def final_point(perm: Perm, block, ref) -> int:
-    return perm.inverse()(initial_point(perm, block, ref))
-
-
 def _rotate_to(block: tuple[int, ...], start: int) -> tuple[int, ...]:
     i = block.index(start)
     return block[i:] + block[:i]
@@ -175,10 +171,6 @@ class CircularHalfPerm:
 
     def initial_points(self) -> tuple[int, ...]:
         return tuple(b[0] for b in self.opens)
-
-    def final_points(self) -> tuple[int, ...]:
-        inv = self.perm.inverse()
-        return tuple(inv(b[0]) for b in self.opens)
 
     def closed_weight_exponent(self) -> int:
         """Exponent of c under the closed-blocks rule.

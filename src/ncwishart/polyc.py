@@ -4,12 +4,16 @@ Everything combinatorial in this package lives in the ring Q[c] of
 polynomials in a single weight parameter ``c``.  Three small dense types
 cover all of it:
 
-* :class:`PolyC` -- a polynomial in ``c`` with Fraction coefficients,
+* :class:`PolyC` -- a polynomial in ``c`` with exact rational coefficients,
+  each stored as an ``int`` when it is integral and as a ``Fraction`` only
+  when it is not,
 * :class:`PolyXC` -- a polynomial in ``x`` whose coefficients are PolyC,
 * :class:`SeriesZ` -- a formal power series in ``z`` over PolyC, truncated
   at a fixed order.
 
-All arithmetic is exact; nothing in this module ever touches floats.
+Every table in the package lies in Z[c], so its arithmetic runs on plain
+``int``; division goes through ``Fraction``.  All arithmetic is exact;
+nothing in this module ever touches floats.
 """
 
 from __future__ import annotations
@@ -20,15 +24,29 @@ from typing import Union
 
 Scalar = Union[int, Fraction]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _normal(a) -> Scalar:
+    """The exact value of ``a`` as an int when integral, else a Fraction."""
+    if type(a) is int:
+        return a
+    f = a if isinstance(a, Fraction) else Fraction(a)
+    return f.numerator if f.denominator == 1 else f
 
 
-def _trim(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+def _trim(coeffs: tuple[Scalar, ...]) -> tuple[Scalar, ...]:
     end = len(coeffs)
     while end > 0 and coeffs[end - 1] == 0:
         end -= 1
     return coeffs[:end]
+
+
+def _exact_quotient(a: Scalar, b: Scalar) -> Scalar:
+    """a / b, exactly: never a float, even for two ints."""
+    if b == 1:
+        return a
+    if b == -1:
+        return -a
+    return _normal(Fraction(a) / b)
 
 
 @dataclass(frozen=True)
@@ -36,7 +54,8 @@ class PolyC:
     """Dense univariate polynomial in the parameter ``c``.
 
     Coefficients are stored ascending with trailing zeros trimmed; the zero
-    polynomial is the empty tuple.
+    polynomial is the empty tuple.  Integral coefficients are ``int``, the
+    others ``Fraction``, so equal polynomials have equal tuples.
 
     >>> p = PolyC.of(1, 4, 1)
     >>> str(p)
@@ -47,40 +66,51 @@ class PolyC:
     True
     >>> p.evaluate(Fraction(1))
     Fraction(6, 1)
+    >>> PolyC.of(Fraction(4, 2), Fraction(1, 2)).coeffs
+    (2, Fraction(1, 2))
     """
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Scalar, ...]
 
     def __post_init__(self) -> None:
-        fixed = _trim(tuple(Fraction(a) for a in self.coeffs))
+        fixed = _trim(tuple(_normal(a) for a in self.coeffs))
         object.__setattr__(self, "coeffs", fixed)
+        object.__setattr__(self, "_integral", all(type(a) is int for a in fixed))
+
+    @classmethod
+    def _integral_poly(cls, coeffs: tuple[int, ...]) -> "PolyC":
+        """Wrap int coefficients that are already trimmed, skipping
+        normalization."""
+        p = object.__new__(cls)
+        p.__dict__.update(coeffs=coeffs, _integral=True)
+        return p
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def of(cls, *coeffs: Scalar) -> "PolyC":
-        return cls(tuple(Fraction(a) for a in coeffs))
+        return cls(coeffs)
 
     @classmethod
     def zero(cls) -> "PolyC":
-        return cls(())
+        return cls._integral_poly(())
 
     @classmethod
     def one(cls) -> "PolyC":
-        return cls((_ONE,))
+        return cls._integral_poly((1,))
 
     @classmethod
     def c(cls) -> "PolyC":
         """The monomial c."""
-        return cls((_ZERO, _ONE))
+        return cls._integral_poly((0, 1))
 
     @classmethod
     def monomial(cls, k: int, coef: Scalar = 1) -> "PolyC":
-        return cls((_ZERO,) * k + (Fraction(coef),))
+        return cls((0,) * k + (coef,))
 
     @classmethod
     def const(cls, value: Scalar) -> "PolyC":
-        return cls((Fraction(value),))
+        return cls((value,))
 
     # -- basic queries -----------------------------------------------------
 
@@ -92,14 +122,14 @@ class PolyC:
         """Degree, with the convention deg 0 = -1."""
         return len(self.coeffs) - 1
 
-    def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else _ZERO
+    def coeff(self, k: int) -> Scalar:
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Scalar:
         """The value of a constant polynomial (error if degree > 0)."""
         if len(self.coeffs) > 1:
             raise ValueError(f"not a constant: {self}")
-        return self.coeffs[0] if self.coeffs else _ZERO
+        return self.coeffs[0] if self.coeffs else 0
 
     # -- arithmetic --------------------------------------------------------
 
@@ -116,17 +146,26 @@ class PolyC:
         if other is NotImplemented:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
+        if not b:
+            return self
+        if not a:
+            return other
         if len(a) < len(b):
             a, b = b, a
         merged = list(a)
         for i, v in enumerate(b):
             merged[i] += v
+        if self._integral and other._integral:
+            return PolyC._integral_poly(_trim(tuple(merged)))
         return PolyC(tuple(merged))
 
     __radd__ = __add__
 
     def __neg__(self) -> "PolyC":
-        return PolyC(tuple(-a for a in self.coeffs))
+        negated = tuple(-a for a in self.coeffs)
+        if self._integral:
+            return PolyC._integral_poly(negated)
+        return PolyC(negated)
 
     def __sub__(self, other: "PolyC | Scalar") -> "PolyC":
         other = PolyC._coerce(other)
@@ -143,11 +182,21 @@ class PolyC:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return PolyC.zero()
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        if self.coeffs == (1,):
+            return other
+        if other.coeffs == (1,):
+            return self
+        short, long = self.coeffs, other.coeffs
+        if len(short) > len(long):
+            short, long = long, short
+        out = [0] * (len(short) + len(long) - 1)
+        for i, a in enumerate(short):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(long):
                     out[i + j] += a * b
+        if self._integral and other._integral:
+            # the leading product of two nonzero ints is nonzero: no trim
+            return PolyC._integral_poly(tuple(out))
         return PolyC(tuple(out))
 
     __rmul__ = __mul__
@@ -168,16 +217,18 @@ class PolyC:
         """Exact polynomial division; raises if the remainder is nonzero.
 
         >>> PolyC.of(0, 1, 1).div_exact(PolyC.c())
-        PolyC(coeffs=(Fraction(1, 1), Fraction(1, 1)))
+        PolyC(coeffs=(1, 1))
+        >>> PolyC.of(1, 1).div_exact(PolyC.const(2))
+        PolyC(coeffs=(Fraction(1, 2), Fraction(1, 2)))
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         rem = list(self.coeffs)
         d = divisor.coeffs
         lead = d[-1]
-        q = [_ZERO] * max(len(rem) - len(d) + 1, 0)
+        q = [0] * max(len(rem) - len(d) + 1, 0)
         for i in range(len(rem) - len(d), -1, -1):
-            factor = rem[i + len(d) - 1] / lead
+            factor = _exact_quotient(rem[i + len(d) - 1], lead)
             q[i] = factor
             if factor:
                 for j, dv in enumerate(d):
@@ -188,10 +239,11 @@ class PolyC:
 
     def evaluate(self, value: Scalar) -> Fraction:
         """Horner evaluation at an exact rational point."""
-        acc = _ZERO
+        value = Fraction(value)
+        acc = Fraction(0)
         for a in reversed(self.coeffs):
             acc = acc * value + a
-        return Fraction(acc)
+        return acc
 
     # -- text and JSON forms ----------------------------------------------
 
@@ -240,7 +292,7 @@ class PolyC:
             if "c" in raw:
                 head, _, tail = raw.partition("c")
                 head = head.rstrip("*")
-                coef = Fraction(head) if head else _ONE
+                coef = Fraction(head) if head else Fraction(1)
                 if tail == "":
                     k = 1
                 elif tail.startswith("^"):
@@ -250,9 +302,9 @@ class PolyC:
             else:
                 coef = Fraction(raw)
                 k = 0
-            terms[k] = terms.get(k, _ZERO) + sign * coef
+            terms[k] = terms.get(k, 0) + sign * coef
         size = max(terms) + 1 if terms else 0
-        out = [_ZERO] * size
+        out = [0] * size
         for k, v in terms.items():
             out[k] = v
         return cls(tuple(out))
@@ -507,7 +559,7 @@ class SeriesZ:
         lead = self.coeffs[0].constant_value()
         if lead == 0:
             raise ValueError("series unit must have a nonzero constant term")
-        inv_lead = 1 / lead
+        inv_lead = _exact_quotient(1, lead)
         out = [PolyC.const(inv_lead)]
         for k in range(1, self.order + 1):
             acc = PolyC.zero()

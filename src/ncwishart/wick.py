@@ -23,6 +23,7 @@ from .halfperm import LinearHalfPerm, enum_ncl, make_linear
 
 __all__ = [
     "RESIDUAL_TOL",
+    "BASIS_BLOCK",
     "TracialAlgebra",
     "scalar_algebra",
     "matrix_algebra",
@@ -55,6 +56,11 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-9
+
+# Coordinate basis vectors per operator application in the residual checks:
+# wide enough to amortize the per-call cost of the operator trees, narrow
+# enough that a block of the largest space stays well under a megabyte.
+BASIS_BLOCK = 32
 
 _AXIOM_TOL = 1e-12
 _AXIOM_SAMPLES = 8
@@ -217,18 +223,33 @@ def function_algebra() -> TracialAlgebra:
 # ---------------------------------------------------------------------------
 
 
+def _on_first_factor(mat: np.ndarray, seg: np.ndarray) -> np.ndarray:
+    """Apply ``mat`` (rows x dim) to the first tensor factor of a segment.
+
+    A sum of ``dim`` scaled slices, not a BLAS product: the operands are a
+    few rows by thousands of columns, where a threaded BLAS call waits on
+    its threads for longer than the arithmetic takes.  Returns ``rows``
+    slices of ``seg.size // dim`` entries each.
+    """
+    slices = seg.reshape(mat.shape[1], -1)
+    return sum(mat[:, i, None] * slices[i] for i in range(mat.shape[1]))
+
+
 def _segment_sizes(dim: int, depth: int) -> tuple[int, ...]:
     return tuple(dim**r for r in range(depth + 1))
 
 
 @dataclass(frozen=True)
 class FockVector:
-    """A vector in the depth-truncated full Fock space.
+    """A vector, or a block of column vectors, in the depth-truncated full
+    Fock space.
 
     ``segments[r]`` holds the flat coefficient array of the degree-``r``
-    tensor words (first tensor factor is the major index).  ``truncated``
-    records that a creation operator pushed nonzero mass past the depth
-    cap somewhere in this vector's history.
+    tensor words (first tensor factor is the major index).  Every segment
+    may carry one trailing column axis of a common width; the operators
+    then act on each column.  ``truncated`` records that a creation
+    operator pushed nonzero mass past the depth cap somewhere in this
+    vector's history (in any column).
     """
 
     depth: int
@@ -239,9 +260,17 @@ class FockVector:
     def __post_init__(self) -> None:
         if len(self.segments) != self.depth + 1:
             raise ValueError("segment count does not match the depth cap")
+        tail = self.tail
+        if len(tail) > 1:
+            raise ValueError("segments carry at most one column axis")
         for r, seg in enumerate(self.segments):
-            if seg.shape != (self.dim**r,):
-                raise ValueError(f"segment {r} has the wrong length")
+            if seg.shape != (self.dim**r,) + tail:
+                raise ValueError(f"segment {r} has the wrong shape")
+
+    @property
+    def tail(self) -> tuple[int, ...]:
+        """The column axis shared by every segment: () or (columns,)."""
+        return self.segments[0].shape[1:]
 
     @classmethod
     def vacuum(cls, dim: int, depth: int) -> "FockVector":
@@ -290,6 +319,10 @@ class FockVector:
     def norm(self) -> float:
         return float(np.sqrt(sum(np.vdot(s, s).real for s in self.segments)))
 
+    def column_norms(self) -> np.ndarray:
+        """The norm of each column (a 0-d array for a single vector)."""
+        return np.sqrt(sum((np.abs(s) ** 2).sum(axis=0) for s in self.segments))
+
     def degree_range(self) -> tuple[int, int]:
         """Lowest and highest degree carrying a nonzero coefficient."""
         live = [r for r, s in enumerate(self.segments) if np.any(s != 0)]
@@ -298,13 +331,17 @@ class FockVector:
         return (live[0], live[-1])
 
 
-def _basis_vectors(dim: int, depth: int, max_degree: int) -> Iterator[FockVector]:
-    """Coordinate tensor-word basis vectors of degree at most ``max_degree``."""
-    for r in range(max_degree + 1):
-        for flat in range(dim**r):
-            segs = [np.zeros(s, dtype=complex) for s in _segment_sizes(dim, depth)]
-            segs[r][flat] = 1.0
-            yield FockVector(depth, dim, tuple(segs))
+def _basis_blocks(dim: int, depth: int, max_degree: int) -> Iterator[FockVector]:
+    """Coordinate tensor-word basis vectors of degree at most ``max_degree``,
+    in order of degree, as blocks of at most BASIS_BLOCK columns."""
+    sizes = _segment_sizes(dim, depth)
+    bounds = np.cumsum(sizes)[:-1]
+    cut = _subspace_dim(dim, max_degree)
+    for start in range(0, cut, BASIS_BLOCK):
+        width = min(BASIS_BLOCK, cut - start)
+        block = np.zeros((sum(sizes), width), dtype=complex)
+        block[np.arange(start, start + width), np.arange(width)] = 1.0
+        yield FockVector(depth, dim, tuple(np.split(block, bounds)))
 
 
 def _subspace_dim(dim: int, max_degree: int) -> int:
@@ -317,13 +354,13 @@ def gram_apply(alg: TracialAlgebra, v: FockVector) -> FockVector:
     d = v.dim
     out = []
     for r, seg in enumerate(v.segments):
-        if r == 0:
-            out.append(seg.copy())
-            continue
-        arr = seg.reshape((d,) * r)
-        for ax in range(r):
-            arr = np.moveaxis(np.tensordot(G, arr, axes=([1], [ax])), 0, ax)
-        out.append(arr.reshape(-1))
+        arr = seg.copy()
+        for _ in range(r):
+            # G acts on the first factor, which then moves to the back of
+            # the word: r turns reach every factor and restore the order
+            turned = _on_first_factor(G, arr).reshape((d, -1) + v.tail)
+            arr = np.moveaxis(turned, 0, 1).reshape(seg.shape)
+        out.append(arr)
     return FockVector(v.depth, v.dim, tuple(out), v.truncated)
 
 
@@ -408,9 +445,10 @@ def creation(alg: TracialAlgebra, d_el: np.ndarray, depth: int) -> FockOperator:
     dim = alg.dim
 
     def apply(v: FockVector) -> FockVector:
-        segs = [np.zeros(s, dtype=complex) for s in _segment_sizes(dim, depth)]
-        for r in range(depth):
-            segs[r + 1] = np.kron(d_el, v.segments[r])
+        # a (dim, 1) factor makes kron act on each column separately
+        d_col = d_el.reshape((dim,) + (1,) * len(v.tail))
+        segs = [np.zeros(v.segments[0].shape, dtype=complex)]
+        segs += [np.kron(d_col, seg) for seg in v.segments[:depth]]
         dropped = bool(np.any(v.segments[depth] != 0)) and bool(np.any(d_el != 0))
         return FockVector(depth, dim, tuple(segs), v.truncated or dropped)
 
@@ -426,13 +464,12 @@ def annihilation(alg: TracialAlgebra, d_el: np.ndarray, depth: int) -> FockOpera
     dim = alg.dim
     basis = np.eye(dim, dtype=complex)
     pair = np.array(
-        [alg.psi(alg.multiply(alg.star(d_el), basis[i])) for i in range(dim)]
+        [[alg.psi(alg.multiply(alg.star(d_el), basis[i])) for i in range(dim)]]
     )
 
     def apply(v: FockVector) -> FockVector:
-        segs = [np.zeros(s, dtype=complex) for s in _segment_sizes(dim, depth)]
-        for r in range(1, depth + 1):
-            segs[r - 1] = pair @ v.segments[r].reshape(dim, -1)
+        segs = [_on_first_factor(pair, seg).reshape((-1,) + v.tail) for seg in v.segments[1:]]
+        segs.append(np.zeros(v.segments[depth].shape, dtype=complex))
         return FockVector(depth, dim, tuple(segs), v.truncated)
 
     return FockOperator(depth, dim, 0, apply)
@@ -445,9 +482,8 @@ def preservation(alg: TracialAlgebra, d_el: np.ndarray, depth: int) -> FockOpera
     left = np.tensordot(d_el, alg.mult, axes=(0, 0)).T  # [k, i] of d * b_i
 
     def apply(v: FockVector) -> FockVector:
-        segs = [np.zeros(s, dtype=complex) for s in _segment_sizes(dim, depth)]
-        for r in range(1, depth + 1):
-            segs[r] = (left @ v.segments[r].reshape(dim, -1)).reshape(-1)
+        segs = [np.zeros(v.segments[0].shape, dtype=complex)]
+        segs += [_on_first_factor(left, seg).reshape(seg.shape) for seg in v.segments[1:]]
         return FockVector(depth, dim, tuple(segs), v.truncated)
 
     return FockOperator(depth, dim, 0, apply)
@@ -655,7 +691,9 @@ _SCALE_FLOOR = 1e-30
 
 
 def operator_residual(lhs: FockOperator, rhs: FockOperator) -> float:
-    """Relative difference of two operators on their common exact subspace."""
+    """Relative difference of two operators on their common exact subspace:
+    the largest output difference over the coordinate basis, against the
+    largest output norm."""
     if (lhs.depth, lhs.dim) != (rhs.depth, rhs.dim):
         raise ValueError("operators live on different spaces")
     degree = min(lhs.exact_input_degree, rhs.exact_input_degree)
@@ -663,10 +701,10 @@ def operator_residual(lhs: FockOperator, rhs: FockOperator) -> float:
         raise ValueError("no exact subspace at this depth cap")
     worst = 0.0
     scale = 0.0
-    for x in _basis_vectors(lhs.dim, lhs.depth, degree):
+    for x in _basis_blocks(lhs.dim, lhs.depth, degree):
         a, b = lhs(x), rhs(x)
-        worst = max(worst, (a - b).norm())
-        scale = max(scale, a.norm(), b.norm())
+        worst = max(worst, float((a - b).column_norms().max()))
+        scale = max(scale, float(a.column_norms().max()), float(b.column_norms().max()))
     return worst / max(scale, _SCALE_FLOOR)
 
 
@@ -683,19 +721,26 @@ def adjoint_residual(
     if degree < 0:
         raise ValueError("no exact subspace at this depth cap")
     cut = _subspace_dim(op.dim, degree)
-    basis = list(_basis_vectors(op.dim, op.depth, degree))
-    outs = [op(x) for x in basis]
-    outs_star = [op_star(x) for x in basis]
-    lhs = np.stack([gram_apply(alg, o).flat()[:cut] for o in outs], axis=1)
-    via_star = np.stack(
-        [gram_apply(alg, o).flat()[:cut] for o in outs_star], axis=1
-    )
+
+    def form(operator: FockOperator) -> tuple[np.ndarray, float]:
+        """Gram-weighted outputs on the subspace, one column per basis
+        vector, and the largest output norm."""
+        cols, top = [], 0.0
+        for x in _basis_blocks(op.dim, op.depth, degree):
+            out = operator(x)
+            top = max(top, float(out.column_norms().max()))
+            cols.append(gram_apply(alg, out).flat()[:cut])
+        return np.hstack(cols), top
+
+    lhs, top = form(op)
+    via_star, top_star = form(op_star)
     diff = np.abs(lhs - via_star.conj().T).max()
     # scale against the full operator outputs, not just the paired window:
     # the forms may legitimately vanish on the subspace while the
     # operators themselves are of order one
     scale = max(
-        max(o.norm() for o in outs + outs_star),
+        top,
+        top_star,
         float(np.abs(lhs).max()),
         float(np.abs(via_star).max()),
         _SCALE_FLOOR,

@@ -1,0 +1,14 @@
+"""The docstring examples of the exact-algebra modules run as tests."""
+
+import doctest
+
+import pytest
+
+from ncwishart import families, polyc
+
+
+@pytest.mark.parametrize("module", [polyc, families], ids=lambda m: m.__name__)
+def test_doctests_pass(module):
+    result = doctest.testmod(module)
+    assert result.attempted > 0
+    assert result.failed == 0

@@ -5,6 +5,7 @@ central fixtures of the whole package and everything else cross-checks
 against them.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -302,3 +303,30 @@ def test_series_column_zero_low_orders():
     assert p0.coeff(1) == C
     assert p0.coeff(2) == PolyC.of(0, 1, 1)
     assert p0.coeff(3) == PolyC.of(0, 1, 3, 1)
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize(
+    "member, n",
+    [(pi_poly, 300), (gamma_tilde, 150), (chebyshev_C, 300), (chebyshev_S, 300)],
+    ids=lambda v: getattr(v, "__name__", str(v)),
+)
+def test_cold_cache_needs_no_deep_recursion(member, n):
+    """A cold member(n) fills its cache bottom-up instead of recursing n
+    levels deep, so it works under a recursion limit far below n."""
+    warm = [member(k) for k in range(8)]
+    member.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 60)
+    try:
+        top = member(n)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert top.degree == n and top.coeff(n) == PolyC.one()
+    assert [member(k) for k in range(8)] == warm

@@ -156,3 +156,173 @@ def test_series_inverse_requires_rational_unit():
         SeriesZ.from_coeffs(3, [PolyC.c()]).inverse()
     with pytest.raises(ValueError):
         SeriesZ.zero(3).inverse()
+
+
+# -- coefficient representation against a plain-Fraction reference ----------
+#
+# The reference keeps every coefficient a Fraction, as PolyC itself once
+# did; PolyC must agree with it in value while storing each integral
+# coefficient as an int.
+
+mixed_coefs = st.one_of(
+    st.integers(min_value=-10**6, max_value=10**6),
+    small_fracs,
+    st.integers(min_value=-4, max_value=4).map(Fraction),  # integral Fractions
+)
+coef_lists = st.lists(mixed_coefs, max_size=6)
+nonzero_coef_lists = coef_lists.filter(lambda cs: any(cs))
+
+
+def ref(cs) -> tuple[Fraction, ...]:
+    out = [Fraction(a) for a in cs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    pad = lambda x: list(x) + [Fraction(0)] * (n - len(x))  # noqa: E731
+    return ref(x + y for x, y in zip(pad(a), pad(b)))
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref(out)
+
+
+def ref_div(a, d):
+    """Long division; returns the quotient and the remainder."""
+    rem, q = list(a), [Fraction(0)] * max(len(a) - len(d) + 1, 0)
+    for i in range(len(a) - len(d), -1, -1):
+        q[i] = rem[i + len(d) - 1] / d[-1]
+        for j, dv in enumerate(d):
+            rem[i + j] -= q[i] * dv
+    return ref(q), ref(rem)
+
+
+def ref_str(cs) -> str:
+    """The text form, rendered from Fraction coefficients."""
+    pieces = []
+    for k, a in enumerate(cs):
+        if a == 0:
+            continue
+        mag = abs(a)
+        cpart = "" if k == 0 else ("c" if k == 1 else f"c^{k}")
+        body = str(mag) if k == 0 else (cpart if mag == 1 else f"{mag}*{cpart}")
+        sign = "" if a > 0 else "-"
+        pieces.append(f"{sign}{body}" if not pieces else f"{'+' if a > 0 else '-'} {body}")
+    return " ".join(pieces) or "0"
+
+
+def assert_matches(p: PolyC, want: tuple[Fraction, ...]) -> None:
+    """Equal in value to the reference, each coefficient int iff integral."""
+    assert p.coeffs == want
+    for got, exact in zip(p.coeffs, want):
+        assert type(got) is (int if exact.denominator == 1 else Fraction), p.coeffs
+
+
+@given(coef_lists)
+def test_integral_coefficients_are_stored_as_int(cs):
+    assert_matches(PolyC(tuple(cs)), ref(cs))
+    assert_matches(PolyC.of(*cs), ref(cs))
+
+
+@given(coef_lists, coef_lists)
+def test_ring_ops_match_the_fraction_reference(a, b):
+    p, q = PolyC(tuple(a)), PolyC(tuple(b))
+    ra, rb = ref(a), ref(b)
+    assert_matches(p + q, ref_add(ra, rb))
+    assert_matches(-p, ref(-x for x in ra))
+    assert_matches(p - q, ref_add(ra, tuple(-x for x in rb)))
+    assert_matches(p * q, ref_mul(ra, rb))
+    assert_matches(3 * p + Fraction(1, 2), ref_add(ref_mul((Fraction(3),), ra), (Fraction(1, 2),)))
+
+
+@given(coef_lists, st.integers(min_value=0, max_value=4))
+def test_power_matches_the_fraction_reference(a, k):
+    want = (Fraction(1),)
+    for _ in range(k):
+        want = ref_mul(want, ref(a))
+    assert_matches(PolyC(tuple(a)) ** k, want)
+
+
+@given(coef_lists, nonzero_coef_lists)
+def test_div_exact_matches_the_fraction_reference(a, d):
+    p, q = PolyC(tuple(a)), PolyC(tuple(d))
+    quotient, remainder = ref_div(ref_mul(ref(a), ref(d)), ref(d))
+    assert remainder == ()
+    assert_matches((p * q).div_exact(q), quotient)
+    quotient, remainder = ref_div(ref(a), ref(d))
+    if remainder:
+        with pytest.raises(ValueError):
+            p.div_exact(q)
+    else:
+        assert_matches(p.div_exact(q), quotient)
+
+
+def test_non_integral_quotients_are_exact():
+    half = Fraction(1, 2)
+    assert_matches(PolyC.of(1, 1).div_exact(PolyC.const(2)), (half, half))
+    assert_matches(PolyC.of(3, 0, 1).div_exact(PolyC.of(-3)), (Fraction(-1), Fraction(0), Fraction(-1, 3)))
+    assert_matches(PolyC.of(1, 3).div_exact(PolyC.of(1, 3)), (Fraction(1),))
+    assert PolyC.of(7).evaluate(2) == 7 and type(PolyC.of(7).evaluate(2)) is Fraction
+
+
+def ref_series_inverse(coeffs, order):
+    """Inverse of a series with rational constant term, over Fraction lists."""
+    lead = coeffs[0][0]
+    out = [(1 / lead,)]
+    for k in range(1, order + 1):
+        acc = ()
+        for j in range(1, k + 1):
+            if j < len(coeffs):
+                acc = ref_add(acc, ref_mul(coeffs[j], out[k - j]))
+        out.append(ref_mul(acc, (-1 / lead,)))
+    return out
+
+
+@given(
+    st.one_of(st.sampled_from([1, -1, 2, -3, 6]), small_fracs.filter(bool)),
+    st.lists(coef_lists, max_size=4),
+    st.lists(coef_lists, max_size=5),
+)
+def test_series_inverse_and_division_match_the_reference(lead, tail, num):
+    order = 4
+    u = SeriesZ.from_coeffs(order, [PolyC.const(lead)] + [PolyC(tuple(cs)) for cs in tail])
+    want = ref_series_inverse([ref([lead])] + [ref(cs) for cs in tail], order)
+    inverse = u.inverse()
+    for k in range(order + 1):
+        assert_matches(inverse.coeff(k), want[k])
+    s = SeriesZ.from_coeffs(order, [PolyC(tuple(cs)) for cs in num])
+    quotient = s / u
+    for k in range(order + 1):
+        acc = ()
+        for j in range(min(k + 1, len(num))):
+            acc = ref_add(acc, ref_mul(ref(num[j]), want[k - j]))
+        assert_matches(quotient.coeff(k), acc)
+
+
+def test_integer_lead_series_inverse_stays_exact():
+    u = SeriesZ.from_coeffs(3, [2, PolyC.c()])
+    inverse = u.inverse()
+    assert_matches(inverse.coeff(0), (Fraction(1, 2),))
+    assert_matches(inverse.coeff(1), (Fraction(0), Fraction(-1, 4)))
+    assert_matches(inverse.coeff(3), (Fraction(0), Fraction(0), Fraction(0), Fraction(-1, 16)))
+    assert u * inverse == SeriesZ.one(3)
+
+
+@given(coef_lists)
+def test_text_json_equality_and_hash_are_unchanged(cs):
+    want = ref(cs)
+    p = PolyC(tuple(cs))
+    assert str(p) == ref_str(want)
+    assert p.as_json() == [f"{a.numerator}/{a.denominator}" for a in want]
+    same = PolyC(want)
+    assert p == same and PolyC.from_json(p.as_json()) == p
+    assert hash(p) == hash(same) == hash((want,))

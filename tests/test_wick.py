@@ -7,14 +7,17 @@ import pytest
 
 from ncwishart.halfperm import make_linear
 from ncwishart.wick import (
+    BASIS_BLOCK,
     FockVector,
     TracialAlgebra,
+    adjoint_residual,
     all_ncl,
     annihilation,
     convolution,
     creation,
     fock_inner,
     function_algebra,
+    gram_apply,
     identity_operator,
     matrix_algebra,
     open_singletons,
@@ -330,3 +333,128 @@ class TestIdentities:
         failed = [str(c) for c in checks if not c.passed]
         assert not failed, failed
         assert all("pass" in c.to_json() for c in checks)
+
+
+# -- batched residuals against the per-basis-vector oracle -------------------
+#
+# The residual checks apply each operator to blocks of coordinate basis
+# vectors at once.  The oracle below applies it to one basis vector at a
+# time, as the checks once did.
+
+
+def basis_vectors(dim, depth, max_degree):
+    for r in range(max_degree + 1):
+        for flat in range(dim**r):
+            segs = [np.zeros(dim**s, dtype=complex) for s in range(depth + 1)]
+            segs[r][flat] = 1.0
+            yield FockVector(depth, dim, tuple(segs))
+
+
+def oracle_operator_residual(lhs, rhs):
+    degree = min(lhs.exact_input_degree, rhs.exact_input_degree)
+    worst = scale = 0.0
+    for x in basis_vectors(lhs.dim, lhs.depth, degree):
+        a, b = lhs(x), rhs(x)
+        worst = max(worst, (a - b).norm())
+        scale = max(scale, a.norm(), b.norm())
+    return worst / max(scale, 1e-30)
+
+
+def oracle_adjoint_residual(alg, op, op_star):
+    degree = min(op.exact_input_degree, op_star.exact_input_degree)
+    cut = sum(op.dim**r for r in range(degree + 1))
+    basis = list(basis_vectors(op.dim, op.depth, degree))
+    outs = [op(x) for x in basis]
+    outs_star = [op_star(x) for x in basis]
+    lhs = np.stack([gram_apply(alg, o).flat()[:cut] for o in outs], axis=1)
+    via_star = np.stack([gram_apply(alg, o).flat()[:cut] for o in outs_star], axis=1)
+    diff = np.abs(lhs - via_star.conj().T).max()
+    scale = max(max(o.norm() for o in outs + outs_star),
+                float(np.abs(lhs).max()), float(np.abs(via_star).max()), 1e-30)
+    return float(diff / scale)
+
+
+def random_block(dim, depth, width, seed=3):
+    rng = np.random.default_rng(seed)
+    segs = tuple(rng.standard_normal((dim**r, width)) + 1j * rng.standard_normal((dim**r, width))
+                 for r in range(depth + 1))
+    return FockVector(depth, dim, segs)
+
+
+def column(v, j):
+    return FockVector(v.depth, v.dim, tuple(s[:, j] for s in v.segments), v.truncated)
+
+
+class TestBatchedOperators:
+    @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: a.name)
+    def test_operators_act_column_by_column(self, alg):
+        (x,) = letters_for(alg, 1)
+        block = random_block(alg.dim, L, 5)
+        ops = [creation(alg, x, L), annihilation(alg, x, L), preservation(alg, x, L),
+               wick(alg, letters_for(alg, 2), L)]
+        for op in ops:
+            out = op(block)
+            assert out.tail == (5,)
+            for j in range(5):
+                want = op(column(block, j))
+                for got_seg, want_seg in zip(column(out, j).segments, want.segments):
+                    assert np.allclose(got_seg, want_seg, rtol=0, atol=1e-12)
+        gram = gram_apply(alg, block)
+        for j in range(5):
+            want = gram_apply(alg, column(block, j))
+            assert np.allclose(column(gram, j).flat(), want.flat(), rtol=0, atol=1e-12)
+        norms = block.column_norms()
+        assert np.allclose(norms, [column(block, j).norm() for j in range(5)])
+
+    def test_truncation_is_flagged_for_a_block(self):
+        a = function_algebra()
+        (x,) = letters_for(a, 1)
+        block = random_block(a.dim, L, 2)
+        assert creation(a, x, L)(block).truncated
+
+    def test_segments_must_share_one_column_axis(self):
+        segs = tuple(np.zeros((2**r, 3 if r else 2), dtype=complex) for r in range(3))
+        with pytest.raises(ValueError, match="wrong shape"):
+            FockVector(2, 2, segs)
+        segs = tuple(np.zeros((2**r, 1, 1), dtype=complex) for r in range(3))
+        with pytest.raises(ValueError, match="column axis"):
+            FockVector(2, 2, segs)
+
+    @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: a.name)
+    def test_residuals_match_the_oracle(self, alg):
+        depth = 4  # the matrix algebra's depth-5 case has a test of its own
+        x, y, z = letters_for(alg, 3)
+        p = lambda d: p_operator(alg, d, depth)  # noqa: E731
+        operator_pairs = [
+            (p(x) @ p(y), p(y) @ p(x)),  # not equal: a residual of order one
+            (wick(alg, [x], depth), p(x) - alg.psi(x) * identity_operator(alg.dim, depth)),
+            (p(x) @ p(y) @ p(z), p(x) @ (p(y) @ p(z))),
+        ]
+        for lhs, rhs in operator_pairs:
+            got = operator_residual(lhs, rhs)
+            assert abs(got - oracle_operator_residual(lhs, rhs)) <= 1e-12
+        adjoint_pairs = [
+            (p(x), p(alg.star(x))),
+            (p(x), p(x)),  # not self-adjoint for a random complex letter
+            (wick(alg, [x, y], depth), wick(alg, [alg.star(y), alg.star(x)], depth)),
+        ]
+        for op, op_star in adjoint_pairs:
+            got = adjoint_residual(alg, op, op_star)
+            assert abs(got - oracle_adjoint_residual(alg, op, op_star)) <= 1e-12
+
+    def test_matrix_algebra_spans_many_blocks(self):
+        a = matrix_algebra()
+        x, y = letters_for(a, 2)
+        op, op_star = p_operator(a, x, L), p_operator(a, a.star(x), L)
+        columns = sum(a.dim**r for r in range(op.exact_input_degree + 1))
+        assert columns == 341 > BASIS_BLOCK
+        got = adjoint_residual(a, op, op_star)
+        assert abs(got - oracle_adjoint_residual(a, op, op_star)) <= 1e-12
+        assert got <= 1e-12
+        wrong = p_operator(a, y, L)
+        got = adjoint_residual(a, op, wrong)
+        assert abs(got - oracle_adjoint_residual(a, op, wrong)) <= 1e-12
+        assert got > 1e-3
+        got = operator_residual(op, wrong)
+        assert abs(got - oracle_operator_residual(op, wrong)) <= 1e-12
+        assert got > 1e-3
