@@ -940,6 +940,13 @@ def cmd_mc(args: argparse.Namespace) -> tuple[dict, int]:
                 f"word letters go up to {max(word[1])} but only {num_matrices} "
                 "matrices are sampled; raise --p"
             )
+        # the power-trace covariance limits enumerate annuli up to (d, d)
+        if 2 * args.max_degree > DEFAULT_ANNULAR_CAP:
+            raise UsageError(
+                f"--max-degree {args.max_degree} needs annuli with m+n="
+                f"{2 * args.max_degree}, over the enumeration cap {DEFAULT_ANNULAR_CAP}; "
+                f"the limit is {DEFAULT_ANNULAR_CAP // 2}, which takes minutes"
+            )
         config = _resolve_ensemble(args, args.max_degree, num_matrices)
         samples = sample_traces(config)
         checks = evaluate_statistics(config, samples)

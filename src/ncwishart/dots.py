@@ -229,7 +229,7 @@ def dot_decode(d: DotStructure) -> CircularHalfPerm:
     assert len(open_sets) == k
     bbar = complement(perm).cycle_containing(initials[0])
     assert set(initials) <= set(bbar)
-    h = make_circular(n, blocks, open_sets, bbar)
+    h = make_circular(n, perm, open_sets, bbar)
     assert h.initial_points() == tuple(initials)
     return h
 

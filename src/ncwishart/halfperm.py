@@ -33,7 +33,6 @@ from .perms import (
     complement,
     enum_nc,
     is_noncrossing,
-    long_cycle,
     partition_to_perm,
 )
 from .polyc import PolyC
@@ -43,6 +42,21 @@ DEFAULT_DISC_CAP = 12
 
 def _blocks(perm: Perm) -> tuple[tuple[int, ...], ...]:
     return perm.cycles()
+
+
+@lru_cache(maxsize=1)
+def _perm_data(perm: Perm) -> tuple[bool, frozenset, frozenset]:
+    """What validating a half needs of its permutation: whether it is
+    non-crossing, its block sets and its complement's block sets.
+
+    The enumerators build all halves of one permutation one after
+    another, so a single entry serves them all.
+    """
+    return (
+        is_noncrossing(perm),
+        frozenset(map(frozenset, _blocks(perm))),
+        frozenset(map(frozenset, _blocks(complement(perm)))),
+    )
 
 
 def initial_point(perm: Perm, block, ref) -> int:
@@ -102,10 +116,9 @@ class CircularHalfPerm:
     def __post_init__(self) -> None:
         if self.perm.size != self.n:
             raise ValueError("permutation size mismatch")
-        if not is_noncrossing(self.perm):
+        noncrossing, blocks, comp_blocks = _perm_data(self.perm)
+        if not noncrossing:
             raise ValueError(f"{self.perm} is not non-crossing")
-        blocks = {frozenset(b) for b in _blocks(self.perm)}
-        comp_blocks = {frozenset(b) for b in _blocks(complement(self.perm))}
         if self.opens:
             if self.designated is not None or self.designated_in is not None:
                 raise ValueError("open blocks and a designated block are exclusive")
@@ -225,14 +238,9 @@ class CircularHalfPerm:
         return opened + closed
 
 
-def make_circular(
-    n: int,
-    blocks,
-    open_sets,
-    bbar,
-) -> CircularHalfPerm:
-    """Build a half-perm from raw block sets, recomputing all normal forms."""
-    perm = partition_to_perm(tuple(tuple(sorted(b)) for b in blocks))
+def make_circular(n: int, perm: Perm, open_sets, bbar) -> CircularHalfPerm:
+    """Build a half-perm of the non-crossing permutation `perm` from raw
+    open block sets and collecting cycle, recomputing all normal forms."""
     bbar_t = tuple(sorted(bbar))
     opens = []
     for b in open_sets:
@@ -325,7 +333,7 @@ def make_linear(n: int, blocks, open_sets) -> LinearHalfPerm:
                 designated_in="complement",
             )
         )
-    return LinearHalfPerm(make_circular(n, blocks, open_sets, bbar))
+    return LinearHalfPerm(make_circular(n, perm, open_sets, bbar))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +381,7 @@ def enum_ncc(n: int, k: int, cap: int = DEFAULT_DISC_CAP) -> tuple[CircularHalfP
             if len(meeting) < k:
                 continue
             for chosen in combinations(meeting, k):
-                out.append(make_circular(n, blocks, chosen, bbar))
+                out.append(make_circular(n, perm, chosen, bbar))
     out.sort(key=lambda h: h.sort_key())
     return tuple(out)
 
@@ -396,7 +404,7 @@ def enum_ncl(n: int, k: int, cap: int = DEFAULT_DISC_CAP) -> tuple[LinearHalfPer
         if len(meeting) < k:
             continue
         for chosen in combinations(meeting, k):
-            out.append(LinearHalfPerm(make_circular(n, blocks, chosen, bbar)))
+            out.append(LinearHalfPerm(make_circular(n, perm, chosen, bbar)))
     out.sort(key=lambda h: h.sort_key())
     return tuple(out)
 
@@ -452,13 +460,13 @@ def cut(a: AnnularPerm) -> tuple[CircularHalfPerm, CircularHalfPerm]:
         ]
         bbar = frozenset(x - offset for x in exits & pset)
         size = len(points)
-        comp_blocks = {frozenset(c) for c in complement(induced).cycles()}
+        _, _, comp_blocks = _perm_data(induced)
         if bbar not in comp_blocks:
             raise AssertionError(
                 f"exit set {sorted(bbar)} is not a complement cycle of {induced}"
             )
         halves.append(
-            make_circular(size, induced.cycles(), open_sets, sorted(bbar))
+            make_circular(size, induced, open_sets, sorted(bbar))
         )
     return halves[0], halves[1]
 

@@ -10,10 +10,16 @@ permutation and its complement saturate the genus bound
 On the annulus with m outer and n inner points the reference rotation has
 two cycles (1..m)(m+1..m+n) and the saturation reads #(p) + #(rot p^-1)
 == m + n, together with at least one cycle meeting both circles.
-Enumeration is brute force by design -- set partitions (disc) or set
-partitions with all cyclic orderings (annulus) pushed through the
-saturation filter -- so that the structured constructions elsewhere in the
-package are checked against an unstructured route.
+
+Enumeration sweeps set partitions, so that the structured constructions
+elsewhere in the package are checked against an unstructured route.  On
+the disc each partition is tested by a stack scan of its blocks (a block
+met again must be the innermost open one), and only the Catalan(n)
+survivors become permutations; `is_noncrossing`, the saturation test,
+stays the public predicate and the test suite holds the two against each
+other.  On the annulus every set partition is expanded into cyclic
+orderings of its blocks and each candidate goes through the saturation
+filter.
 """
 
 from __future__ import annotations
@@ -61,10 +67,7 @@ class Perm:
         return cls(tuple(img))
 
     def inverse(self) -> "Perm":
-        inv = [0] * self.size
-        for i, j in enumerate(self.image, start=1):
-            inv[j - 1] = i
-        return Perm(tuple(inv))
+        return Perm(tuple(_inverse_image(self.image)))
 
     def compose(self, other: "Perm") -> "Perm":
         """(self . other)(i) = self(other(i))."""
@@ -125,6 +128,13 @@ class Perm:
         return format_cycles(self.cycles())
 
 
+def _inverse_image(image: tuple[int, ...]) -> list[int]:
+    inv = [0] * len(image)
+    for i, j in enumerate(image, start=1):
+        inv[j - 1] = i
+    return inv
+
+
 def format_cycles(cycles) -> str:
     return "".join("(" + ",".join(str(p) for p in cyc) + ")" for cyc in cycles)
 
@@ -143,8 +153,17 @@ def annular_rotation(m: int, n: int) -> Perm:
 
 
 def complement(p: Perm) -> Perm:
-    """The complement permutation on the disc (rotation composed with inverse)."""
-    return long_cycle(p.size).compose(p.inverse())
+    """The complement permutation on the disc: the long cycle composed
+    with the inverse, i -> p^-1(i) mod n + 1."""
+    n = p.size
+    return Perm(tuple(j % n + 1 for j in _inverse_image(p.image)))
+
+
+def _annular_complement(m: int, n: int, p: Perm) -> Perm:
+    """annular_rotation(m, n) composed with the inverse of p."""
+    return Perm(tuple(
+        j % m + 1 if j <= m else m + (j - m) % n + 1 for j in _inverse_image(p.image)
+    ))
 
 
 kreweras = complement
@@ -193,6 +212,32 @@ def partition_to_perm(blocks) -> Perm:
     return Perm.from_cycles(n, [tuple(sorted(b)) for b in blocks])
 
 
+def blocks_noncrossing(blocks) -> bool:
+    """Whether a set partition of 1..n, given as increasing blocks (as
+    `set_partitions` yields them), is non-crossing.
+
+    Scanning 1..n, a block opens at its least point and closes at its
+    greatest; a block met again in between must be the innermost open one.
+    """
+    n = sum(len(b) for b in blocks)
+    owner = [0] * (n + 1)
+    for index, block in enumerate(blocks):
+        for x in block:
+            owner[x] = index
+    open_blocks: list[int] = []
+    for i in range(1, n + 1):
+        index = owner[i]
+        block = blocks[index]
+        if i == block[0]:
+            if i != block[-1]:
+                open_blocks.append(index)
+        elif open_blocks[-1] != index:
+            return False
+        elif i == block[-1]:
+            open_blocks.pop()
+    return True
+
+
 @lru_cache(maxsize=None)
 def enum_nc(n: int) -> tuple[Perm, ...]:
     """All non-crossing partitions of the disc, as increasing-cycle permutations."""
@@ -201,9 +246,9 @@ def enum_nc(n: int) -> tuple[Perm, ...]:
     if n == 0:
         return (Perm(()),)
     found = [
-        p
+        partition_to_perm(blocks)
         for blocks in set_partitions(n)
-        if is_noncrossing(p := partition_to_perm(blocks))
+        if blocks_noncrossing(blocks)
     ]
     found.sort(key=lambda p: p.image)
     return tuple(found)
@@ -243,11 +288,8 @@ class AnnularPerm:
     def num_cycles(self) -> int:
         return self.perm.num_cycles()
 
-    def rotation(self) -> Perm:
-        return annular_rotation(self.m, self.n)
-
     def complement_perm(self) -> Perm:
-        return self.rotation().compose(self.perm.inverse())
+        return _annular_complement(self.m, self.n, self.perm)
 
     def through_cycles(self) -> tuple[tuple[int, ...], ...]:
         """Cycles meeting both circles."""
@@ -267,8 +309,38 @@ def is_annular_noncrossing(m: int, n: int, p: Perm) -> bool:
     connected = any(min(cyc) <= m < max(cyc) for cyc in p.cycles())
     if not connected:
         return False
-    rot = annular_rotation(m, n)
-    return p.num_cycles() + rot.compose(p.inverse()).num_cycles() == m + n
+    return p.num_cycles() + _annular_complement(m, n, p).num_cycles() == m + n
+
+
+# Blocks whose orderings `iter_snc_images` keeps at once: every block of
+# an annulus with m + n <= 10 points, under 2 MB at most.
+_SNC_ORDERINGS_MAX = 1024
+
+
+def _snc_orderings(b: tuple[int, ...], m: int, prune: bool) -> tuple:
+    """The candidate cyclic orderings of one block for `iter_snc_images`,
+    each as a 0-based point sequence (each point maps to the next)."""
+    b0 = tuple(x - 1 for x in b)  # 0-based, increasing
+    if len(b0) == 1:
+        return (b0,)
+    seqs = []
+    if prune:
+        split = 0
+        while split < len(b0) and b0[split] < m:
+            split += 1
+        outer, inner = b0[:split], b0[split:]
+        if not outer or not inner:
+            seqs.append(b0)
+        else:
+            for r in range(len(outer)):
+                run_out = outer[r:] + outer[:r]
+                for t in range(len(inner)):
+                    seqs.append(run_out + inner[t:] + inner[:t])
+    else:
+        head, rest = b0[0], b0[1:]
+        for order in _perm_orders(rest):
+            seqs.append((head,) + order)
+    return tuple(seqs)
 
 
 def iter_snc_images(m: int, n: int, prune: bool = True):
@@ -292,6 +364,8 @@ def iter_snc_images(m: int, n: int, prune: bool = True):
     for i in range(total):
         g[i] = (i + 1) % m if i < m else m + (i - m + 1) % n
     rng = range(total)
+    # block -> its candidates; cleared when full, so memory stays bounded
+    orderings: dict[tuple[int, ...], tuple] = {}
 
     for blocks in set_partitions(total):
         nb = len(blocks)
@@ -302,40 +376,21 @@ def iter_snc_images(m: int, n: int, prune: bool = True):
             continue
         per_block = []
         for b in blocks:
-            b0 = tuple(x - 1 for x in b)  # 0-based, increasing
-            if len(b0) == 1:
-                per_block.append((((b0[0], b0[0]),),))
-                continue
-            seqs = []
-            if prune:
-                split = 0
-                while split < len(b0) and b0[split] < m:
-                    split += 1
-                outer, inner = b0[:split], b0[split:]
-                if not outer or not inner:
-                    seqs.append(b0)
-                else:
-                    for r in range(len(outer)):
-                        run_out = outer[r:] + outer[:r]
-                        for t in range(len(inner)):
-                            seqs.append(run_out + inner[t:] + inner[:t])
-            else:
-                head, rest = b0[0], b0[1:]
-                for order in _perm_orders(rest):
-                    seqs.append((head,) + order)
-            per_block.append(
-                tuple(
-                    tuple((seq[i], seq[(i + 1) % len(seq)]) for i in range(len(seq)))
-                    for seq in seqs
-                )
-            )
+            cands = orderings.get(b)
+            if cands is None:
+                if len(orderings) == _SNC_ORDERINGS_MAX:
+                    orderings.clear()
+                cands = orderings[b] = _snc_orderings(b, m, prune)
+            per_block.append(cands)
         img = [0] * total
         inv = [0] * total
         for combo in _product(*per_block):
-            for pairs in combo:
-                for i, j in pairs:
+            for seq in combo:
+                i = seq[-1]
+                for j in seq:
                     img[i] = j
                     inv[j] = i
+                    i = j
             seen = 0
             cnt = 0
             for i0 in rng:

@@ -29,7 +29,7 @@ from ncwishart.halfperm import (
     make_circular,
     weighted_count,
 )
-from ncwishart.perms import enum_nc, enum_snc
+from ncwishart.perms import enum_nc, enum_snc, partition_to_perm
 from ncwishart.polyc import PolyC
 
 C = PolyC.c()
@@ -373,7 +373,7 @@ class TestIntervalDecomposition:
     def test_spanning_blocks_are_rejected(self):
         h = make_circular(
             4,
-            [(1, 3), (2,), (4,)],
+            partition_to_perm([(1, 3), (2,), (4,)]),
             open_sets=[(1, 3), (2,)],
             bbar=(2, 3),
         )

@@ -138,7 +138,7 @@ class TestElementInvariants:
 
     def test_make_round_trips(self):
         for h in enum_ncc(4, 2):
-            again = make_circular(h.n, h.perm.cycles(), h.open_sets(), h.bbar)
+            again = make_circular(h.n, h.perm, h.open_sets(), h.bbar)
             assert again == h
         for h in enum_ncl(4, 2):
             again = make_linear(h.n, h.perm.cycles(), h.circ.open_sets())
@@ -187,6 +187,55 @@ class TestValidation:
         assert 1 not in h.bbar
         with pytest.raises(ValueError, match="contain 1"):
             LinearHalfPerm(h)
+
+
+def on4(*cycles):
+    return Perm.from_cycles(4, cycles)
+
+
+# (a valid half, a half of a different permutation that must be rejected,
+# the rejection message).  Where it can, the valid half is chosen so that
+# its permutation's data would let the bad half through.
+MEMO_LEAK_CASES = {
+    "crossing": (
+        dict(perm=on4((1, 3)), designated=(1, 3), designated_in="perm"),
+        dict(perm=on4((1, 3), (2, 4)), designated=(1, 3), designated_in="perm"),
+        "non-crossing",
+    ),
+    "bbar not a complement cycle": (
+        dict(perm=on4((1, 2)), opens=((1, 2),), bbar=(1, 3, 4)),
+        dict(perm=on4((1, 2), (3, 4)), opens=((1, 2),), bbar=(1, 3, 4)),
+        "complement cycle",
+    ),
+    "open block mis-rotated": (
+        dict(perm=on4((1, 2)), opens=((1, 2),), bbar=(1, 3, 4)),
+        dict(perm=on4((1, 2, 3)), opens=((1, 2, 3),), bbar=(2,)),
+        "rotated to start at 2",
+    ),
+    "designated not a block": (
+        dict(perm=on4((1, 2, 3, 4)), designated=(1, 2, 3, 4), designated_in="perm"),
+        dict(perm=on4((1, 2), (3, 4)), designated=(1, 2, 3, 4), designated_in="perm"),
+        "not a block of the perm",
+    ),
+    "designated not a complement block": (
+        dict(perm=Perm.identity(4), designated=(1, 2, 3, 4), designated_in="complement"),
+        dict(perm=on4((1, 2), (3, 4)), designated=(1, 2, 3, 4),
+             designated_in="complement"),
+        "not a block of the complement",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEMO_LEAK_CASES))
+def test_validation_ignores_the_previous_perm(case):
+    """Half-perm validation memoizes per-permutation data; a half built
+    right after a valid half of another permutation is still checked
+    against its own."""
+    good, bad, message = MEMO_LEAK_CASES[case]
+    assert good["perm"] != bad["perm"]
+    CircularHalfPerm(n=4, **good)
+    with pytest.raises(ValueError, match=message):
+        CircularHalfPerm(n=4, **bad)
 
 
 class TestFourWaySplit:

@@ -13,10 +13,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ncwishart import perms
 from ncwishart.perms import (
     AnnularPerm,
     Perm,
+    _annular_complement,
     annular_rotation,
+    blocks_noncrossing,
     complement,
     enum_nc,
     enum_snc,
@@ -233,3 +236,48 @@ class TestAnnulus:
         assert any(
             img == target.image for img in iter_snc_images(8, 4)
         )
+
+
+class TestFastPaths:
+    """Each fast path against the code it replaced."""
+
+    def test_stack_test_matches_saturation(self):
+        for n in range(10):
+            for blocks in set_partitions(n):
+                want = is_noncrossing(partition_to_perm(blocks))
+                assert blocks_noncrossing(blocks) == want, blocks
+
+    def test_enum_nc_matches_saturation_sweep(self):
+        for n in range(10):
+            swept = [
+                p
+                for blocks in set_partitions(n)
+                if is_noncrossing(p := partition_to_perm(blocks))
+            ]
+            assert enum_nc(n) == tuple(sorted(swept, key=lambda p: p.image))
+
+    @given(st.integers(0, 8).flatmap(perms_strategy))
+    def test_direct_complement(self, p):
+        assert complement(p) == long_cycle(p.size).compose(p.inverse())
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.data())
+    def test_direct_annular_complement(self, m, n, data):
+        p = data.draw(perms_strategy(m + n))
+        rot_inv = annular_rotation(m, n).compose(p.inverse())
+        assert _annular_complement(m, n, p) == rot_inv
+        connected = any(min(c) <= m < max(c) for c in p.cycles())
+        saturated = p.num_cycles() + rot_inv.num_cycles() == m + n
+        assert is_annular_noncrossing(m, n, p) == (connected and saturated)
+
+    def test_annular_complement_of_enumerated(self):
+        for m, n in [(2, 2), (3, 2), (1, 4)]:
+            rot = annular_rotation(m, n)
+            for a in enum_snc(m, n):
+                assert a.complement_perm() == rot.compose(a.perm.inverse())
+
+    def test_bounded_orderings_memo(self, monkeypatch):
+        want = {(m, n): sorted(iter_snc_images(m, n)) for m, n in [(3, 3), (4, 3)]}
+        monkeypatch.setattr(perms, "_SNC_ORDERINGS_MAX", 3)
+        for (m, n), images in want.items():
+            assert sorted(iter_snc_images(m, n)) == images
+            assert sorted(iter_snc_images(m, n, prune=False)) == images
