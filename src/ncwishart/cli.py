@@ -28,6 +28,9 @@ from .colored import enum_colored_ncc, open_profile
 from .dots import dot_decode, dot_encode, enum_dots
 from .families import (
     Family,
+    TransitionMatrix,
+    chebyshev_C,
+    chebyshev_S,
     family_poly,
     gamma,
     gamma_tilde,
@@ -65,11 +68,22 @@ from .rmt import (
     variance_check,
     word_variance_limit,
 )
-from .wick import function_algebra, matrix_algebra, scalar_algebra, wick_report
+from .wick import (
+    MIN_REPORT_DEPTH,
+    function_algebra,
+    matrix_algebra,
+    scalar_algebra,
+    wick_report,
+)
 
 
 class UsageError(Exception):
     """A semantic command-line problem; reported on stderr with exit 2."""
+
+
+# the band (1, 1+c, c) of the recursions the verify suites check
+_C = PolyC.c()
+_ONE_PLUS_C = PolyC.of(1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +552,6 @@ def check_product_decomposition_fixture() -> list[dict]:
 
 
 def _recursion_records(max_n: int) -> list[dict]:
-    one_plus_c = PolyC.of(1, 1)
-    c = PolyC.c()
     records = []
 
     def gp(n: int, k: int) -> PolyC:
@@ -550,11 +562,11 @@ def _recursion_records(max_n: int) -> list[dict]:
     for n in range(max_n):
         for k in range(n + 2):
             if n == 1:
-                ok = gp(1, k - 1) == gp(2, k) + one_plus_c * gp(1, k) + 2 * c * gp(0, k)
+                ok = gp(1, k - 1) == gp(2, k) + _ONE_PLUS_C * gp(1, k) + 2 * _C * gp(0, k)
             else:
                 ok = (
                     gp(n, k - 1)
-                    == gp(n + 1, k) + one_plus_c * gp(n, k) + c * gp(n - 1, k)
+                    == gp(n + 1, k) + _ONE_PLUS_C * gp(n, k) + _C * gp(n - 1, k)
                 )
             records.append(_record("arc-sine forward row recurrence", f"n={n},k={k}", ok))
 
@@ -562,12 +574,39 @@ def _recursion_records(max_n: int) -> list[dict]:
     for n in range(2, max_n):
         ok = (
             x * pi_poly(n)
-            == pi_poly(n + 1) + one_plus_c * pi_poly(n) + c * pi_poly(n - 1)
+            == pi_poly(n + 1) + _ONE_PLUS_C * pi_poly(n) + _C * pi_poly(n - 1)
         )
         records.append(_record("second-kind three-term recurrence", f"n={n}", ok))
+    for n in range(1, max_n):
+        # x*C_1 = C_2 + 2*C_0 is the one exception to the plain recurrence
+        weight = 2 if n == 1 else 1
+        ok = x * chebyshev_C(n) == chebyshev_C(n + 1) + weight * chebyshev_C(n - 1)
+        records.append(_record("first-kind Chebyshev recurrence", f"n={n}", ok))
+    for n in range(1, max_n):
+        ok = x * chebyshev_S(n) == chebyshev_S(n + 1) + chebyshev_S(n - 1)
+        records.append(_record("second-kind Chebyshev recurrence", f"n={n}", ok))
 
-    g = inverse_table(Family.GAMMA_TILDE, max_n + 1)
-    p = inverse_table(Family.PI, max_n + 1)
+    size = max_n + 1
+    for fam in Family:
+        forward, inverse = transition_matrix(fam, size), inverse_table(fam, size)
+        instance = f"{fam.value},size={size}"
+        ok = forward @ inverse == TransitionMatrix.identity(size)
+        records.append(_record("M @ M^-1 = I", instance, ok))
+        records.append(_record("double inversion", instance, inverse.invert() == forward))
+        for name, table in (("forward", forward), ("inverse", inverse)):
+            bad = [
+                f"({n},{k})"
+                for n, row in enumerate(table.rows)
+                for k, entry in enumerate(row)
+                if any(a.denominator != 1 for a in entry.coeffs)
+            ]
+            records.append(
+                _record("integer coefficients", f"{fam.value} {name},size={size}",
+                        not bad, detail=", ".join(bad) or None)
+            )
+
+    g = inverse_table(Family.GAMMA_TILDE, size)
+    p = inverse_table(Family.PI, size)
 
     def gval(n: int, k: int) -> PolyC:
         return g.entry(n, k) if 0 <= k <= n else PolyC.zero()
@@ -579,33 +618,33 @@ def _recursion_records(max_n: int) -> list[dict]:
         for k in range(1, n + 2):
             ok = (
                 gval(n + 1, k)
-                == gval(n, k - 1) + one_plus_c * gval(n, k) + c * gval(n, k + 1)
+                == gval(n, k - 1) + _ONE_PLUS_C * gval(n, k) + _C * gval(n, k + 1)
             )
             records.append(
                 _record("arc-sine inverse band recursion", f"n={n + 1},k={k}", ok)
             )
-        ok = gval(n + 1, 0) == one_plus_c * gval(n, 0) + 2 * c * gval(n, 1)
+        ok = gval(n + 1, 0) == _ONE_PLUS_C * gval(n, 0) + 2 * _C * gval(n, 1)
         records.append(
             _record("arc-sine inverse column-0 recursion", f"n={n + 1}", ok)
         )
         for k in range(1, n + 2):
             ok = (
                 pval(n + 1, k)
-                == pval(n, k - 1) + one_plus_c * pval(n, k) + c * pval(n, k + 1)
+                == pval(n, k - 1) + _ONE_PLUS_C * pval(n, k) + _C * pval(n, k + 1)
             )
             records.append(
                 _record("second-kind inverse band recursion", f"n={n + 1},k={k}", ok)
             )
-        ok = pval(n + 1, 0) == c * pval(n, 0) + c * pval(n, 1)
+        ok = pval(n + 1, 0) == _C * pval(n, 0) + _C * pval(n, 1)
         records.append(
             _record("second-kind inverse column-0 recursion", f"n={n + 1}", ok)
         )
 
     for n in range(2, max_n + 1):
-        ok = gamma_tilde(n) + gamma_tilde(n - 1) == pi_poly(n) - c * pi_poly(n - 2)
+        ok = gamma_tilde(n) + gamma_tilde(n - 1) == pi_poly(n) - _C * pi_poly(n - 2)
         records.append(_record("first/second-kind bridge (uncentered)", f"n={n}", ok))
     for n in range(3, max_n + 1):
-        ok = gamma(n) + gamma(n - 1) == pi_poly(n) - c * pi_poly(n - 2)
+        ok = gamma(n) + gamma(n - 1) == pi_poly(n) - _C * pi_poly(n - 2)
         records.append(_record("first/second-kind bridge (centered)", f"n={n}", ok))
 
     for n in range(1, max_n + 1):
@@ -629,9 +668,9 @@ def _recursion_records(max_n: int) -> list[dict]:
         for k in range(n + 2):
             lhs = cell(n + 1, k)
             if k == 0:
-                rhs = one_plus_c * cell(n, 0) + 2 * c * cell(n, 1)
+                rhs = _ONE_PLUS_C * cell(n, 0) + 2 * _C * cell(n, 1)
             else:
-                rhs = cell(n, k - 1) + one_plus_c * cell(n, k) + c * cell(n, k + 1)
+                rhs = cell(n, k - 1) + _ONE_PLUS_C * cell(n, k) + _C * cell(n, k + 1)
             records.append(
                 _record("circular census recursion (enumerated)", f"n={n + 1},k={k}", lhs == rhs)
             )
@@ -688,22 +727,19 @@ def _cut_reassemble_records(max_total: int) -> list[dict]:
             n = total - m
             elems = enum_snc(m, n)
             fibers: dict[tuple, list] = {}
-            unique_ok = True
             for a in elems:
-                h1, h2 = cut(a)
-                hits = [
-                    s
-                    for s in range(1, h1.k + 1)
-                    if reassemble(h1, h2, s).perm == a.perm
-                ]
-                if len(hits) != 1:
-                    unique_ok = False
-                fibers.setdefault((h1, h2), []).append(a)
-            size_ok = all(len(v) == h1.k for (h1, _), v in fibers.items())
+                fibers.setdefault(cut(a), []).append(a.perm.image)
+            # glue each fiber's k halves once; every member must come back
+            # exactly once, and the gluings together must be the census
+            unique_ok = size_ok = True
             rebuilt: Counter = Counter()
-            for (h1, h2), _ in fibers.items():
-                for s in range(1, h1.k + 1):
-                    rebuilt[reassemble(h1, h2, s).perm.image] += 1
+            for (h1, h2), members in fibers.items():
+                glued = Counter(
+                    reassemble(h1, h2, s).perm.image for s in range(1, h1.k + 1)
+                )
+                unique_ok = unique_ok and all(glued[img] == 1 for img in members)
+                size_ok = size_ok and len(members) == h1.k
+                rebuilt += glued
             census_ok = rebuilt == Counter(a.perm.image for a in elems)
             records.append(
                 _record(
@@ -727,36 +763,24 @@ def _cut_reassemble_records(max_total: int) -> list[dict]:
 def _lineardecomp_records(max_n: int) -> list[dict]:
     records = []
     for n in range(1, max_n + 1):
-        try:
-            lhs, _ = lineardecomp_check(n)
-            records.append(
-                _record(
-                    "block-weighted linear decomposition",
-                    f"n={n}",
-                    True,
-                    detail=str(lhs),
-                )
-            )
-        except AssertionError as exc:
-            records.append(
-                _record("block-weighted linear decomposition", f"n={n}", False,
-                        detail=str(exc))
-            )
+        lhs, rhs = lineardecomp_check(n)
+        records.append(
+            _record("block-weighted linear decomposition", f"n={n}", lhs == rhs,
+                    detail=str(lhs))
+        )
     return records
 
 
 def _series_records(order: int, max_k: int) -> list[dict]:
-    one_plus_c = PolyC.of(1, 1)
-    c = PolyC.c()
     records = []
     p0 = series_P0(order)
     q = p0 - 1
-    ok = q == (q * q + one_plus_c * q + c).times_z()
+    ok = q == (q * q + _ONE_PLUS_C * q + _C).times_z()
     records.append(_record("moment series functional equation", f"order={order}", ok))
 
-    one_minus = SeriesZ.one(order) - one_plus_c * SeriesZ.z(order)
+    one_minus = SeriesZ.one(order) - _ONE_PLUS_C * SeriesZ.z(order)
     for k in range(1, max_k + 1):
-        lhs = (c * series_P(k + 1, order)).times_z()
+        lhs = (_C * series_P(k + 1, order)).times_z()
         rhs = one_minus * series_P(k, order) - series_P(k - 1, order).times_z()
         records.append(_record("second-kind column ladder", f"k={k}", lhs == rhs))
 
@@ -819,6 +843,20 @@ def _wick_records(depth: int, seed: int, algebra: str) -> list[dict]:
 
 def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     suite = args.suite
+    # reject sizes the suites cannot run before any work is done
+    if suite in ("bijections", "lineardecomp") and (args.max_n or 0) > DEFAULT_DISC_CAP:
+        raise UsageError(
+            f"--max-n {args.max_n} exceeds the enumeration cap {DEFAULT_DISC_CAP}"
+        )
+    if suite == "cut-reassemble" and args.max_total > DEFAULT_ANNULAR_CAP:
+        raise UsageError(
+            f"--max-total {args.max_total} exceeds the enumeration cap {DEFAULT_ANNULAR_CAP}"
+        )
+    if suite == "wick" and args.depth < MIN_REPORT_DEPTH:
+        raise UsageError(
+            f"--depth {args.depth} is below the minimum {MIN_REPORT_DEPTH} "
+            "of the wick suite"
+        )
     if suite == "recursions":
         records = _recursion_records(args.max_n if args.max_n is not None else 10)
     elif suite == "bijections":
@@ -1101,7 +1139,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--depth", type=_positive_int, default=4,
-        help="wick: tensor-degree cap (default 4)",
+        help=f"wick: tensor-degree cap (default 4, at least {MIN_REPORT_DEPTH})",
     )
     p_verify.add_argument("--seed", type=_nonnegative_int, default=0,
                           help="wick: letter seed")

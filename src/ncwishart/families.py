@@ -325,9 +325,8 @@ def series_P0(order: int) -> SeriesZ:
     if order < 1:
         raise ValueError("order must be positive")
     q = SeriesZ.zero(order)
-    one_plus_c = PolyC.of(1, 1)
     for _ in range(order + 1):
-        q = (q * q + one_plus_c * q + _C).times_z()
+        q = (q * q + _ONE_PLUS_C * q + _C).times_z()
     return q + 1
 
 
@@ -367,191 +366,3 @@ def series_G(n: int, order: int) -> SeriesZ:
         raise ValueError("n must be nonnegative")
     return _ladder(order) ** n * series_G0(order)
 
-
-# ---------------------------------------------------------------------------
-# identity checkers (each returns a list of failure descriptions)
-# ---------------------------------------------------------------------------
-
-
-def check_three_term_recurrences(max_n: int) -> list[str]:
-    """Coefficient-level three-term recurrences for the arc-sine family
-    and the x-level recurrences for all four generated families."""
-    failures: list[str] = []
-
-    def gp(n: int, k: int) -> PolyC:
-        if n < 0 or k < 0 or k > n:
-            return PolyC.zero()
-        return gamma_tilde(n).coeff(k)
-
-    for n in range(0, max_n):
-        for k in range(0, n + 2):
-            if n == 1:
-                lhs = gp(1, k - 1)
-                rhs = gp(2, k) + _ONE_PLUS_C * gp(1, k) + 2 * _C * gp(0, k)
-                tag = "n=1 row recurrence"
-            else:
-                lhs = gp(n, k - 1)
-                rhs = gp(n + 1, k) + _ONE_PLUS_C * gp(n, k) + _C * gp(n - 1, k)
-                tag = "row recurrence"
-            if lhs != rhs:
-                failures.append(f"arc-sine {tag} fails at (n={n}, k={k})")
-
-    x = PolyXC.x()
-    for n in range(2, max_n):
-        lhs = x * pi_poly(n)
-        rhs = pi_poly(n + 1) + _ONE_PLUS_C * pi_poly(n) + _C * pi_poly(n - 1)
-        if lhs != rhs:
-            failures.append(f"second-kind x-recurrence fails at n={n}")
-    for n in range(2, max_n):
-        if x * chebyshev_C(n) != chebyshev_C(n + 1) + chebyshev_C(n - 1):
-            failures.append(f"first-kind Chebyshev recurrence fails at n={n}")
-    for n in range(1, max_n):
-        if x * chebyshev_S(n) != chebyshev_S(n + 1) + chebyshev_S(n - 1):
-            failures.append(f"second-kind Chebyshev recurrence fails at n={n}")
-    return failures
-
-
-def check_inverse_recursions(size: int) -> list[str]:
-    """Row recursions of the two inverse tables.
-
-    Arc-sine inverse: rows step by the band (1, 1+c, c) with the doubled-c
-    rule in column 0.  Second-kind inverse: same band for k > 0 but column 0
-    couples to columns 0 and 1 with weight c.
-    """
-    failures: list[str] = []
-    g = inverse_table(Family.GAMMA_TILDE, size)
-    p = inverse_table(Family.PI, size)
-
-    def gval(n: int, k: int) -> PolyC:
-        return g.entry(n, k) if 0 <= k <= n else PolyC.zero()
-
-    def pval(n: int, k: int) -> PolyC:
-        return p.entry(n, k) if 0 <= k <= n else PolyC.zero()
-
-    for n in range(size - 1):
-        for k in range(1, n + 2):
-            lhs = gval(n + 1, k)
-            rhs = gval(n, k - 1) + _ONE_PLUS_C * gval(n, k) + _C * gval(n, k + 1)
-            if lhs != rhs:
-                failures.append(f"arc-sine inverse recursion fails at (n={n + 1}, k={k})")
-        if gval(n + 1, 0) != _ONE_PLUS_C * gval(n, 0) + 2 * _C * gval(n, 1):
-            failures.append(f"arc-sine inverse column-0 recursion fails at n={n + 1}")
-        for k in range(1, n + 2):
-            lhs = pval(n + 1, k)
-            rhs = pval(n, k - 1) + _ONE_PLUS_C * pval(n, k) + _C * pval(n, k + 1)
-            if lhs != rhs:
-                failures.append(f"second-kind inverse recursion fails at (n={n + 1}, k={k})")
-        if pval(n + 1, 0) != _C * pval(n, 0) + _C * pval(n, 1):
-            failures.append(f"second-kind inverse column-0 recursion fails at n={n + 1}")
-    return failures
-
-
-def check_double_inversion(family: Family, size: int) -> list[str]:
-    failures = []
-    m = transition_matrix(family, size)
-    inv = m.invert()
-    if m @ inv != TransitionMatrix.identity(size):
-        failures.append(f"{family.value}: M @ M^-1 != I at size {size}")
-    if inv.invert() != m:
-        failures.append(f"{family.value}: double inversion is not the identity map")
-    return failures
-
-
-def check_bridge_identity(max_n: int) -> list[str]:
-    """The first-kind/second-kind bridge.
-
-    The uncentered arc-sine family satisfies f_n + f_{n-1} = g_n - c*g_{n-2}
-    (g = second-kind family) for every n >= 2; the centered family satisfies
-    it from n = 3 on, because the recentering constants only cancel in
-    consecutive pairs from there.
-    """
-    failures = []
-    for n in range(2, max_n + 1):
-        lhs = gamma_tilde(n) + gamma_tilde(n - 1)
-        rhs = pi_poly(n) - _C * pi_poly(n - 2)
-        if lhs != rhs:
-            failures.append(f"uncentered bridge identity fails at n={n}")
-    for n in range(3, max_n + 1):
-        lhs = gamma(n) + gamma(n - 1)
-        rhs = pi_poly(n) - _C * pi_poly(n - 2)
-        if lhs != rhs:
-            failures.append(f"centered bridge identity fails at n={n}")
-    return failures
-
-
-def bridge_defect_at_two() -> PolyXC:
-    """The (nonzero) defect of the centered bridge identity at n = 2."""
-    lhs = gamma(2) + gamma(1)
-    rhs = pi_poly(2) - _C * pi_poly(0)
-    return lhs - rhs
-
-
-def check_centering(max_n: int) -> list[str]:
-    failures = []
-    for n in range(1, max_n + 1):
-        for family in (Family.GAMMA, Family.PI):
-            val = integrate_against_reference(family_poly(family, n))
-            if not val.is_zero():
-                failures.append(f"{family.value} member {n} integrates to {val}, not 0")
-    return failures
-
-
-def check_norms(max_n: int) -> list[str]:
-    """Second-kind squared norms against the reference measure equal c^n."""
-    failures = []
-    for n in range(0, max_n + 1):
-        p = pi_poly(n)
-        val = integrate_against_reference(p * p)
-        if val != PolyC.monomial(n):
-            failures.append(f"second-kind norm at n={n} is {val}, expected c^{n}")
-    return failures
-
-
-def check_integrality(family: Family, size: int) -> list[str]:
-    failures = []
-    for mat in (transition_matrix(family, size), inverse_table(family, size)):
-        for n in range(size):
-            for k in range(n + 1):
-                if any(a.denominator != 1 for a in mat.entry(n, k).coeffs):
-                    failures.append(
-                        f"{family.value} entry ({n},{k}) has a non-integer coefficient"
-                    )
-    return failures
-
-
-def check_series_match(max_order: int) -> list[str]:
-    """Series coefficients against the independent matrix-inversion route."""
-    failures = []
-    gt = inverse_table(Family.GAMMA_TILDE, max_order + 1)
-    pt = inverse_table(Family.PI, max_order + 1)
-    for k in range(max_order + 1):
-        pk = series_P(k, max_order)
-        gk = series_G(k, max_order)
-        for m in range(max_order + 1):
-            want_p = pt.entry(m, k) if k <= m else PolyC.zero()
-            if pk.coeff(m) != want_p:
-                failures.append(f"second-kind series column {k} differs at z^{m}")
-            want_g = gt.entry(m, k) if k <= m else PolyC.zero()
-            if gk.coeff(m) != want_g:
-                failures.append(f"arc-sine series column {k} differs at z^{m}")
-    return failures
-
-
-def check_series_recursions(max_k: int, order: int) -> list[str]:
-    """Functional equation for P0 and the column-ladder recursion.
-
-    The ladder recursion c*P_{k+1} = (1/z - (1+c))*P_k - P_{k-1} (k >= 1) is
-    checked in its z-cleared form so that everything stays a power series.
-    """
-    failures = []
-    p0 = series_P0(order)
-    q = p0 - 1
-    if q != (q * q + _ONE_PLUS_C * q + _C).times_z():
-        failures.append("moment series does not satisfy its functional equation")
-    one_minus = SeriesZ.one(order) - _ONE_PLUS_C * SeriesZ.z(order)
-    for k in range(1, max_k + 1):
-        lhs = (_C * series_P(k + 1, order)).times_z()
-        rhs = one_minus * series_P(k, order) - series_P(k - 1, order).times_z()
-        if lhs != rhs:
-            failures.append(f"series ladder recursion fails at k={k}")
-    return failures

@@ -909,6 +909,11 @@ def _convolution_sizes_ok(max_left: int, max_right: int) -> bool:
     return True
 
 
+# the inductive step concatenates two 2-letter words, so the report needs
+# tensor words of length 4 under the depth cap
+MIN_REPORT_DEPTH = 4
+
+
 def wick_report(
     depth: int = 5,
     seed: int = 0,

@@ -1,14 +1,17 @@
-"""Tests for the command-line contract: `enumerate` in text and JSON, the
-shipped JSON schema, and usage errors that exit 2 without a traceback."""
+"""Tests for the command-line contract: every subcommand's JSON report
+against its shipped schema, text and JSON reports that agree, failed
+checks that exit 1, and usage errors that exit 2 without a traceback."""
 
 import json
 
 import jsonschema
 import pytest
 
-from ncwishart.cli import main, schema_path
+from ncwishart import cli
+from ncwishart.cli import GOLDEN_ROWS, main, schema_path
 from ncwishart.halfperm import WeightRule, enum_ncc, enum_ncl, weighted_count
 from ncwishart.perms import enum_snc
+from ncwishart.polyc import PolyC
 
 CELLS = [
     ("ncc", "--n", "4", "--k", "0"),
@@ -24,6 +27,11 @@ def run(capsys, *argv):
     code = main(["enumerate", *argv])
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def validate(report, command):
+    schema = json.loads(schema_path(command).read_text(encoding="utf-8"))
+    jsonschema.validate(report, schema)
 
 
 def text_summary(out):
@@ -51,8 +59,7 @@ def test_json_matches_schema_and_library(capsys, cell):
     code, out, _ = run(capsys, *cell, "--format", "json")
     assert code == 0
     report = json.loads(out)
-    schema = json.loads(schema_path("enumerate").read_text(encoding="utf-8"))
-    jsonschema.validate(report, schema)
+    validate(report, "enumerate")
     kind, *flags = cell
     params = {flags[i].lstrip("-"): int(flags[i + 1]) for i in range(0, len(flags), 2)}
     assert report["kind"] == kind and report["params"] == params
@@ -77,6 +84,9 @@ def test_json_matches_schema_and_library(capsys, cell):
         ("mc", "diagonalize", "--max-degree", "7", "--N", "4", "--samples", "4"),
         ("mc", "diagonalize", "--max-degree", "20", "--N", "4", "--samples", "4"),
         ("mc", "raw-cov", "--m", "6", "--n", "7", "--N", "4", "--samples", "4"),
+        ("verify", "lineardecomp", "--max-n", "13"),
+        ("verify", "bijections", "--max-n", "13"),
+        ("verify", "cut-reassemble", "--max-total", "13"),
     ],
     ids=" ".join,
 )
@@ -87,3 +97,98 @@ def test_over_the_cap_is_a_usage_error(capsys, argv):
         assert out == ""
         assert err.startswith("error: ") and "cap" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("depth", ["1", "2", "3"])
+def test_wick_depth_below_the_minimum_is_a_usage_error(capsys, depth):
+    assert main(["verify", "wick", "--depth", depth]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "minimum 4" in err
+    assert "Traceback" not in err
+
+
+# -- verify, tables and mc reports against their schemas ----------------------
+
+SUITES = [
+    ("recursions", "--max-n", "4"),
+    ("bijections", "--max-n", "3"),
+    ("cut-reassemble", "--max-total", "4"),
+    ("lineardecomp", "--max-n", "4"),
+    ("series", "--order", "4", "--max-k", "3"),
+    ("wick", "--depth", "4", "--algebra", "scalar"),
+]
+
+
+def verify(capsys, *argv):
+    """Run one verify suite in text and in JSON; return both reports."""
+    code_t = main(["verify", *argv, "--format", "text"])
+    out_t, _ = capsys.readouterr()
+    code_j = main(["verify", *argv, "--format", "json"])
+    out_j, _ = capsys.readouterr()
+    report = json.loads(out_j)
+    assert code_t == code_j == (0 if report["status"] == "pass" else 1)
+    return out_t, report
+
+
+@pytest.mark.parametrize("suite", SUITES, ids=" ".join)
+def test_verify_text_and_json_agree(capsys, suite):
+    text, report = verify(capsys, *suite)
+    validate(report, "verify")
+    assert report["suite"] == suite[0]
+    assert report["status"] == "pass" and report["failures"] == 0
+    assert report["instances"] == len(report["checks"]) > 0
+    lines = text.splitlines()
+    assert sum(line.startswith("[") for line in lines) == report["instances"]
+    assert f"checked: {report['instances']} instances, {report['failures']} failures" in lines
+    assert lines[-1] == f"status: {report['status']}"
+
+
+def test_lineardecomp_mismatch_is_a_failed_record(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "lineardecomp_check", lambda n: (PolyC.zero(), PolyC.one()))
+    text, report = verify(capsys, "lineardecomp", "--max-n", "3")
+    validate(report, "verify")
+    assert report["status"] == "fail" and report["failures"] == report["instances"] == 3
+    assert "[FAIL] block-weighted linear decomposition: n=1 (0)" in text.splitlines()
+
+
+INVERSE_FAMILIES = sorted(GOLDEN_ROWS)
+
+
+@pytest.mark.parametrize("family", INVERSE_FAMILIES)
+def test_tables_check_matches_schema(capsys, family):
+    assert main(["tables", family, "--rows", "6", "--check", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr()[0])
+    validate(report, "tables")
+    assert report["status"] == "pass" and len(report["rows"]) == 6
+    assert report["check"] == {"rows_compared": 5, "mismatches": [], "pass": True}
+
+
+def test_a_fixture_mismatch_exits_1(capsys, monkeypatch):
+    bad = (("2",),) + GOLDEN_ROWS["pi-inverse"][1:]
+    monkeypatch.setitem(GOLDEN_ROWS, "pi-inverse", bad)
+    assert main(["tables", "pi-inverse", "--check", "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr()[0])
+    validate(report, "tables")
+    assert report["status"] == "fail"
+    assert report["check"]["mismatches"] == [
+        {"row": 0, "col": 0, "computed": "1", "fixture": "2"}
+    ]
+    assert main(["tables", "pi-inverse", "--check"]) == 1
+    lines = capsys.readouterr()[0].splitlines()
+    assert "fixture check: FAIL (5 rows compared)" in lines
+    assert lines[-1] == "status: fail"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("raw-cov", "--m", "2", "--n", "3"), ("diagonalize",)],
+    ids=" ".join,
+)
+def test_mc_matches_schema(capsys, argv):
+    code = main(["mc", *argv, "--N", "8", "--samples", "16", "--format", "json"])
+    report = json.loads(capsys.readouterr()[0])
+    validate(report, "mc")
+    assert report["experiment"] == argv[0]
+    assert code == (0 if report["status"] == "pass" else 1)
+    assert report["statistics"] or report["covariance"]

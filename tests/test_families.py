@@ -1,8 +1,8 @@
 """Family polynomials, transition matrices, inverses, and series.
 
-The five-row inverse tables are frozen below as plain strings; they are the
-central fixtures of the whole package and everything else cross-checks
-against them.
+The five-row inverse tables are the golden fixture `cli.GOLDEN_ROWS`, which
+`tables --check` also uses.  The exact identities are checked through the
+records of the `verify recursions` and `verify series` suites.
 """
 
 import sys
@@ -11,20 +11,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncwishart.cli import GOLDEN_ROWS, _recursion_records, _series_records
 from ncwishart.families import (
     Family,
     ShiftConstants,
     TransitionMatrix,
-    bridge_defect_at_two,
-    check_bridge_identity,
-    check_centering,
-    check_double_inversion,
-    check_integrality,
-    check_inverse_recursions,
-    check_norms,
-    check_series_match,
-    check_series_recursions,
-    check_three_term_recurrences,
     chebyshev_C,
     chebyshev_S,
     gamma,
@@ -45,53 +36,33 @@ from ncwishart.polyc import PolyC, PolyXC
 X = PolyXC.x()
 C = PolyC.c()
 
-ARCSINE_INVERSE_5 = [
-    ["1"],
-    ["1 + c", "1"],
-    ["1 + 4*c + c^2", "2 + 2*c", "1"],
-    ["1 + 9*c + 9*c^2 + c^3", "3 + 9*c + 3*c^2", "3 + 3*c", "1"],
-    [
-        "1 + 16*c + 36*c^2 + 16*c^3 + c^4",
-        "4 + 24*c + 24*c^2 + 4*c^3",
-        "6 + 16*c + 6*c^2",
-        "4 + 4*c",
-        "1",
-    ],
-]
+# sizes of the two suites under test; the recursion suite checks its
+# matrices at size RECURSION_MAX_N + 1
+RECURSION_MAX_N = 12
+SERIES_ORDER = SERIES_MAX_K = 10
+TABLE_SIZE = RECURSION_MAX_N + 1
 
-CENTERED_INVERSE_5 = [
-    ["1"],
-    ["c", "1"],
-    ["c + c^2", "2 + 2*c", "1"],
-    ["c + 3*c^2 + c^3", "3 + 9*c + 3*c^2", "3 + 3*c", "1"],
-    [
-        "c + 6*c^2 + 6*c^3 + c^4",
-        "4 + 24*c + 24*c^2 + 4*c^3",
-        "6 + 16*c + 6*c^2",
-        "4 + 4*c",
-        "1",
-    ],
-]
 
-SECOND_KIND_INVERSE_5 = [
-    ["1"],
-    ["c", "1"],
-    ["c + c^2", "1 + 2*c", "1"],
-    ["c + 3*c^2 + c^3", "1 + 5*c + 3*c^2", "2 + 3*c", "1"],
-    [
-        "c + 6*c^2 + 6*c^3 + c^4",
-        "1 + 9*c + 14*c^2 + 4*c^3",
-        "3 + 11*c + 6*c^2",
-        "3 + 4*c",
-        "1",
-    ],
-]
+@pytest.fixture(scope="module")
+def recursion_records():
+    return _recursion_records(RECURSION_MAX_N)
 
-GOLDEN = {
-    Family.GAMMA_TILDE: ARCSINE_INVERSE_5,
-    Family.GAMMA: CENTERED_INVERSE_5,
-    Family.PI: SECOND_KIND_INVERSE_5,
-}
+
+@pytest.fixture(scope="module")
+def series_records():
+    return _series_records(SERIES_ORDER, SERIES_MAX_K)
+
+
+def failing(records):
+    """`identity: instance` of every record that did not pass."""
+    return [f"{r['identity']}: {r['instance']}" for r in records if not r["pass"]]
+
+
+def checked(records, identity):
+    """The instances of `identity`, after asserting that all of them pass."""
+    chosen = [r for r in records if r["identity"] == identity]
+    assert failing(chosen) == []
+    return {r["instance"] for r in chosen}
 
 
 def table_rows(m, size):
@@ -178,12 +149,15 @@ def test_transition_matrix_rows():
 @pytest.mark.parametrize("family", list(Family))
 def test_golden_inverse_tables(family):
     inv = inverse_table(family, 5)
-    assert table_rows(inv, 5) == GOLDEN[family]
+    golden = GOLDEN_ROWS[f"{family.value}-inverse"]
+    assert table_rows(inv, 5) == [list(row) for row in golden]
 
 
 @pytest.mark.parametrize("family", list(Family))
-def test_double_inversion(family):
-    assert check_double_inversion(family, 9) == []
+def test_double_inversion(recursion_records, family):
+    instance = f"{family.value},size={TABLE_SIZE}"
+    assert instance in checked(recursion_records, "M @ M^-1 = I")
+    assert instance in checked(recursion_records, "double inversion")
 
 
 def test_inversion_rejects_non_unit_diagonal():
@@ -192,9 +166,12 @@ def test_inversion_rejects_non_unit_diagonal():
         invert_unitriangular(m)
 
 
-def test_all_entries_are_integer_polynomials():
-    for family in Family:
-        assert check_integrality(family, 10) == []
+def test_all_entries_are_integer_polynomials(recursion_records):
+    assert checked(recursion_records, "integer coefficients") == {
+        f"{family.value} {table},size={TABLE_SIZE}"
+        for family in Family
+        for table in ("forward", "inverse")
+    }
 
 
 @st.composite
@@ -223,27 +200,62 @@ def test_inversion_properties_on_random_matrices(m):
 # -- identity suite -----------------------------------------------------------
 
 
-def test_three_term_recurrences():
-    assert check_three_term_recurrences(12) == []
+def test_recursion_suite_passes(recursion_records):
+    assert failing(recursion_records) == []
 
 
-def test_inverse_row_recursions():
-    assert check_inverse_recursions(12) == []
+def test_three_term_recurrences(recursion_records):
+    n_max = RECURSION_MAX_N
+    assert checked(recursion_records, "arc-sine forward row recurrence") == {
+        f"n={n},k={k}" for n in range(n_max) for k in range(n + 2)
+    }
+    assert checked(recursion_records, "second-kind three-term recurrence") == {
+        f"n={n}" for n in range(2, n_max)
+    }
+    for kind in ("first", "second"):
+        assert checked(recursion_records, f"{kind}-kind Chebyshev recurrence") == {
+            f"n={n}" for n in range(1, n_max)
+        }
 
 
-def test_bridge_identity_ranges():
-    assert check_bridge_identity(12) == []
+def test_inverse_row_recursions(recursion_records):
+    rows = range(1, RECURSION_MAX_N + 1)
+    for family in ("arc-sine", "second-kind"):
+        assert checked(recursion_records, f"{family} inverse band recursion") == {
+            f"n={n},k={k}" for n in rows for k in range(1, n + 1)
+        }
+        assert checked(recursion_records, f"{family} inverse column-0 recursion") == {
+            f"n={n}" for n in rows
+        }
+
+
+def test_bridge_identity_ranges(recursion_records):
+    n_max = RECURSION_MAX_N
+    assert checked(recursion_records, "first/second-kind bridge (uncentered)") == {
+        f"n={n}" for n in range(2, n_max + 1)
+    }
+    assert checked(recursion_records, "first/second-kind bridge (centered)") == {
+        f"n={n}" for n in range(3, n_max + 1)
+    }
 
 
 def test_bridge_identity_defect_at_two():
     # the centered version genuinely fails at n = 2: the defect is the
     # constant c, because the recentering constants d_2 + d_1 = c do not cancel
-    assert bridge_defect_at_two() == PolyXC.of(C)
+    defect = gamma(2) + gamma(1) - (pi_poly(2) - C * pi_poly(0))
+    assert defect == PolyXC.of(C)
 
 
-def test_centering_and_norms():
-    assert check_centering(8) == []
-    assert check_norms(8) == []
+def test_centering_and_norms(recursion_records):
+    n_max = RECURSION_MAX_N
+    assert checked(recursion_records, "centered against the reference moments") == {
+        f"{family.value},n={n}"
+        for family in (Family.GAMMA, Family.PI)
+        for n in range(1, n_max + 1)
+    }
+    assert checked(recursion_records, "second-kind squared norm") == {
+        f"n={n}" for n in range(n_max + 1)
+    }
 
 
 def test_arcsine_family_is_not_centered():
@@ -275,12 +287,25 @@ def test_series_fixed_values():
     assert series_G(0, 4).coeff(0) == PolyC.one()
 
 
-def test_series_against_matrix_columns():
-    assert check_series_match(10) == []
+def test_series_suite_passes(series_records):
+    assert failing(series_records) == []
 
 
-def test_series_recursions():
-    assert check_series_recursions(6, 10) == []
+def test_series_against_matrix_columns(series_records):
+    for family in ("second-kind", "arc-sine"):
+        identity = f"{family} series column matches the inverse table"
+        assert checked(series_records, identity) == {
+            f"k={k}" for k in range(SERIES_MAX_K + 1)
+        }
+
+
+def test_series_recursions(series_records):
+    assert checked(series_records, "moment series functional equation") == {
+        f"order={SERIES_ORDER}"
+    }
+    assert checked(series_records, "second-kind column ladder") == {
+        f"k={k}" for k in range(1, SERIES_MAX_K + 1)
+    }
 
 
 def test_moment_series_matches_moments():

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from ncwishart.cli import _cut_reassemble_records
 from ncwishart.families import Family, inverse_table
 from ncwishart.halfperm import (
     CircularHalfPerm,
@@ -313,7 +314,8 @@ class TestOddPairing:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_identity_full_range(self, n):
-        lineardecomp_check(n)
+        lhs, rhs = lineardecomp_check(n)
+        assert lhs == rhs
 
 
 class TestCutReassemble:
@@ -335,6 +337,13 @@ class TestCutReassemble:
             for s in range(1, h1.k + 1):
                 rebuilt[reassemble(h1, h2, s).perm.image] += 1
         assert rebuilt == Counter(a.perm.image for a in enum_snc(m, n))
+
+    def test_verify_suite_passes(self):
+        records = _cut_reassemble_records(6)
+        failing = [f"{r['identity']}: {r['instance']}" for r in records if not r["pass"]]
+        assert failing == []
+        # two records for each annulus m >= n >= 1 with m + n <= 6
+        assert len(records) == 2 * 9
 
     def test_reassemblies_are_distinct_and_valid(self):
         pool = enum_ncc(3, 2)
