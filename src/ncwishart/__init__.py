@@ -66,7 +66,6 @@ from .families import (
     gamma_tilde,
     integrate_against_reference,
     inverse_table,
-    invert_unitriangular,
     moments,
     pi_poly,
     series_G,
@@ -126,7 +125,6 @@ __all__ = [
     "gamma_tilde",
     "integrate_against_reference",
     "inverse_table",
-    "invert_unitriangular",
     "moments",
     "pi_poly",
     "series_G",

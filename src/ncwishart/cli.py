@@ -57,6 +57,7 @@ from .halfperm import (
 from .perms import DEFAULT_ANNULAR_CAP, Perm, enum_snc, format_cycles, iter_snc_images
 from .polyc import PolyC, PolyXC, SeriesZ
 from .rmt import (
+    MAX_DEGREE,
     EnsembleConfig,
     StatCheck,
     covariance_check,
@@ -69,6 +70,7 @@ from .rmt import (
     word_variance_limit,
 )
 from .wick import (
+    MAX_REPORT_DEPTH,
     MIN_REPORT_DEPTH,
     function_algebra,
     matrix_algebra,
@@ -741,6 +743,7 @@ def _cut_reassemble_records(max_total: int) -> list[dict]:
                 size_ok = size_ok and len(members) == h1.k
                 rebuilt += glued
             census_ok = rebuilt == Counter(a.perm.image for a in elems)
+            weight = weighted_count(elems, WeightRule.ALL_BLOCKS)
             records.append(
                 _record(
                     "cut determines a unique reassembly index",
@@ -754,6 +757,14 @@ def _cut_reassemble_records(max_total: int) -> list[dict]:
                     "fibers of size k rebuild the census exactly once",
                     f"m={m},n={n}",
                     size_ok and census_ok,
+                )
+            )
+            records.append(
+                _record(
+                    "annular census equals the diagonalized covariance",
+                    f"m={m},n={n}",
+                    weight == predict_covariance(m, n),
+                    detail=str(weight),
                 )
             )
             enum_snc.cache_clear()
@@ -852,10 +863,18 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
         raise UsageError(
             f"--max-total {args.max_total} exceeds the enumeration cap {DEFAULT_ANNULAR_CAP}"
         )
+    if suite == "cut-reassemble" and args.max_total < 2:
+        raise UsageError(
+            f"--max-total {args.max_total} is below the minimum 2: no annulus to check"
+        )
     if suite == "wick" and args.depth < MIN_REPORT_DEPTH:
         raise UsageError(
             f"--depth {args.depth} is below the minimum {MIN_REPORT_DEPTH} "
             "of the wick suite"
+        )
+    if suite == "wick" and args.depth > MAX_REPORT_DEPTH:
+        raise UsageError(
+            f"--depth {args.depth} exceeds the cap {MAX_REPORT_DEPTH} of the wick suite"
         )
     if suite == "recursions":
         records = _recursion_records(args.max_n if args.max_n is not None else 10)
@@ -978,13 +997,6 @@ def cmd_mc(args: argparse.Namespace) -> tuple[dict, int]:
                 f"word letters go up to {max(word[1])} but only {num_matrices} "
                 "matrices are sampled; raise --p"
             )
-        # the power-trace covariance limits enumerate annuli up to (d, d)
-        if 2 * args.max_degree > DEFAULT_ANNULAR_CAP:
-            raise UsageError(
-                f"--max-degree {args.max_degree} needs annuli with m+n="
-                f"{2 * args.max_degree}, over the enumeration cap {DEFAULT_ANNULAR_CAP}; "
-                f"the limit is {DEFAULT_ANNULAR_CAP // 2}, which takes minutes"
-            )
         config = _resolve_ensemble(args, args.max_degree, num_matrices)
         samples = sample_traces(config)
         checks = evaluate_statistics(config, samples)
@@ -1012,10 +1024,7 @@ def cmd_mc(args: argparse.Namespace) -> tuple[dict, int]:
             raise UsageError(f"powers must be >= 1, got m={m}, n={n}")
         num_matrices = args.p if args.p is not None else 1
         config = _resolve_ensemble(args, max(m, n), num_matrices)
-        try:
-            prediction = predict_covariance(m, n)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        prediction = predict_covariance(m, n)
         samples = sample_traces(config)
         key_a, key_b = f"tr X1^{m}", f"tr X1^{n}"
         checks = [
@@ -1127,7 +1136,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--max-total", type=_positive_int, default=8,
-        help="cut-reassemble: largest m+n (default 8)",
+        help=f"cut-reassemble: largest m+n (default 8, from 2 to {DEFAULT_ANNULAR_CAP})",
     )
     p_verify.add_argument(
         "--order", type=_positive_int, default=12,
@@ -1139,7 +1148,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--depth", type=_positive_int, default=4,
-        help=f"wick: tensor-degree cap (default 4, at least {MIN_REPORT_DEPTH})",
+        help=f"wick: tensor-degree cap (default 4, from {MIN_REPORT_DEPTH} "
+             f"to {MAX_REPORT_DEPTH})",
     )
     p_verify.add_argument("--seed", type=_nonnegative_int, default=0,
                           help="wick: letter seed")
@@ -1167,7 +1177,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "1 for raw-cov)")
     p_mc.add_argument("--samples", type=_positive_int, default=20000)
     p_mc.add_argument("--seed", type=_nonnegative_int, default=0)
-    p_mc.add_argument("--max-degree", type=_positive_int, default=3)
+    p_mc.add_argument("--max-degree", type=_positive_int, default=3,
+                      help=f"diagonalize: largest degree (default 3, at most {MAX_DEGREE})")
     p_mc.add_argument("--m", type=_positive_int, default=None,
                       help="raw-cov: first power")
     p_mc.add_argument("--n", type=_positive_int, default=None,

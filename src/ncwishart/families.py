@@ -273,10 +273,6 @@ def transition_matrix(family: Family, size: int) -> TransitionMatrix:
     return TransitionMatrix(tuple(rows))
 
 
-def invert_unitriangular(m: TransitionMatrix) -> TransitionMatrix:
-    return m.invert()
-
-
 @lru_cache(maxsize=None)
 def inverse_table(family: Family, size: int) -> TransitionMatrix:
     return transition_matrix(family, size).invert()

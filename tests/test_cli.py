@@ -1,7 +1,9 @@
 """Tests for the command-line contract: every subcommand's JSON report
-against its shipped schema, text and JSON reports that agree, failed
-checks that exit 1, and usage errors that exit 2 without a traceback."""
+against its shipped schema, CSV rows and --output files that match it,
+text and JSON reports that agree, failed checks that exit 1, and usage
+errors that exit 2 without a traceback."""
 
+import csv
 import json
 
 import jsonschema
@@ -12,6 +14,8 @@ from ncwishart.cli import GOLDEN_ROWS, main, schema_path
 from ncwishart.halfperm import WeightRule, enum_ncc, enum_ncl, weighted_count
 from ncwishart.perms import enum_snc
 from ncwishart.polyc import PolyC
+from ncwishart.rmt import MAX_DEGREE
+from ncwishart.wick import MAX_REPORT_DEPTH
 
 CELLS = [
     ("ncc", "--n", "4", "--k", "0"),
@@ -81,12 +85,12 @@ def test_json_matches_schema_and_library(capsys, cell):
         ("enumerate", "ncl", "--n", "13", "--k", "0"),
         ("enumerate", "snc", "--m", "7", "--n", "6"),
         ("enumerate", "snc", "--m", "3", "--n", "3", "--cap", "5"),
-        ("mc", "diagonalize", "--max-degree", "7", "--N", "4", "--samples", "4"),
-        ("mc", "diagonalize", "--max-degree", "20", "--N", "4", "--samples", "4"),
-        ("mc", "raw-cov", "--m", "6", "--n", "7", "--N", "4", "--samples", "4"),
+        ("mc", "diagonalize", "--max-degree", str(MAX_DEGREE + 1), "--N", "4", "--samples", "4"),
+        ("mc", "raw-cov", "--m", str(MAX_DEGREE + 1), "--n", "1", "--N", "4", "--samples", "4"),
         ("verify", "lineardecomp", "--max-n", "13"),
         ("verify", "bijections", "--max-n", "13"),
         ("verify", "cut-reassemble", "--max-total", "13"),
+        ("verify", "wick", "--depth", str(MAX_REPORT_DEPTH + 1)),
     ],
     ids=" ".join,
 )
@@ -106,6 +110,14 @@ def test_wick_depth_below_the_minimum_is_a_usage_error(capsys, depth):
     assert out == ""
     assert err.startswith("error: ") and "minimum 4" in err
     assert "Traceback" not in err
+
+
+def test_a_suite_with_nothing_to_check_is_a_usage_error(capsys):
+    # m + n = 1 has no annulus, and an empty run must not report a pass
+    assert main(["verify", "cut-reassemble", "--max-total", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "minimum 2" in err
 
 
 # -- verify, tables and mc reports against their schemas ----------------------
@@ -192,3 +204,115 @@ def test_mc_matches_schema(capsys, argv):
     assert report["experiment"] == argv[0]
     assert code == (0 if report["status"] == "pass" else 1)
     assert report["statistics"] or report["covariance"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("diagonalize", "--max-degree", "7", "--N", "4", "--samples", "4"),
+        ("diagonalize", "--max-degree", "8", "--N", "4", "--samples", "4"),
+        ("diagonalize", "--max-degree", "20", "--N", "4", "--samples", "4"),
+        ("raw-cov", "--m", "6", "--n", "7", "--N", "4", "--samples", "4"),
+    ],
+    ids=" ".join,
+)
+def test_high_degree_mc_reaches_a_verdict(capsys, argv):
+    # the limits come from the inverse table, so no enumeration cap applies
+    code = main(["mc", *argv, "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code in (0, 1) and "Traceback" not in err
+    report = json.loads(out)
+    validate(report, "mc")
+    assert code == (0 if report["status"] == "pass" else 1)
+
+
+# -- CSV, --output, and text/JSON agreement for tables and mc ----------------
+
+REPORTS = {
+    "tables": (("tables", "pi-inverse", "--rows", "4"),
+               ["family", "n", "k", "entry"],
+               lambda r: sum(len(row) for row in r["rows"])),
+    "enumerate": (("enumerate", "snc", "--m", "2", "--n", "2"),
+                  ["kind", "index", "diagram", "weight_exponent"],
+                  lambda r: r["count"]),
+    "verify": (("verify", "cut-reassemble", "--max-total", "4"),
+               ["suite", "identity", "instance", "pass", "detail"],
+               lambda r: r["instances"]),
+    "mc": (("mc", "raw-cov", "--m", "2", "--n", "3", "--N", "8", "--samples", "16"),
+           ["kind", "key_a", "key_b", "estimate", "se", "predicted", "tolerance", "pass"],
+           lambda r: len(r["statistics"]) + len(r["covariance"])),
+}
+
+
+def render(capsys, argv, fmt, output="-"):
+    code = main([*argv, "--format", fmt, "--output", output])
+    return code, capsys.readouterr()[0]
+
+
+@pytest.mark.parametrize("command", sorted(REPORTS))
+def test_csv_rows_match_the_json_report(capsys, command):
+    argv, header, count = REPORTS[command]
+    code_c, out_c = render(capsys, argv, "csv")
+    code_j, out_j = render(capsys, argv, "json")
+    assert code_c == code_j
+    lines = out_c.splitlines()
+    assert lines[0] == f"# command: {command}"
+    assert lines[1].startswith("# config: ") and "format=csv" in lines[1]
+    rows = list(csv.reader(lines[2:]))
+    assert rows[0] == header
+    assert len(rows) - 1 == count(json.loads(out_j)) > 0
+    assert all(len(row) == len(header) for row in rows)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tables", "pi-inverse", "--rows", "4", "--check"),
+        ("enumerate", "ncc", "--n", "4", "--k", "1"),
+        ("verify", "series", "--order", "4", "--max-k", "3"),
+    ],
+    ids=" ".join,
+)
+def test_output_file_holds_the_stdout_bytes(capsys, tmp_path, argv, fmt):
+    target = tmp_path / "report.out"
+    code_s, stdout = render(capsys, argv, fmt)
+    code_f, printed = render(capsys, argv, fmt, str(target))
+    assert code_s == code_f == 0 and printed == ""
+    # the echoed config names the output target; everything else is equal
+    assert target.read_text(encoding="utf-8").replace(str(target), "-") == stdout
+    assert [p.name for p in tmp_path.iterdir()] == [target.name]
+
+
+@pytest.mark.parametrize("flags", [("gamma",), ("pi-inverse", "--check")], ids=" ".join)
+def test_tables_text_and_json_agree(capsys, flags):
+    argv = ("tables", *flags, "--rows", "5")
+    code_t, text = render(capsys, argv, "text")
+    code_j, out_j = render(capsys, argv, "json")
+    report = json.loads(out_j)
+    assert code_t == code_j == 0
+    lines = text.splitlines()
+    rows = [line.split(" | ")[1:] for line in lines if line.startswith("n=")]
+    assert rows == report["rows"]
+    assert [line.split(" | ")[0] for line in lines if line.startswith("n=")] == [
+        f"n={n}" for n in range(5)
+    ]
+    assert lines[-1] == f"status: {report['status']}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("raw-cov", "--m", "2", "--n", "3"), ("diagonalize", "--max-degree", "2")],
+    ids=" ".join,
+)
+def test_mc_text_and_json_agree(capsys, argv):
+    argv = ("mc", *argv, "--N", "8", "--samples", "16", "--seed", "3")
+    code_t, text = render(capsys, argv, "text")
+    code_j, out_j = render(capsys, argv, "json")
+    report = json.loads(out_j)
+    assert code_t == code_j == (0 if report["status"] == "pass" else 1)
+    lines = text.splitlines()
+    marks = [line.split("]")[0] + "]" for line in lines if line.startswith("[")]
+    records = report["statistics"] + report["covariance"]
+    assert marks == ["[ok]" if rec["pass"] else "[FAIL]" for rec in records]
+    assert lines[-1] == f"status: {report['status']}"

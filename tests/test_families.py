@@ -22,7 +22,6 @@ from ncwishart.families import (
     gamma_tilde,
     integrate_against_reference,
     inverse_table,
-    invert_unitriangular,
     moments,
     pi_poly,
     series_G,
@@ -163,7 +162,7 @@ def test_double_inversion(recursion_records, family):
 def test_inversion_rejects_non_unit_diagonal():
     m = TransitionMatrix(((PolyC.c(),),))
     with pytest.raises(ValueError):
-        invert_unitriangular(m)
+        m.invert()
 
 
 def test_all_entries_are_integer_polynomials(recursion_records):

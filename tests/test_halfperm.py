@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from ncwishart import cli
 from ncwishart.cli import _cut_reassemble_records
 from ncwishart.families import Family, inverse_table
 from ncwishart.halfperm import (
@@ -342,8 +343,13 @@ class TestCutReassemble:
         records = _cut_reassemble_records(6)
         failing = [f"{r['identity']}: {r['instance']}" for r in records if not r["pass"]]
         assert failing == []
-        # two records for each annulus m >= n >= 1 with m + n <= 6
-        assert len(records) == 2 * 9
+        # three records for each annulus m >= n >= 1 with m + n <= 6
+        assert len(records) == 3 * 9
+
+    def test_a_wrong_covariance_fails_its_record(self, monkeypatch):
+        monkeypatch.setattr(cli, "predict_covariance", lambda m, n: PolyC.zero())
+        failing = {r["identity"] for r in _cut_reassemble_records(4) if not r["pass"]}
+        assert failing == {"annular census equals the diagonalized covariance"}
 
     def test_reassemblies_are_distinct_and_valid(self):
         pool = enum_ncc(3, 2)

@@ -6,8 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ncwishart.halfperm import WeightRule, weighted_count
+from ncwishart.perms import enum_snc
 from ncwishart.polyc import PolyC
 from ncwishart.rmt import (
+    MAX_DEGREE,
     EnsembleConfig,
     StatCheck,
     centered_trace_covariance_limit,
@@ -41,6 +44,12 @@ class TestConfig:
     def test_ratio_must_be_positive(self):
         with pytest.raises(ValueError, match="ratio"):
             EnsembleConfig(rows=2, cols=2, ratio=Fraction(-1))
+
+    @pytest.mark.parametrize("degree", [0, MAX_DEGREE + 1])
+    def test_degree_range(self, degree):
+        EnsembleConfig(rows=2, cols=2, max_degree=MAX_DEGREE)
+        with pytest.raises(ValueError, match=f"cap {MAX_DEGREE}"):
+            EnsembleConfig(rows=2, cols=2, max_degree=degree)
 
     def test_default_parameters_are_exact(self):
         cfg = EnsembleConfig(rows=100, cols=200)
@@ -134,6 +143,18 @@ class TestLimits:
         assert predict_covariance(2, 1) == PolyC.parse("2*c + 2*c^2")
         assert predict_covariance(1, 2) == predict_covariance(2, 1)
         assert predict_covariance(2, 2) == PolyC.parse("4*c + 10*c^2 + 4*c^3")
+
+    @pytest.mark.parametrize(
+        ("m", "n"), [(m, n) for m in range(1, 8) for n in range(1, 9 - m)]
+    )
+    def test_covariance_equals_the_annular_census(self, m, n):
+        # the diagonalized sum against its enumeration oracle
+        census = weighted_count(enum_snc(m, n), WeightRule.ALL_BLOCKS)
+        assert predict_covariance(m, n) == census
+
+    def test_covariance_reads_any_larger_table(self):
+        # evaluate_statistics reads every pair from the max-degree table
+        assert predict_covariance(2, 3, 9) == predict_covariance(2, 3)
 
 
 class TestChecks:
