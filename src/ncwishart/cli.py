@@ -45,7 +45,7 @@ from .families import (
     transition_matrix,
 )
 from .halfperm import (
-    DEFAULT_DISC_CAP,
+    DISC_CAP,
     WeightRule,
     cut,
     enum_ncc,
@@ -54,7 +54,7 @@ from .halfperm import (
     reassemble,
     weighted_count,
 )
-from .perms import DEFAULT_ANNULAR_CAP, Perm, enum_snc, format_cycles, iter_snc_images
+from .perms import ANNULAR_CAP, Perm, enum_snc, format_cycles, iter_snc_images
 from .polyc import PolyC, PolyXC, SeriesZ
 from .rmt import (
     MAX_DEGREE,
@@ -206,14 +206,29 @@ def schema_path(command: str) -> Path:
     return Path(str(resources.files("ncwishart").joinpath("schemas", f"{command}.schema.json")))
 
 
+def _check_output(path: str | None) -> None:
+    """Reject an --output target that cannot be written before any work."""
+    if path is None or path == "-":
+        return
+    target = Path(path)
+    if target.is_dir():
+        raise UsageError(f"--output {path} is a directory")
+    if not target.parent.is_dir():
+        raise UsageError(f"--output {path}: no directory {target.parent}")
+
+
 def _write_output(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
     target = Path(path)
     tmp = target.with_name(f".{target.name}.tmp{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, target)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, target)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _render_json(report: dict) -> str:
@@ -384,20 +399,16 @@ def cmd_tables(args: argparse.Namespace) -> tuple[dict, int]:
 def _enumerate_stream(args: argparse.Namespace) -> tuple[dict, Iterator[tuple[str, int]]]:
     """Validate the requested cell and return (params, stream of
     (diagram text, weight exponent)) in canonical order."""
-    cap = args.cap
     if args.kind in ("ncc", "ncl"):
         if args.n is None or args.k is None:
             raise UsageError(f"enumerate {args.kind} needs --n and --k")
         n, k = args.n, args.k
         if n < 1 or not 0 <= k <= n:
             raise UsageError(f"need n >= 1 and 0 <= k <= n, got n={n}, k={k}")
-        if n > cap:
-            raise UsageError(
-                f"n={n} exceeds the enumeration cap {cap}; "
-                "raise --cap to allow larger cells"
-            )
+        if n > DISC_CAP:
+            raise UsageError(f"n={n} exceeds the enumeration cap {DISC_CAP}")
         enum = enum_ncc if args.kind == "ncc" else enum_ncl
-        diagrams = enum(n, k, cap)
+        diagrams = enum(n, k)
 
         def gen() -> Iterator[tuple[str, int]]:
             for d in diagrams:
@@ -410,11 +421,8 @@ def _enumerate_stream(args: argparse.Namespace) -> tuple[dict, Iterator[tuple[st
     m, n = args.m, args.n
     if m < 1 or n < 1:
         raise UsageError(f"both circle sizes must be >= 1, got m={m}, n={n}")
-    if m + n > cap:
-        raise UsageError(
-            f"m+n={m + n} exceeds the enumeration cap {cap}; "
-            "raise --cap to allow larger annuli"
-        )
+    if m + n > ANNULAR_CAP:
+        raise UsageError(f"m+n={m + n} exceeds the enumeration cap {ANNULAR_CAP}")
 
     def gen() -> Iterator[tuple[str, int]]:
         for img in iter_snc_images(m, n):
@@ -660,11 +668,16 @@ def _recursion_records(max_n: int) -> list[dict]:
         ok = integrate_against_reference(q * q) == PolyC.monomial(n)
         records.append(_record("second-kind squared norm", f"n={n}", ok))
 
-    # enumeration cross-check of the same band recursion on small circles
+    # enumeration cross-check of the same band recursion on small circles;
+    # each cell's weight is enumerated once and serves up to four checks
+    weights: dict[tuple[int, int], PolyC] = {}
+
     def cell(nn: int, kk: int) -> PolyC:
         if kk < 0 or kk > nn:
             return PolyC.zero()
-        return weighted_count(enum_ncc(nn, kk), WeightRule.CLOSED_BLOCKS)
+        if (nn, kk) not in weights:
+            weights[nn, kk] = weighted_count(enum_ncc(nn, kk), WeightRule.CLOSED_BLOCKS)
+        return weights[nn, kk]
 
     for n in range(1, min(max_n, 6)):
         for k in range(n + 2):
@@ -767,7 +780,8 @@ def _cut_reassemble_records(max_total: int) -> list[dict]:
                     detail=str(weight),
                 )
             )
-            enum_snc.cache_clear()
+            # free this annulus before the next one is enumerated
+            del elems, fibers, rebuilt
     return records
 
 
@@ -855,13 +869,13 @@ def _wick_records(depth: int, seed: int, algebra: str) -> list[dict]:
 def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     suite = args.suite
     # reject sizes the suites cannot run before any work is done
-    if suite in ("bijections", "lineardecomp") and (args.max_n or 0) > DEFAULT_DISC_CAP:
+    if suite in ("bijections", "lineardecomp") and (args.max_n or 0) > DISC_CAP:
         raise UsageError(
-            f"--max-n {args.max_n} exceeds the enumeration cap {DEFAULT_DISC_CAP}"
+            f"--max-n {args.max_n} exceeds the enumeration cap {DISC_CAP}"
         )
-    if suite == "cut-reassemble" and args.max_total > DEFAULT_ANNULAR_CAP:
+    if suite == "cut-reassemble" and args.max_total > ANNULAR_CAP:
         raise UsageError(
-            f"--max-total {args.max_total} exceeds the enumeration cap {DEFAULT_ANNULAR_CAP}"
+            f"--max-total {args.max_total} exceeds the enumeration cap {ANNULAR_CAP}"
         )
     if suite == "cut-reassemble" and args.max_total < 2:
         raise UsageError(
@@ -928,7 +942,10 @@ def _parse_word(spec: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def _resolve_ensemble(args: argparse.Namespace, max_degree: int,
                       num_matrices: int) -> EnsembleConfig:
     cols = args.N
-    ratio = Fraction(args.c) if args.c is not None else None
+    try:
+        ratio = Fraction(args.c) if args.c is not None else None
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"--c {args.c} is not an exact fraction such as 1, 1/2 or 0.5") from exc
     if args.M is not None:
         rows = args.M
     elif ratio is not None:
@@ -997,16 +1014,16 @@ def cmd_mc(args: argparse.Namespace) -> tuple[dict, int]:
                 f"word letters go up to {max(word[1])} but only {num_matrices} "
                 "matrices are sampled; raise --p"
             )
+        if word is not None and word[0] != (1, 1):
+            raise UsageError(
+                "only the length-two, degree-one alternating word is sampled; "
+                f"got degrees {word[0]}"
+            )
         config = _resolve_ensemble(args, args.max_degree, num_matrices)
         samples = sample_traces(config)
         checks = evaluate_statistics(config, samples)
         if word is not None:
             degrees, letters = word
-            if degrees != (1, 1):
-                raise UsageError(
-                    "only the length-two, degree-one alternating word is sampled; "
-                    f"got degrees {degrees}"
-                )
             key = f"tr pi[1](X{letters[0]}) pi[1](X{letters[1]})"
             if all(key not in chk.keys for chk in checks):
                 values = pi_pair_trace(samples, letters[0] - 1, letters[1] - 1)
@@ -1115,10 +1132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--n", type=_nonnegative_int, default=None)
     p_enum.add_argument("--k", type=_nonnegative_int, default=None)
     p_enum.add_argument("--m", type=_nonnegative_int, default=None)
-    p_enum.add_argument(
-        "--cap", type=_positive_int, default=DEFAULT_DISC_CAP,
-        help=f"enumeration size cap (default {DEFAULT_DISC_CAP})",
-    )
     p_enum.set_defaults(handler=cmd_enumerate)
 
     p_verify = sub.add_parser(
@@ -1136,7 +1149,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--max-total", type=_positive_int, default=8,
-        help=f"cut-reassemble: largest m+n (default 8, from 2 to {DEFAULT_ANNULAR_CAP})",
+        help=f"cut-reassemble: largest m+n (default 8, from 2 to {ANNULAR_CAP})",
     )
     p_verify.add_argument(
         "--order", type=_positive_int, default=12,
@@ -1194,12 +1207,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output(args.output)
         report, code = args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if report is not None:
-        _write_output(_render(report, args.format), args.output)
+        try:
+            _write_output(_render(report, args.format), args.output)
+        except OSError as exc:
+            print(f"error: cannot write --output {args.output}: {exc}", file=sys.stderr)
+            return 2
     return code
 
 

@@ -27,15 +27,7 @@ from .halfperm import (
     make_linear,
     weighted_count,
 )
-from .perms import (
-    DEFAULT_ANNULAR_CAP,
-    AnnularPerm,
-    Perm,
-    enum_snc,
-    is_noncrossing,
-    partition_to_perm,
-    set_partitions,
-)
+from .perms import AnnularPerm, enum_nc, enum_snc
 from .polyc import PolyC
 
 
@@ -116,28 +108,30 @@ class ColoredAnnularSpec:
 
     def point_colors(self) -> tuple:
         """Color of each point 1..m+n in order."""
-        out = []
-        for size, color in zip(
+        return _point_colors(
             self.outer_lengths + self.inner_lengths,
             self.outer_colors + self.inner_colors,
-        ):
-            out.extend([color] * size)
-        return tuple(out)
+        )
+
+
+def _point_colors(lengths, colors) -> tuple:
+    out = []
+    for size, color in zip(lengths, colors):
+        out.extend([color] * size)
+    return tuple(out)
+
+
+def _profile(m: int, outer_intervals, inner_intervals, a: AnnularPerm):
+    through = [set(cyc) for cyc in a.cycles() if min(cyc) <= m < max(cyc)]
+    return tuple(
+        tuple(sum(1 for cyc in through if cyc & set(iv)) for iv in intervals)
+        for intervals in (outer_intervals, inner_intervals)
+    )
 
 
 def through_profile(spec: ColoredAnnularSpec, a: AnnularPerm):
     """Per-interval counts of through-cycles meeting each interval."""
-    m = spec.m
-    through = [set(cyc) for cyc in a.cycles() if min(cyc) <= m < max(cyc)]
-    outer = tuple(
-        sum(1 for cyc in through if cyc & set(iv))
-        for iv in spec.outer_intervals()
-    )
-    inner = tuple(
-        sum(1 for cyc in through if cyc & set(iv))
-        for iv in spec.inner_intervals()
-    )
-    return outer, inner
+    return _profile(spec.m, spec.outer_intervals(), spec.inner_intervals(), a)
 
 
 def _monochromatic(point_colors, cycles) -> bool:
@@ -146,28 +140,47 @@ def _monochromatic(point_colors, cycles) -> bool:
     )
 
 
-def _matches_filter(spec: ColoredAnnularSpec, a: AnnularPerm) -> bool:
-    if spec.through_filter is None:
-        return True
-    want_outer, want_inner = spec.through_filter
-    got_outer, got_inner = through_profile(spec, a)
-    if want_outer is not None and tuple(want_outer) != got_outer:
-        return False
-    if want_inner is not None and tuple(want_inner) != got_inner:
-        return False
-    return True
+def _select(
+    diagrams, outer_lengths, outer_colors, inner_lengths, inner_colors,
+    outer_through=None, inner_through=None,
+):
+    """The annular permutations among `diagrams` whose cycles are
+    monochromatic under the interval coloring and whose per-interval
+    through-counts match the given ones (None leaves a side free).
+
+    Interval lengths may be zero: an empty interval meets no cycle, so
+    its through-count is zero.  No alternation of colors is required.
+    """
+    m = sum(outer_lengths)
+    colors = _point_colors(
+        tuple(outer_lengths) + tuple(inner_lengths),
+        tuple(outer_colors) + tuple(inner_colors),
+    )
+    outer_iv = _intervals(outer_lengths)
+    inner_iv = _intervals(inner_lengths, start=m + 1)
+    want = (outer_through, inner_through)
+    for a in diagrams:
+        if not _monochromatic(colors, a.cycles()):
+            continue
+        if want != (None, None):
+            got = _profile(m, outer_iv, inner_iv, a)
+            if any(w is not None and tuple(w) != g for w, g in zip(want, got)):
+                continue
+        yield a
 
 
-def enum_colored_snc(
-    spec: ColoredAnnularSpec, cap: int = DEFAULT_ANNULAR_CAP
-) -> tuple[AnnularPerm, ...]:
+def enum_colored_snc(spec: ColoredAnnularSpec) -> tuple[AnnularPerm, ...]:
     """All annular permutations with monochromatic cycles under the spec's
     coloring, optionally filtered by per-interval through-block counts."""
-    colors = spec.point_colors()
     return tuple(
-        a
-        for a in enum_snc(spec.m, spec.n, cap=cap)
-        if _monochromatic(colors, a.cycles()) and _matches_filter(spec, a)
+        _select(
+            enum_snc(spec.m, spec.n),
+            spec.outer_lengths,
+            spec.outer_colors,
+            spec.inner_lengths,
+            spec.inner_colors,
+            *(spec.through_filter or ()),
+        )
     )
 
 
@@ -200,19 +213,12 @@ def is_spoke_diagram(a: AnnularPerm) -> bool:
 def colored_nc_partitions(point_colors) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Non-crossing partitions of [len(point_colors)] whose blocks are
     monochromatic."""
-    n = len(point_colors)
-    if n == 0:
-        return ((),)
-    out = []
-    for blocks in set_partitions(n):
-        if not all(
-            len({point_colors[p - 1] for p in b}) == 1 for b in blocks
-        ):
-            continue
-        if not is_noncrossing(partition_to_perm(blocks)):
-            continue
-        out.append(tuple(tuple(b) for b in blocks))
-    return tuple(out)
+    # the cycles of a disc permutation are its increasing blocks
+    return tuple(
+        blocks
+        for blocks in (p.cycles() for p in enum_nc(len(point_colors)))
+        if _monochromatic(point_colors, blocks)
+    )
 
 
 def _partition_weight(partitions) -> PolyC:
@@ -233,9 +239,8 @@ def connector_weight(lengths) -> PolyC:
             index_of[p] = r
     q = len(lengths)
     total = PolyC.zero()
-    for blocks in set_partitions(n):
-        if not is_noncrossing(partition_to_perm(blocks)):
-            continue
+    for p in enum_nc(n):
+        blocks = p.cycles()
         parent = list(range(q))
 
         def find(a):
@@ -262,10 +267,7 @@ def connection_pattern_expansion(lengths, colors) -> tuple[PolyC, PolyC]:
     each pattern contributing the product of its connector weights."""
     if len(lengths) != len(colors):
         raise ValueError("need one color per interval")
-    point_colors = []
-    for size, color in zip(lengths, colors):
-        point_colors.extend([color] * size)
-    direct = _partition_weight(colored_nc_partitions(tuple(point_colors)))
+    direct = _partition_weight(colored_nc_partitions(_point_colors(lengths, colors)))
 
     patterns = colored_nc_partitions(tuple(colors))
     by_pattern = PolyC.zero()
@@ -284,71 +286,6 @@ def connection_pattern_expansion(lengths, colors) -> tuple[PolyC, PolyC]:
 # ---------------------------------------------------------------------------
 
 
-def _colored_weight(
-    outer_lengths,
-    outer_colors,
-    inner_lengths,
-    inner_colors,
-    outer_through,
-    inner_through,
-    cap: int,
-) -> PolyC:
-    """|colored annular set|_c for possibly empty intervals, bypassing the
-    spec type's alternation invariant (interval drops can make equal colors
-    adjacent without changing the per-point enumeration)."""
-    keep_outer = [r for r, size in enumerate(outer_lengths) if size > 0]
-    keep_inner = [s for s, size in enumerate(inner_lengths) if size > 0]
-    if outer_through is not None and any(
-        outer_through[r] > 0
-        for r in range(len(outer_lengths))
-        if r not in keep_outer
-    ):
-        return PolyC.zero()
-    if inner_through is not None and any(
-        inner_through[s] > 0
-        for s in range(len(inner_lengths))
-        if s not in keep_inner
-    ):
-        return PolyC.zero()
-    if not keep_outer or not keep_inner:
-        return PolyC.zero()
-
-    m = sum(outer_lengths)
-    n = sum(inner_lengths)
-    colors = []
-    for size, color in zip(
-        tuple(outer_lengths) + tuple(inner_lengths),
-        tuple(outer_colors) + tuple(inner_colors),
-    ):
-        colors.extend([color] * size)
-    out_iv = _intervals(tuple(outer_lengths[r] for r in keep_outer))
-    in_iv = _intervals(
-        tuple(inner_lengths[s] for s in keep_inner), start=m + 1
-    )
-
-    total = PolyC.zero()
-    for a in enum_snc(m, n, cap=cap):
-        if not _monochromatic(colors, a.cycles()):
-            continue
-        through = [
-            set(cyc) for cyc in a.cycles() if min(cyc) <= m < max(cyc)
-        ]
-        if outer_through is not None:
-            got = tuple(
-                sum(1 for cyc in through if cyc & set(iv)) for iv in out_iv
-            )
-            if got != tuple(outer_through[r] for r in keep_outer):
-                continue
-        if inner_through is not None:
-            got = tuple(
-                sum(1 for cyc in through if cyc & set(iv)) for iv in in_iv
-            )
-            if got != tuple(inner_through[s] for s in keep_inner):
-                continue
-        total = total + PolyC.monomial(a.num_cycles())
-    return total
-
-
 def pi_contracted_sum(
     outer_lengths,
     outer_colors,
@@ -356,7 +293,6 @@ def pi_contracted_sum(
     inner_colors,
     outer_through=None,
     inner_through=None,
-    cap: int = DEFAULT_ANNULAR_CAP,
 ) -> PolyC:
     """Contract colored annular weights against the second-kind coefficient
     table: sum over all ways to shrink each interval, weighting interval r
@@ -373,6 +309,7 @@ def pi_contracted_sum(
     coeff = transition_matrix(
         Family.PI, max(tuple(outer_lengths) + tuple(inner_lengths)) + 1
     )
+    annuli = {}  # (sum u, sum v) -> its annulus, enumerated once per call
     total = PolyC.zero()
     for u_vec in _product(*(range(0, mr + 1) for mr in outer_lengths)):
         outer_factor = PolyC.one()
@@ -386,24 +323,24 @@ def pi_contracted_sum(
             factor = outer_factor
             for s in range(l):
                 factor = factor * coeff.entry(inner_lengths[s], v_vec[s])
-            if factor == PolyC.zero():
+            size = (sum(u_vec), sum(v_vec))
+            if factor == PolyC.zero() or 0 in size:
                 continue
-            w = _colored_weight(
-                u_vec,
-                outer_colors,
-                v_vec,
-                inner_colors,
-                outer_through,
-                inner_through,
-                cap,
+            if size not in annuli:
+                annuli[size] = enum_snc(*size)
+            w = weighted_count(
+                _select(
+                    annuli[size], u_vec, outer_colors, v_vec, inner_colors,
+                    outer_through, inner_through,
+                ),
+                WeightRule.ALL_BLOCKS,
             )
             total = total + factor * w
     return total
 
 
 def product_variance_check(
-    outer_lengths, outer_colors, inner_lengths, inner_colors,
-    cap: int = DEFAULT_ANNULAR_CAP,
+    outer_lengths, outer_colors, inner_lengths, inner_colors
 ) -> tuple[PolyC, PolyC]:
     """Both routes to the limiting covariance of two traces of products:
     the coefficient-contracted sum over all colored annular sets, and the
@@ -416,14 +353,13 @@ def product_variance_check(
     the circular table instead.
     """
     lhs = pi_contracted_sum(
-        outer_lengths, outer_colors, inner_lengths, inner_colors, cap=cap
+        outer_lengths, outer_colors, inner_lengths, inner_colors
     )
     rhs = weighted_count(
         enum_colored_snc(
             spoke_spec(
                 outer_lengths, outer_colors, inner_lengths, inner_colors
-            ),
-            cap=cap,
+            )
         ),
         WeightRule.ALL_BLOCKS,
     )
@@ -431,7 +367,7 @@ def product_variance_check(
 
 
 def single_interval_variance_check(
-    m: int, n: int, same_color: bool = True, cap: int = DEFAULT_ANNULAR_CAP
+    m: int, n: int, same_color: bool = True
 ) -> tuple[PolyC, PolyC]:
     """Both routes to the limiting covariance of two single-letter traces:
     the circular-table-contracted sum over whole-circle annular sets, and
@@ -449,14 +385,12 @@ def single_interval_variance_check(
                     continue
                 spec = ColoredAnnularSpec((u,), ("a",), (v,), ("a",))
                 lhs = lhs + factor * weighted_count(
-                    enum_colored_snc(spec, cap=cap), WeightRule.ALL_BLOCKS
+                    enum_colored_snc(spec), WeightRule.ALL_BLOCKS
                 )
     rhs = PolyC.zero()
     if same_color:
         rhs = weighted_count(
-            enum_colored_snc(
-                spoke_spec((m,), ("a",), (n,), ("a",)), cap=cap
-            ),
+            enum_colored_snc(spoke_spec((m,), ("a",), (n,), ("a",))),
             WeightRule.ALL_BLOCKS,
         )
     return lhs, rhs
@@ -472,9 +406,7 @@ def enum_colored_ncc(lengths, colors) -> tuple[CircularHalfPerm, ...]:
     circle whose cycles are monochromatic."""
     _check_coloring(tuple(lengths), tuple(colors), "circle")
     total = sum(lengths)
-    point_colors = []
-    for size, color in zip(lengths, colors):
-        point_colors.extend([color] * size)
+    point_colors = _point_colors(lengths, colors)
     out = []
     for k in range(1, total + 1):
         for h in enum_ncc(total, k):

@@ -180,7 +180,8 @@ def dot_decode(d: DotStructure) -> CircularHalfPerm:
         range(2 * n), lambda pos: colors[pos] == WHITE
     )
     second, rest = _cyclic_match(leftover, lambda pos: pos % 2 == 0)
-    assert not rest and len(second) == k
+    if rest or len(second) != k:
+        raise AssertionError(f"second matching: {len(second)} pairs, {len(rest)} left, k={k}")
 
     # components of the chord graph after squeezing i with i'
     parent = list(range(n + 1))
@@ -206,19 +207,23 @@ def dot_decode(d: DotStructure) -> CircularHalfPerm:
             members = tuple(
                 i for i in range(1, n + 1) if _walk_accepts(colors, n, i)
             )
-            assert members
+            if not members:
+                raise AssertionError("no point starts a balanced walk")
             comp = complement(perm)
-            assert set(comp.cycle_containing(members[0])) == set(members)
+            if set(comp.cycle_containing(members[0])) != set(members):
+                raise AssertionError(f"walk-accepted points {members} are no complement cycle")
             return CircularHalfPerm(
                 n=n, perm=perm, designated=members, designated_in="complement"
             )
-        assert perm.num_cycles() == j + 1
+        if perm.num_cycles() != j + 1:
+            raise AssertionError(f"{perm.num_cycles()} blocks decoded for j={j}")
         unmarked = [
             b
             for b in blocks
             if all(d.primed[i - 1] == WHITE for i in b)
         ]
-        assert len(unmarked) == 1
+        if len(unmarked) != 1:
+            raise AssertionError(f"{len(unmarked)} unmarked blocks, expected one")
         return CircularHalfPerm(
             n=n, perm=perm, designated=unmarked[0], designated_in="perm"
         )
@@ -226,11 +231,14 @@ def dot_decode(d: DotStructure) -> CircularHalfPerm:
     initials = sorted(opener // 2 + 1 for opener, _ in second)
     by_point = {i: b for b in blocks for i in b}
     open_sets = {frozenset(by_point[i]) for i in initials}
-    assert len(open_sets) == k
+    if len(open_sets) != k:
+        raise AssertionError(f"{len(open_sets)} open blocks decoded, expected {k}")
     bbar = complement(perm).cycle_containing(initials[0])
-    assert set(initials) <= set(bbar)
+    if not set(initials) <= set(bbar):
+        raise AssertionError(f"initial points {initials} leave the cycle {bbar}")
     h = make_circular(n, perm, open_sets, bbar)
-    assert h.initial_points() == tuple(initials)
+    if h.initial_points() != tuple(initials):
+        raise AssertionError(f"initial points {h.initial_points()}, expected {initials}")
     return h
 
 
@@ -279,7 +287,8 @@ def circular_remove(h: CircularHalfPerm) -> CircularHalfPerm:
         want_k = {1: k - 1, 2: k, 3: k, 4: k + 1}[case]
         want_j = j if case in (1, 2) else j - 1
     out = dot_decode(DotStructure(h.n - 1, unprimed, primed))
-    assert out.k == want_k and out.closed_weight_exponent() == want_j
+    if out.k != want_k or out.closed_weight_exponent() != want_j:
+        raise AssertionError(f"class {case} removal missed the cell k={want_k}, j={want_j}")
     return out
 
 

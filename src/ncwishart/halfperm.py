@@ -27,7 +27,6 @@ from functools import lru_cache
 from itertools import combinations
 
 from .perms import (
-    DEFAULT_ANNULAR_CAP,
     AnnularPerm,
     Perm,
     complement,
@@ -37,7 +36,7 @@ from .perms import (
 )
 from .polyc import PolyC
 
-DEFAULT_DISC_CAP = 12
+DISC_CAP = 12
 
 
 def _blocks(perm: Perm) -> tuple[tuple[int, ...], ...]:
@@ -341,17 +340,16 @@ def make_linear(n: int, blocks, open_sets) -> LinearHalfPerm:
 # ---------------------------------------------------------------------------
 
 
-def _check_cell(n: int, k: int, cap: int) -> None:
+def _check_cell(n: int, k: int) -> None:
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds cap={cap}; pass a larger cap= to override")
+    if n > DISC_CAP:
+        raise ValueError(f"n={n} exceeds the enumeration cap {DISC_CAP}")
 
 
-@lru_cache(maxsize=None)
-def enum_ncc(n: int, k: int, cap: int = DEFAULT_DISC_CAP) -> tuple[CircularHalfPerm, ...]:
+def enum_ncc(n: int, k: int) -> tuple[CircularHalfPerm, ...]:
     """All circular half-permutations of [n] with k open blocks."""
-    _check_cell(n, k, cap)
+    _check_cell(n, k)
     if n == 0:
         return (CircularHalfPerm(n=0, perm=Perm(())),)
     out: list[CircularHalfPerm] = []
@@ -386,10 +384,9 @@ def enum_ncc(n: int, k: int, cap: int = DEFAULT_DISC_CAP) -> tuple[CircularHalfP
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def enum_ncl(n: int, k: int, cap: int = DEFAULT_DISC_CAP) -> tuple[LinearHalfPerm, ...]:
+def enum_ncl(n: int, k: int) -> tuple[LinearHalfPerm, ...]:
     """All linear half-permutations of [n] with k open blocks."""
-    _check_cell(n, k, cap)
+    _check_cell(n, k)
     if n == 0:
         return (make_linear(0, (), ()),)
     out: list[LinearHalfPerm] = []
@@ -627,14 +624,14 @@ def unfold_marked(perm: Perm, marked: tuple[int, ...]) -> LinearHalfPerm:
     return make_linear(perm.size, blocks, opens)
 
 
-def lineardecomp_check(n: int, cap: int = DEFAULT_DISC_CAP) -> tuple[PolyC, PolyC]:
+def lineardecomp_check(n: int) -> tuple[PolyC, PolyC]:
     """Two routes to the same polynomial: odd columns of the centered
     second-kind inverse table, against block-count-weighted non-crossing
     partitions.  Returns both; they agree when the identity holds."""
     from .families import Family, inverse_table
 
-    if n > cap:
-        raise ValueError(f"n={n} exceeds cap={cap}")
+    if n > DISC_CAP:
+        raise ValueError(f"n={n} exceeds the enumeration cap {DISC_CAP}")
     inv = inverse_table(Family.PI, n + 1)
     lhs = PolyC.zero()
     for k in range((n - 1) // 2 + 1):

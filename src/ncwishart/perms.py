@@ -29,7 +29,9 @@ from functools import lru_cache
 from itertools import permutations as _perm_orders
 from itertools import product as _product
 
-DEFAULT_ANNULAR_CAP = 12
+# Largest m + n the annular enumeration accepts: its sweep visits every
+# set partition of the m + n points.
+ANNULAR_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -238,9 +240,14 @@ def blocks_noncrossing(blocks) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def enum_nc(n: int) -> tuple[Perm, ...]:
-    """All non-crossing partitions of the disc, as increasing-cycle permutations."""
+    """All non-crossing partitions of the disc, as increasing-cycle permutations.
+
+    The half-permutation enumerators ask for the same disc once per open
+    block count, so a few recent sizes are kept; callers that reuse a
+    larger set hold on to it themselves.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
@@ -404,24 +411,24 @@ def iter_snc_images(m: int, n: int, prune: bool = True):
                 yield tuple(x + 1 for x in img)
 
 
-def _check_annulus(m: int, n: int, cap: int) -> None:
+def _check_annulus(m: int, n: int) -> None:
     if m < 1 or n < 1:
         raise ValueError("both circles need at least one point")
-    if m + n > cap:
+    if m + n > ANNULAR_CAP:
         raise ValueError(
-            f"m+n={m + n} exceeds cap={cap}; pass a larger cap= to override "
+            f"m+n={m + n} exceeds the enumeration cap {ANNULAR_CAP} "
             "(enumeration cost grows quickly)"
         )
 
 
-@lru_cache(maxsize=None)
-def enum_snc(m: int, n: int, cap: int = DEFAULT_ANNULAR_CAP) -> tuple[AnnularPerm, ...]:
+def enum_snc(m: int, n: int) -> tuple[AnnularPerm, ...]:
     """All connected non-crossing permutations of the (m, n)-annulus,
     sorted by image tuple.
 
-    Materializes the stream from iter_snc_images; for large annuli
-    (m + n near the cap) prefer iterating the stream directly.
+    Materializes the stream from iter_snc_images and keeps no copy; a
+    caller that needs an annulus twice holds on to it, and for large
+    annuli (m + n near the cap) prefer iterating the stream directly.
     """
-    _check_annulus(m, n, cap)
+    _check_annulus(m, n)
     images = sorted(iter_snc_images(m, n))
     return tuple(AnnularPerm(m, n, Perm(img)) for img in images)

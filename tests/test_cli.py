@@ -81,10 +81,9 @@ def test_json_matches_schema_and_library(capsys, cell):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("enumerate", "ncc", "--n", "5", "--k", "1", "--cap", "4"),
+        ("enumerate", "ncc", "--n", "13", "--k", "1"),
         ("enumerate", "ncl", "--n", "13", "--k", "0"),
         ("enumerate", "snc", "--m", "7", "--n", "6"),
-        ("enumerate", "snc", "--m", "3", "--n", "3", "--cap", "5"),
         ("mc", "diagonalize", "--max-degree", str(MAX_DEGREE + 1), "--N", "4", "--samples", "4"),
         ("mc", "raw-cov", "--m", str(MAX_DEGREE + 1), "--n", "1", "--N", "4", "--samples", "4"),
         ("verify", "lineardecomp", "--max-n", "13"),
@@ -118,6 +117,79 @@ def test_a_suite_with_nothing_to_check_is_a_usage_error(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and "minimum 2" in err
+
+
+BAD_RATIOS = ("abc", "nan", "inf", "1/0")
+
+
+@pytest.mark.parametrize("ratio", BAD_RATIOS)
+def test_a_ratio_that_is_no_fraction_is_a_usage_error(capsys, ratio):
+    assert main(["mc", "diagonalize", "--c", ratio, "--N", "4", "--samples", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: --c ") and "Traceback" not in err
+
+
+def test_an_unsupported_mixed_word_is_rejected_before_sampling(capsys, monkeypatch):
+    def sample_traces(config):
+        raise AssertionError("sampled before the word was checked")
+
+    monkeypatch.setattr(cli, "sample_traces", sample_traces)
+    argv = ["mc", "diagonalize", "--mixed", "2,1:1,2", "--N", "4", "--samples", "4"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
+def _failed_replace(src, dst):
+    raise OSError("replace failed")
+
+
+@pytest.mark.parametrize("case", ["missing directory", "directory", "failed write"])
+def test_an_unwritable_output_exits_2_and_leaves_no_temp_file(
+    capsys, monkeypatch, tmp_path, case
+):
+    target = {
+        "missing directory": tmp_path / "missing" / "report.out",
+        "directory": tmp_path,
+        "failed write": tmp_path / "report.out",
+    }[case]
+    if case == "failed write":
+        monkeypatch.setattr(cli.os, "replace", _failed_replace)
+    assert main(["tables", "pi-inverse", "--rows", "3", "--output", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.parent.glob(f".{tmp_path.name}.tmp*")) == []
+
+
+# Each argv must end in exit 0, 1 or 2 without a traceback; {tmp} stands
+# for a fresh directory.
+CONTRACT_ARGVS = [
+    ("mc", "diagonalize", "--mixed", "2,1:1,2", "--N", "4", "--samples", "4"),
+    *(("mc", "diagonalize", "--c", ratio, "--N", "4", "--samples", "4") for ratio in BAD_RATIOS),
+    ("tables", "pi-inverse", "--output", "{tmp}/missing/report.out"),
+    ("tables", "pi-inverse", "--output", "{tmp}"),
+    ("enumerate", "ncc", "--n", "1", "--k", "0"),
+    ("verify", "series", "--order", "1", "--max-k", "1"),
+    ("mc", "raw-cov", "--m", "1", "--n", "1", "--N", "1", "--samples", "2"),
+    ("enumerate", "ncc", "--n", "13", "--k", "1"),
+    ("enumerate", "ncl", "--n", "13", "--k", "0"),
+    ("enumerate", "snc", "--m", "7", "--n", "6"),
+    ("enumerate", "ncc", "--n", "5", "--k", "1", "--cap", "4"),
+]
+
+
+@pytest.mark.parametrize("argv", CONTRACT_ARGVS, ids=" ".join)
+def test_every_exit_keeps_the_contract(capsys, tmp_path, argv):
+    try:
+        code = main([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+    except SystemExit as exc:  # argparse rejects the command line
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 2:
+        assert out == ""
 
 
 # -- verify, tables and mc reports against their schemas ----------------------

@@ -29,7 +29,13 @@ from ncwishart.halfperm import (
     make_circular,
     weighted_count,
 )
-from ncwishart.perms import enum_nc, enum_snc, partition_to_perm
+from ncwishart.perms import (
+    enum_nc,
+    enum_snc,
+    is_noncrossing,
+    partition_to_perm,
+    set_partitions,
+)
 from ncwishart.polyc import PolyC
 
 C = PolyC.c()
@@ -283,6 +289,72 @@ class TestContractedSums:
             (2, 1), ("a", "b"), (v,), ("a",), through_filter=((2, 1), None)
         )
         assert enum_colored_snc(spec) == ()
+
+
+def oracle_nc_partitions(n):
+    """Non-crossing partitions of [n] by the saturation test over every
+    set partition, independent of the enumerator's stack test."""
+    return [
+        blocks for blocks in set_partitions(n)
+        if is_noncrossing(partition_to_perm(blocks))
+    ]
+
+
+def oracle_connector_weight(lengths, nc):
+    """Weight of the partitions in `nc` that connect all the intervals."""
+    owner = [r for r, size in enumerate(lengths) for _ in range(size)]
+    total = ZERO
+    for blocks in nc:
+        reached = {0}
+        for _ in lengths:
+            for b in blocks:
+                hit = {owner[p - 1] for p in b}
+                if hit & reached:
+                    reached |= hit
+        if len(reached) == len(lengths):
+            total = total + PolyC.monomial(len(blocks))
+    return total
+
+
+def colorings(n, colors=3):
+    """Every coloring of n points with at most `colors` colors, up to
+    renaming the colors: a point takes a used color or the next new one."""
+    out = [()]
+    for _ in range(n):
+        out = [
+            c + (x,) for c in out
+            for x in range(min(colors, max(c, default=-1) + 2))
+        ]
+    return out
+
+
+def compositions(n):
+    """Every way to cut n points into consecutive nonempty intervals."""
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in compositions(n - first):
+            yield (first,) + rest
+
+
+class TestAgainstTheSetPartitionOracle:
+    @pytest.mark.parametrize("n", range(8))
+    def test_colored_partitions(self, n):
+        nc = oracle_nc_partitions(n)
+        for point_colors in colorings(n):
+            want = {
+                blocks for blocks in nc
+                if all(len({point_colors[p - 1] for p in b}) == 1 for b in blocks)
+            }
+            got = colored_nc_partitions(point_colors)
+            assert len(got) == len(set(got))
+            assert set(got) == want
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_connector_weights(self, n):
+        nc = oracle_nc_partitions(n)
+        for lengths in compositions(n):
+            assert connector_weight(lengths) == oracle_connector_weight(lengths, nc)
 
 
 class TestConnectionPatterns:

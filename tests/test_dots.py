@@ -2,11 +2,17 @@
 bijection with circular half-permutations, and the dot-level one-point
 recursion maps."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import ncwishart
 from ncwishart.dots import (
     BLACK,
     WHITE,
@@ -113,6 +119,27 @@ class TestValidation:
             circular_insert(1, k2, zero_target=True)
         with pytest.raises(ValueError, match="class must be"):
             circular_insert(5, k1)
+
+    def test_decode_invariants_survive_python_O(self):
+        # a broken matching must still trip the decoder's invariant checks
+        # when `python -O` strips `assert` statements
+        code = textwrap.dedent("""
+            from ncwishart import dots
+            structure = dots.enum_dots(2, 0, 1)[0]
+            dots._cyclic_match = lambda positions, is_open: ([], list(positions))
+            try:
+                dots.dot_decode(structure)
+            except AssertionError:
+                print("AssertionError")
+        """)
+        src = str(Path(ncwishart.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=60, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "AssertionError\n"
 
 
 class TestBijection:
