@@ -15,7 +15,18 @@ The package has five parts:
 * :mod:`ncwishart.wick` -- a truncated-Fock operator model realizing the
   diagram calculus, with exactness checked on the safe subspace.
 * :mod:`ncwishart.cli` -- the ``ncwishart`` command line tool.
+
+Only :mod:`ncwishart.rmt` and :mod:`ncwishart.wick` compute in floating
+point, and only they import numpy.  ``import ncwishart`` loads the exact
+modules; the names exported from ``rmt`` and ``wick`` are bound on first
+access, so numpy is imported the first time one of them is used.  On the
+command line that is ``mc`` and ``verify wick``; every other command runs
+without numpy.
 """
+
+import sys
+from importlib import import_module
+from types import ModuleType
 
 from .polyc import PolyC, PolyXC, SeriesZ
 from .perms import AnnularPerm, Perm, enum_nc, enum_snc, iter_snc_images
@@ -38,24 +49,6 @@ from .colored import (
     through_profile,
 )
 from .dots import DotStructure, dot_decode, dot_encode, enum_dots
-from .wick import (
-    FockOperator,
-    FockVector,
-    OperatorCheck,
-    TracialAlgebra,
-    convolution,
-    p_operator,
-    w_pi,
-    wick,
-    wick_report,
-)
-from .rmt import (
-    EnsembleConfig,
-    StatCheck,
-    evaluate_statistics,
-    predict_covariance,
-    sample_traces,
-)
 from .families import (
     Family,
     ShiftConstants,
@@ -68,10 +61,48 @@ from .families import (
     inverse_table,
     moments,
     pi_poly,
+    predict_covariance,
     series_G,
     series_P,
     transition_matrix,
 )
+
+# the names of the two numeric modules, bound here on first access
+_NUMERIC = {
+    "rmt": ("EnsembleConfig", "StatCheck", "evaluate_statistics", "sample_traces"),
+    "wick": (
+        "FockOperator",
+        "FockVector",
+        "OperatorCheck",
+        "TracialAlgebra",
+        "convolution",
+        "p_operator",
+        "w_pi",
+        "wick",
+        "wick_report",
+    ),
+}
+
+
+def __getattr__(name: str):
+    for module, names in _NUMERIC.items():
+        if name == module or name in names:
+            loaded = import_module(f".{module}", __name__)
+            globals().update((n, getattr(loaded, n)) for n in names)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+class _Package(ModuleType):
+    def __setattr__(self, name: str, value) -> None:
+        # The first import of the submodule `wick` binds it here; the
+        # package's `wick` stays that module's function.
+        if name == "wick" and isinstance(value, ModuleType):
+            value = value.wick
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
 
 __version__ = "0.1.0"
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import io
 import json
 import math
@@ -27,6 +28,7 @@ from typing import Iterator
 from .colored import enum_colored_ncc, open_profile
 from .dots import dot_decode, dot_encode, enum_dots
 from .families import (
+    MAX_DEGREE,
     Family,
     TransitionMatrix,
     chebyshev_C,
@@ -38,6 +40,7 @@ from .families import (
     inverse_table,
     moments,
     pi_poly,
+    predict_covariance,
     series_G,
     series_G0,
     series_P,
@@ -56,27 +59,53 @@ from .halfperm import (
 )
 from .perms import ANNULAR_CAP, Perm, enum_snc, format_cycles, iter_snc_images
 from .polyc import PolyC, PolyXC, SeriesZ
-from .rmt import (
-    MAX_DEGREE,
-    EnsembleConfig,
-    StatCheck,
-    covariance_check,
-    evaluate_statistics,
-    pi_pair_trace,
-    power_trace,
-    predict_covariance,
-    sample_traces,
-    variance_check,
-    word_variance_limit,
-)
-from .wick import (
-    MAX_REPORT_DEPTH,
-    MIN_REPORT_DEPTH,
-    function_algebra,
-    matrix_algebra,
-    scalar_algebra,
-    wick_report,
-)
+
+# Only `mc` and `verify wick` compute in floating point.  The names they
+# use from the numpy modules are bound by _load_numeric on first use, so
+# that every other command starts without importing numpy.
+_NUMERIC = {
+    "rmt": (
+        "EnsembleConfig",
+        "StatCheck",
+        "covariance_check",
+        "evaluate_statistics",
+        "pi_pair_trace",
+        "power_trace",
+        "sample_traces",
+        "variance_check",
+        "word_variance_limit",
+    ),
+    "wick": ("function_algebra", "matrix_algebra", "scalar_algebra", "wick_report"),
+}
+
+
+def _load_numeric(module: str) -> None:
+    """Bind this module's names from `module`; a name already set here (a
+    test double, say) is kept."""
+    loaded = importlib.import_module(f".{module}", __package__)
+    for name in _NUMERIC[module]:
+        globals().setdefault(name, getattr(loaded, name))
+
+
+def __getattr__(name: str):
+    for module, names in _NUMERIC.items():
+        if name in names:
+            _load_numeric(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# the inductive step of the wick suite concatenates two 2-letter words, so
+# it needs tensor words of length 4 under the depth cap
+MIN_REPORT_DEPTH = 4
+# the truncated Fock basis grows by the algebra's dimension per level: the
+# 2x2 matrix algebra takes about 3 s at depth 5 and 14 s and 220 MB at 6
+MAX_REPORT_DEPTH = 6
+# the exact suites' sizes grow their polynomial work as a power of the
+# size: `verify recursions --max-n 25` takes about 5 s (30: 12 s) and
+# `verify series --order 50` about 8 s (60: 19 s) on a 2-core Xeon VM
+MAX_RECURSIONS_N = 25
+MAX_SERIES_ORDER = 50
 
 
 class UsageError(Exception):
@@ -853,6 +882,7 @@ def _series_records(order: int, max_k: int) -> list[dict]:
 
 
 def _wick_records(depth: int, seed: int, algebra: str) -> list[dict]:
+    _load_numeric("wick")
     pools = {
         "scalar": [scalar_algebra()],
         "matrix": [matrix_algebra()],
@@ -872,6 +902,14 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     if suite in ("bijections", "lineardecomp") and (args.max_n or 0) > DISC_CAP:
         raise UsageError(
             f"--max-n {args.max_n} exceeds the enumeration cap {DISC_CAP}"
+        )
+    if suite == "recursions" and (args.max_n or 0) > MAX_RECURSIONS_N:
+        raise UsageError(
+            f"--max-n {args.max_n} exceeds the cap {MAX_RECURSIONS_N} of the recursions suite"
+        )
+    if suite == "series" and args.order > MAX_SERIES_ORDER:
+        raise UsageError(
+            f"--order {args.order} exceeds the cap {MAX_SERIES_ORDER} of the series suite"
         )
     if suite == "cut-reassemble" and args.max_total > ANNULAR_CAP:
         raise UsageError(
@@ -1005,6 +1043,7 @@ def _split_checks(checks: list[StatCheck]) -> tuple[list[dict], list[dict]]:
 
 
 def cmd_mc(args: argparse.Namespace) -> tuple[dict, int]:
+    _load_numeric("rmt")
     start = time.perf_counter()
     if args.experiment == "diagonalize":
         word = _parse_word(args.mixed) if args.mixed is not None else None
@@ -1145,7 +1184,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--max-n", type=_positive_int, default=None,
-        help="size cap (default: 10 for recursions/lineardecomp, 8 for bijections)",
+        help="size cap (default: 10 for recursions/lineardecomp, 8 for bijections; "
+             f"at most {MAX_RECURSIONS_N} for recursions, {DISC_CAP} for the others)",
     )
     p_verify.add_argument(
         "--max-total", type=_positive_int, default=8,
@@ -1153,7 +1193,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--order", type=_positive_int, default=12,
-        help="series: truncation order (default 12)",
+        help=f"series: truncation order (default 12, at most {MAX_SERIES_ORDER})",
     )
     p_verify.add_argument(
         "--max-k", type=_positive_int, default=8,

@@ -169,19 +169,21 @@ def _select(
         yield a
 
 
+def _select_spec(diagrams, spec: ColoredAnnularSpec):
+    return _select(
+        diagrams,
+        spec.outer_lengths,
+        spec.outer_colors,
+        spec.inner_lengths,
+        spec.inner_colors,
+        *(spec.through_filter or ()),
+    )
+
+
 def enum_colored_snc(spec: ColoredAnnularSpec) -> tuple[AnnularPerm, ...]:
     """All annular permutations with monochromatic cycles under the spec's
     coloring, optionally filtered by per-interval through-block counts."""
-    return tuple(
-        _select(
-            enum_snc(spec.m, spec.n),
-            spec.outer_lengths,
-            spec.outer_colors,
-            spec.inner_lengths,
-            spec.inner_colors,
-            *(spec.through_filter or ()),
-        )
-    )
+    return tuple(_select_spec(enum_snc(spec.m, spec.n), spec))
 
 
 def spoke_spec(
@@ -304,12 +306,23 @@ def pi_contracted_sum(
     through-blocks it collapses to zero (the polynomials are centered
     against plain non-crossing weights).
     """
+    return _contracted_sum(
+        {}, outer_lengths, outer_colors, inner_lengths, inner_colors,
+        outer_through, inner_through,
+    )
+
+
+def _contracted_sum(
+    annuli, outer_lengths, outer_colors, inner_lengths, inner_colors,
+    outer_through=None, inner_through=None,
+) -> PolyC:
+    """pi_contracted_sum, keeping in `annuli` each annulus it enumerates,
+    keyed by (sum u, sum v)."""
     k = len(outer_lengths)
     l = len(inner_lengths)
     coeff = transition_matrix(
         Family.PI, max(tuple(outer_lengths) + tuple(inner_lengths)) + 1
     )
-    annuli = {}  # (sum u, sum v) -> its annulus, enumerated once per call
     total = PolyC.zero()
     for u_vec in _product(*(range(0, mr + 1) for mr in outer_lengths)):
         outer_factor = PolyC.one()
@@ -352,16 +365,15 @@ def product_variance_check(
     province of `single_interval_variance_check`, which contracts against
     the circular table instead.
     """
-    lhs = pi_contracted_sum(
-        outer_lengths, outer_colors, inner_lengths, inner_colors
+    spec = spoke_spec(outer_lengths, outer_colors, inner_lengths, inner_colors)
+    annuli: dict = {}
+    lhs = _contracted_sum(
+        annuli, outer_lengths, outer_colors, inner_lengths, inner_colors
     )
+    # the sum's term with no interval shrunk (its coefficients are the
+    # leading ones, all 1) has enumerated the full annulus
     rhs = weighted_count(
-        enum_colored_snc(
-            spoke_spec(
-                outer_lengths, outer_colors, inner_lengths, inner_colors
-            )
-        ),
-        WeightRule.ALL_BLOCKS,
+        _select_spec(annuli[spec.m, spec.n], spec), WeightRule.ALL_BLOCKS
     )
     return lhs, rhs
 

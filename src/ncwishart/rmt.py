@@ -23,18 +23,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .families import Family, inverse_table, transition_matrix
+from .families import MAX_DEGREE, Family, predict_covariance, transition_matrix
 # not used here: the benchmark tracer wraps these two names in this module
 from .halfperm import weighted_count  # noqa: F401
 from .perms import enum_snc  # noqa: F401
-from .polyc import PolyC
 
 _BATCH = 32
-
-# the largest sampled degree; the covariance limits up to degree d cost
-# O(d^3) polynomial operations: `mc diagonalize --max-degree 30 --N 4
-# --samples 4` takes about 1.2 s end to end on a 2-core Xeon VM
-MAX_DEGREE = 30
 
 
 @dataclass(frozen=True)
@@ -179,18 +173,6 @@ def pi_pair_trace(samples: TraceSamples, i: int = 0, j: int = 1) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # exact limits
 # ---------------------------------------------------------------------------
-
-
-def predict_covariance(m: int, n: int, size: int | None = None) -> PolyC:
-    """Limiting covariance of Tr(X^m) and Tr(X^n) as a polynomial in c:
-    the sum over k of k c^k G[m,k] G[n,k], G the inverse arc-sine table.
-    It equals the weighted count of annular non-crossing permutations.
-
-    `size` (at least max(m, n) + 1, the default) picks the cached table to
-    read; callers looping over many pairs pass their largest one."""
-    g = inverse_table(Family.GAMMA_TILDE, size or max(m, n) + 1)
-    return sum((PolyC.monomial(k, k) * g.entry(m, k) * g.entry(n, k)
-                for k in range(1, min(m, n) + 1)), PolyC.zero())
 
 
 def centered_trace_mean_limit(n: int, c: Fraction, c_prime: Fraction) -> Fraction:

@@ -909,14 +909,6 @@ def _convolution_sizes_ok(max_left: int, max_right: int) -> bool:
     return True
 
 
-# the inductive step concatenates two 2-letter words, so the report needs
-# tensor words of length 4 under the depth cap
-MIN_REPORT_DEPTH = 4
-# the truncated Fock basis grows by the algebra's dimension per level: the
-# 2x2 matrix algebra takes about 3 s at depth 5 and 14 s and 220 MB at 6
-MAX_REPORT_DEPTH = 6
-
-
 def wick_report(
     depth: int = 5,
     seed: int = 0,

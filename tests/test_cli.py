@@ -10,12 +10,18 @@ import jsonschema
 import pytest
 
 from ncwishart import cli
-from ncwishart.cli import GOLDEN_ROWS, main, schema_path
+from ncwishart.cli import (
+    GOLDEN_ROWS,
+    MAX_RECURSIONS_N,
+    MAX_REPORT_DEPTH,
+    MAX_SERIES_ORDER,
+    main,
+    schema_path,
+)
+from ncwishart.families import MAX_DEGREE
 from ncwishart.halfperm import WeightRule, enum_ncc, enum_ncl, weighted_count
 from ncwishart.perms import enum_snc
 from ncwishart.polyc import PolyC
-from ncwishart.rmt import MAX_DEGREE
-from ncwishart.wick import MAX_REPORT_DEPTH
 
 CELLS = [
     ("ncc", "--n", "4", "--k", "0"),
@@ -90,6 +96,8 @@ def test_json_matches_schema_and_library(capsys, cell):
         ("verify", "bijections", "--max-n", "13"),
         ("verify", "cut-reassemble", "--max-total", "13"),
         ("verify", "wick", "--depth", str(MAX_REPORT_DEPTH + 1)),
+        ("verify", "recursions", "--max-n", str(MAX_RECURSIONS_N + 1)),
+        ("verify", "series", "--order", str(MAX_SERIES_ORDER + 1)),
     ],
     ids=" ".join,
 )
@@ -177,6 +185,8 @@ CONTRACT_ARGVS = [
     ("enumerate", "ncl", "--n", "13", "--k", "0"),
     ("enumerate", "snc", "--m", "7", "--n", "6"),
     ("enumerate", "ncc", "--n", "5", "--k", "1", "--cap", "4"),
+    ("verify", "recursions", "--max-n", "40"),
+    ("verify", "series", "--order", "500"),
 ]
 
 

@@ -1,0 +1,138 @@
+"""Tests for the package surface: the public names, the CLI names that a
+wrapper can replace, and numpy loaded only by the commands that compute in
+floating point.  Each import check runs in a fresh interpreter."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+import textwrap
+import types
+from pathlib import Path
+
+import pytest
+
+import ncwishart
+
+SRC = str(Path(ncwishart.__file__).resolve().parents[1])
+
+
+def run_fresh(code: str):
+    """Run `code` in a fresh interpreter; return its last stdout line as JSON."""
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+MAIN = """
+    import contextlib, io, json, sys
+    from ncwishart import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = cli.main({argv!r})
+        except SystemExit as exc:  # --help
+            code = exc.code
+    print(json.dumps([code, "numpy" in sys.modules]))
+"""
+
+# (argv, exit code); the forward family has no fixture, so --check is a
+# usage error there
+EXACT_COMMANDS = [
+    (["tables", "pi", "--rows", "6", "--check"], 2),
+    (["tables", "gamma-inverse", "--rows", "6", "--check"], 0),
+    (["enumerate", "ncc", "--n", "4", "--k", "1"], 0),
+    (["enumerate", "ncl", "--n", "4", "--k", "1"], 0),
+    (["enumerate", "snc", "--m", "2", "--n", "3"], 0),
+    (["verify", "recursions", "--max-n", "4"], 0),
+    (["verify", "series", "--order", "4", "--max-k", "3"], 0),
+    (["verify", "bijections", "--max-n", "3"], 0),
+    (["verify", "lineardecomp", "--max-n", "4"], 0),
+    (["verify", "cut-reassemble", "--max-total", "4"], 0),
+    (["mc", "--help"], 0),
+]
+NUMERIC_COMMANDS = [
+    (["verify", "wick", "--depth", "4", "--algebra", "scalar"], 0),
+    (["mc", "diagonalize", "--N", "4", "--samples", "8", "--seed", "11"], 0),
+]
+
+
+def test_importing_the_package_leaves_numpy_out():
+    assert run_fresh("""
+        import json, sys
+        import ncwishart
+        print(json.dumps("numpy" in sys.modules))
+    """) is False
+
+
+@pytest.mark.parametrize(
+    "argv,code,numpy",
+    [(argv, code, False) for argv, code in EXACT_COMMANDS]
+    + [(argv, code, True) for argv, code in NUMERIC_COMMANDS],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else str(value),
+)
+def test_only_the_floating_point_commands_load_numpy(argv, code, numpy):
+    assert run_fresh(MAIN.format(argv=argv)) == [code, numpy]
+
+
+def test_every_public_name_is_its_defining_module_attribute():
+    for name in ncwishart.__all__:
+        if name == "__version__":
+            continue
+        obj = getattr(ncwishart, name)
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+    from ncwishart import wick
+
+    assert isinstance(wick, types.FunctionType)
+    assert wick is sys.modules["ncwishart.wick"].wick
+
+
+@pytest.mark.parametrize(
+    "prelude",
+    [
+        "",
+        "import ncwishart.wick",
+        "import contextlib, io\n"
+        "from ncwishart import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['verify', 'wick', '--depth', '4', '--algebra', 'scalar'])",
+    ],
+    ids=["fresh", "after importing the module", "after verify wick"],
+)
+def test_the_package_name_wick_is_the_function(prelude):
+    assert run_fresh(prelude + """
+import json, sys
+from ncwishart import wick
+print(json.dumps(wick is sys.modules["ncwishart.wick"].wick))
+""") is True
+
+
+def test_a_wrapper_set_on_the_cli_before_main_is_called():
+    # wick_report is set before the CLI has bound it; sample_traces is read
+    # first (binding every sampler name) and then replaced, as a tracer would
+    assert run_fresh("""
+        import contextlib, io, json
+        from ncwishart import cli
+        calls = []
+
+        def wick_report(**kwargs):
+            calls.append("wick_report")
+            return []
+
+        sample_traces = cli.sample_traces
+
+        def wrapped(config):
+            calls.append("sample_traces")
+            return sample_traces(config)
+
+        cli.wick_report = wick_report
+        cli.sample_traces = wrapped
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["verify", "wick", "--depth", "4"])
+            cli.main(["mc", "raw-cov", "--m", "1", "--n", "1", "--N", "2", "--samples", "4"])
+        print(json.dumps(calls))
+    """) == ["wick_report", "sample_traces"]

@@ -10,7 +10,6 @@ from ncwishart.halfperm import WeightRule, weighted_count
 from ncwishart.perms import enum_snc
 from ncwishart.polyc import PolyC
 from ncwishart.rmt import (
-    MAX_DEGREE,
     EnsembleConfig,
     StatCheck,
     centered_trace_covariance_limit,
@@ -22,14 +21,13 @@ from ncwishart.rmt import (
     pi_pair_trace,
     polynomial_trace,
     power_trace,
-    predict_covariance,
     sample_traces,
     second_kind_trace_mean_limit,
     tolerance_band,
     variance_check,
     word_variance_limit,
 )
-from ncwishart.families import Family
+from ncwishart.families import MAX_DEGREE, Family, predict_covariance
 
 
 class TestConfig:
