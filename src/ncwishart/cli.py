@@ -33,7 +33,6 @@ from .families import (
     TransitionMatrix,
     chebyshev_C,
     chebyshev_S,
-    family_poly,
     gamma,
     gamma_tilde,
     integrate_against_reference,
@@ -102,10 +101,15 @@ MIN_REPORT_DEPTH = 4
 # 2x2 matrix algebra takes about 3 s at depth 5 and 14 s and 220 MB at 6
 MAX_REPORT_DEPTH = 6
 # the exact suites' sizes grow their polynomial work as a power of the
-# size: `verify recursions --max-n 25` takes about 5 s (30: 12 s) and
-# `verify series --order 50` about 8 s (60: 19 s) on a 2-core Xeon VM
+# size: `verify recursions --max-n 25` takes about 0.7 s (30: 0.9 s) and
+# `verify series --order 50` about 5 s (60: 9 s), and `--order 50 --max-k
+# 50`, the slowest series run in range, 19 s on a 2-core Xeon VM
 MAX_RECURSIONS_N = 25
 MAX_SERIES_ORDER = 50
+# the slowest table is `gamma-inverse`, which inverts its forward table in
+# O(rows^3) polynomial operations: 60 rows take about 1.4 s and 80 from 4
+# to 7 s on a 2-core Xeon VM
+MAX_TABLE_ROWS = 80
 
 
 class UsageError(Exception):
@@ -385,6 +389,8 @@ def _render(report: dict, fmt: str) -> str:
 def cmd_tables(args: argparse.Namespace) -> tuple[dict, int]:
     family, inverse = FAMILY_CHOICES[args.family]
     size = args.rows
+    if size > MAX_TABLE_ROWS:
+        raise UsageError(f"--rows {size} exceeds the table cap {MAX_TABLE_ROWS}")
     table = inverse_table(family, size) if inverse else transition_matrix(family, size)
     rows = [[str(table.entry(n, k)) for k in range(n + 1)] for n in range(size)]
     check = None
@@ -687,8 +693,8 @@ def _recursion_records(max_n: int) -> list[dict]:
         records.append(_record("first/second-kind bridge (centered)", f"n={n}", ok))
 
     for n in range(1, max_n + 1):
-        for fam in (Family.GAMMA, Family.PI):
-            ok = integrate_against_reference(family_poly(fam, n)).is_zero()
+        for fam, member in ((Family.GAMMA, gamma), (Family.PI, pi_poly)):
+            ok = integrate_against_reference(member(n)).is_zero()
             records.append(
                 _record("centered against the reference moments", f"{fam.value},n={n}", ok)
             )
@@ -910,6 +916,10 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     if suite == "series" and args.order > MAX_SERIES_ORDER:
         raise UsageError(
             f"--order {args.order} exceeds the cap {MAX_SERIES_ORDER} of the series suite"
+        )
+    if suite == "series" and args.max_k > MAX_SERIES_ORDER:
+        raise UsageError(
+            f"--max-k {args.max_k} exceeds the cap {MAX_SERIES_ORDER} of the series suite"
         )
     if suite == "cut-reassemble" and args.max_total > ANNULAR_CAP:
         raise UsageError(
@@ -1156,7 +1166,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="print a family coefficient table or its inverse",
     )
     p_tables.add_argument("family", choices=sorted(FAMILY_CHOICES))
-    p_tables.add_argument("--rows", type=_positive_int, default=5)
+    p_tables.add_argument("--rows", type=_positive_int, default=5,
+                          help=f"rows to print (default 5, at most {MAX_TABLE_ROWS})")
     p_tables.add_argument(
         "--check", action="store_true",
         help="compare against the built-in golden fixture (first five rows)",
@@ -1197,7 +1208,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--max-k", type=_positive_int, default=8,
-        help="series: largest column (default 8)",
+        help=f"series: largest column (default 8, at most {MAX_SERIES_ORDER})",
     )
     p_verify.add_argument(
         "--depth", type=_positive_int, default=4,

@@ -6,31 +6,29 @@ has a monic orthogonal family whose x-coefficients form a unitriangular
 matrix over Q[c]; the inverses of those matrices are the combinatorial
 objects the rest of the package enumerates diagrammatically.
 
-All computations are exact.  The families are generated by three-term
-recurrences only -- no square roots ever appear, which is itself one of the
-checked properties (every coefficient lands in Z[c]).
+Each family but the centered `gamma` is fixed by its three-term recurrence
+(`RECURRENCES`), which grows its forward rows and, by the band recursion of
+weighted Motzkin paths, its inverse rows; every size reads a prefix of the
+one table.  The inverse of `gamma` comes from inverting its forward table.
+All computations are exact: no square roots appear, and every coefficient
+lands in Z[c], which is itself one of the checked properties.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from math import comb
 
 from .polyc import PolyC, PolyXC, SeriesZ
 
+_ZERO = PolyC.zero()
+_ONE = PolyC.one()
 _C = PolyC.c()
 _ONE_PLUS_C = PolyC.of(1, 1)
-_X = PolyXC.x()
 
-
-def _fill_below(member, first: int, n: int) -> None:
-    """Cache member(first), ..., member(n - 1) in increasing order, so that
-    the recurrence for member(n) finds its predecessors cached and recurses
-    one level deep, whatever the recursion limit."""
-    for m in range(first, n):
-        member(m)
+Row = tuple[PolyC, ...]
 
 
 class Family(str, Enum):
@@ -42,76 +40,103 @@ class Family(str, Enum):
 
 
 # ---------------------------------------------------------------------------
-# rescaled Chebyshev polynomials
+# three-term recurrences
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@dataclass(frozen=True, eq=False)
+class ThreeTerm:
+    """The recurrence ``x*f_n = f_{n+1} + a_n f_n + b_n f_{n-1}``, f_0 = 1,
+    with a_n = `a` except a_0 = `a0`, and b_n = `b` except b_1 = `b1`.
+
+    It keeps the rows of its forward table (row n: the x-coefficients of
+    f_n) and of the inverse (row n: the coefficients of x^n in f_0..f_n),
+    each grown on demand from the rows before it.
+    """
+
+    a0: PolyC
+    a: PolyC
+    b1: PolyC
+    b: PolyC
+    _forward: list[Row] = field(default_factory=lambda: [(_ONE,)], init=False, repr=False)
+    _inverse: list[Row] = field(default_factory=lambda: [(_ONE,)], init=False, repr=False)
+
+    def a_at(self, n: int) -> PolyC:
+        return self.a0 if n == 0 else self.a
+
+    def b_at(self, n: int) -> PolyC:
+        return self.b1 if n == 1 else self.b
+
+    def rows(self, size: int, inverse: bool = False) -> tuple[Row, ...]:
+        """Rows 0..size-1 of the forward table, or of its inverse."""
+        rows, step = ((self._inverse, self._next_inverse_row) if inverse
+                      else (self._forward, self._next_row))
+        while len(rows) < size:
+            rows.append(step(rows))
+        return tuple(rows[:size])
+
+    def _next_row(self, rows: list[Row]) -> Row:
+        """f_{n+1} = (x - a_n) f_n - b_n f_{n-1}, coefficient by coefficient."""
+        n = len(rows) - 1
+        row, prev = rows[n], rows[n - 1] if n else ()
+        a, b = self.a_at(n), self.b_at(n)
+        return tuple(up - a * same - b * down for up, same, down
+                     in zip((_ZERO,) + row, row + (_ZERO,), prev + (_ZERO, _ZERO)))
+
+    def _next_inverse_row(self, rows: list[Row]) -> Row:
+        """x^{n+1} = sum_k G[n,k] x f_k, with each x f_k expanded by the
+        recurrence: G[n+1,k] = G[n,k-1] + a_k G[n,k] + b_{k+1} G[n,k+1]."""
+        row = rows[-1]
+        return tuple(left + self.a_at(k) * same + self.b_at(k + 1) * right
+                     for k, (left, same, right)
+                     in enumerate(zip((_ZERO,) + row, row + (_ZERO,), row[1:] + (_ZERO, _ZERO))))
+
+
+# by member, keyed like `Family` where the family has a transition matrix
+RECURRENCES = {
+    "chebyshev-C": ThreeTerm(a0=_ZERO, a=_ZERO, b1=PolyC.const(2), b=_ONE),
+    "chebyshev-S": ThreeTerm(a0=_ZERO, a=_ZERO, b1=_ONE, b=_ONE),
+    Family.GAMMA_TILDE.value: ThreeTerm(a0=_ONE_PLUS_C, a=_ONE_PLUS_C, b1=2 * _C, b=_C),
+    Family.PI.value: ThreeTerm(a0=_C, a=_ONE_PLUS_C, b1=_C, b=_C),
+}
+
+
+def _member(name: str, n: int) -> PolyXC:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return PolyXC(RECURRENCES[name].rows(n + 1)[n])
+
+
 def chebyshev_C(n: int) -> PolyXC:
     """Monic first-kind Chebyshev polynomial rescaled to the interval [-2, 2].
-
-    Satisfies x*C_n = C_{n+1} + C_{n-1} for n > 1, with the n = 1 exception
-    x*C_1 = C_2 + 2*C_0.
 
     >>> str(chebyshev_C(2))
     '(-2) + (1)*x^2'
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return PolyXC.one()
-    if n == 1:
-        return _X
-    if n == 2:
-        return _X * chebyshev_C(1) - 2 * chebyshev_C(0)
-    _fill_below(chebyshev_C, 3, n)
-    return _X * chebyshev_C(n - 1) - chebyshev_C(n - 2)
+    return _member("chebyshev-C", n)
 
 
-@lru_cache(maxsize=None)
 def chebyshev_S(n: int) -> PolyXC:
     """Monic second-kind Chebyshev polynomial rescaled to [-2, 2].
-
-    Satisfies x*S_n = S_{n+1} + S_{n-1} for every n >= 1.
 
     >>> str(chebyshev_S(3))
     '(-2)*x + (1)*x^3'
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return PolyXC.one()
-    if n == 1:
-        return _X
-    _fill_below(chebyshev_S, 2, n)
-    return _X * chebyshev_S(n - 1) - chebyshev_S(n - 2)
+    return _member("chebyshev-S", n)
 
 
-# ---------------------------------------------------------------------------
-# the two shifted families
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
 def gamma_tilde(n: int) -> PolyXC:
-    """Monic orthogonal polynomial for the shifted arc-sine law.
+    """Monic orthogonal polynomial for the shifted arc-sine law."""
+    return _member(Family.GAMMA_TILDE.value, n)
 
-    Generated by the three-term recurrence
-    ``x*f_n = f_{n+1} + (1+c) f_n + c f_{n-1}`` valid for n = 0, 2, 3, ...
-    with the n = 1 step carrying ``2c`` instead of ``c``.  The rescaling
-    constants conspire so that every coefficient lies in Z[c].
+
+def pi_poly(n: int) -> PolyXC:
+    """Monic orthogonal polynomial for the Marchenko-Pastur law.
+
+    >>> str(pi_poly(2))
+    '(c^2) + (-1 - 2*c)*x + (1)*x^2'
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return PolyXC.one()
-    if n == 1:
-        return _X - _ONE_PLUS_C
-    shifted_x = _X - _ONE_PLUS_C
-    if n == 2:
-        return shifted_x * gamma_tilde(1) - 2 * _C * gamma_tilde(0)
-    _fill_below(gamma_tilde, 3, n)
-    return shifted_x * gamma_tilde(n - 1) - _C * gamma_tilde(n - 2)
+    return _member(Family.PI.value, n)
 
 
 @dataclass(frozen=True)
@@ -138,54 +163,15 @@ class ShiftConstants:
         return tuple(self.d(n) for n in range(count))
 
 
-@lru_cache(maxsize=None)
 def gamma(n: int) -> PolyXC:
     """Centered arc-sine-family polynomial: integrates to zero for n >= 1.
 
     The n = 0 member is the constant 1 (the shift convention would make it
     vanish, which would break unitriangularity).
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     if n == 0:
         return PolyXC.one()
     return gamma_tilde(n) + ShiftConstants.d(n)
-
-
-@lru_cache(maxsize=None)
-def pi_poly(n: int) -> PolyXC:
-    """Monic orthogonal polynomial for the Marchenko-Pastur law.
-
-    Seeded through degree 3 and extended by the same three-term recurrence
-    as the arc-sine family (which for this family already holds from n = 1).
-
-    >>> str(pi_poly(2))
-    '(c^2) + (-1 - 2*c)*x + (1)*x^2'
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return PolyXC.one()
-    if n == 1:
-        return _X - _C
-    if n == 2:
-        return PolyXC.of(_C * _C, PolyC.of(-1, -2), PolyC.one())
-    if n == 3:
-        return PolyXC.of(
-            -(_C ** 3), PolyC.of(1, 2, 3), PolyC.of(-2, -3), PolyC.one()
-        )
-    _fill_below(pi_poly, 4, n)
-    return (_X - _ONE_PLUS_C) * pi_poly(n - 1) - _C * pi_poly(n - 2)
-
-
-def family_poly(family: Family, n: int) -> PolyXC:
-    if family is Family.GAMMA_TILDE:
-        return gamma_tilde(n)
-    if family is Family.GAMMA:
-        return gamma(n)
-    if family is Family.PI:
-        return pi_poly(n)
-    raise ValueError(f"unknown family {family!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -261,37 +247,38 @@ class TransitionMatrix:
         return [[cell.as_json() for cell in row] for row in self.rows]
 
 
-@lru_cache(maxsize=None)
 def transition_matrix(family: Family, size: int) -> TransitionMatrix:
     """Rows 0..size-1 of the family's x-coefficient matrix."""
     if size < 1:
         raise ValueError("size must be positive")
-    rows = []
-    for n in range(size):
-        p = family_poly(family, n)
-        rows.append(tuple(p.coeff(k) for k in range(n + 1)))
-    return TransitionMatrix(tuple(rows))
+    if family is Family.GAMMA:
+        return TransitionMatrix(tuple(gamma(n).coeffs for n in range(size)))
+    return TransitionMatrix(RECURRENCES[family.value].rows(size))
 
 
-@lru_cache(maxsize=None)
 def inverse_table(family: Family, size: int) -> TransitionMatrix:
-    return transition_matrix(family, size).invert()
+    """Rows 0..size-1 of the inverse transition matrix: row n holds the
+    coefficients of x^n in the family.  Built by the band recursion, but
+    for the centered `gamma` family, which inverts its forward table."""
+    if family is Family.GAMMA:
+        return transition_matrix(family, size).invert()
+    if size < 1:
+        raise ValueError("size must be positive")
+    return TransitionMatrix(RECURRENCES[family.value].rows(size, inverse=True))
 
 
-# the largest degree the Monte Carlo samples; the covariance limits up to
-# degree d cost O(d^3) polynomial operations: `mc diagonalize --max-degree
-# 30 --N 4 --samples 4` takes about 1.2 s end to end on a 2-core Xeon VM
+# the largest degree the Monte Carlo samples; the covariance limits of all
+# pairs up to degree d cost O(d^3) polynomial operations: `mc diagonalize
+# --max-degree 30 --N 4 --samples 4` takes about 0.6 s end to end on a
+# 2-core Xeon VM
 MAX_DEGREE = 30
 
 
-def predict_covariance(m: int, n: int, size: int | None = None) -> PolyC:
+def predict_covariance(m: int, n: int) -> PolyC:
     """Limiting covariance of Tr(X^m) and Tr(X^n) as a polynomial in c:
     the sum over k of k c^k G[m,k] G[n,k], G the inverse arc-sine table.
-    It equals the weighted count of annular non-crossing permutations.
-
-    `size` (at least max(m, n) + 1, the default) picks the cached table to
-    read; callers looping over many pairs pass their largest one."""
-    g = inverse_table(Family.GAMMA_TILDE, size or max(m, n) + 1)
+    It equals the weighted count of annular non-crossing permutations."""
+    g = inverse_table(Family.GAMMA_TILDE, max(m, n) + 1)
     return sum((PolyC.monomial(k, k) * g.entry(m, k) * g.entry(n, k)
                 for k in range(1, min(m, n) + 1)), PolyC.zero())
 
@@ -301,7 +288,6 @@ def predict_covariance(m: int, n: int, size: int | None = None) -> PolyC:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def moments(count: int) -> tuple[PolyC, ...]:
     """The first ``count`` Marchenko-Pastur moments as elements of Z[c].
 

@@ -360,10 +360,9 @@ def evaluate_statistics(
             variance_check(s_values, limit, cols, f"var {key}", (key, key))
         )
 
-    size = config.max_degree + 1
     for m in range(1, config.max_degree + 1):
         for n in range(m, config.max_degree + 1):
-            limit = float(predict_covariance(m, n, size).evaluate(c))
+            limit = float(predict_covariance(m, n).evaluate(c))
             key_a, key_b = f"tr X1^{m}", f"tr X1^{n}"
             checks.append(
                 covariance_check(

@@ -15,6 +15,7 @@ from ncwishart.cli import (
     MAX_RECURSIONS_N,
     MAX_REPORT_DEPTH,
     MAX_SERIES_ORDER,
+    MAX_TABLE_ROWS,
     main,
     schema_path,
 )
@@ -98,6 +99,8 @@ def test_json_matches_schema_and_library(capsys, cell):
         ("verify", "wick", "--depth", str(MAX_REPORT_DEPTH + 1)),
         ("verify", "recursions", "--max-n", str(MAX_RECURSIONS_N + 1)),
         ("verify", "series", "--order", str(MAX_SERIES_ORDER + 1)),
+        ("verify", "series", "--max-k", str(MAX_SERIES_ORDER + 1)),
+        ("tables", "gamma-inverse", "--rows", str(MAX_TABLE_ROWS + 1)),
     ],
     ids=" ".join,
 )
@@ -187,6 +190,8 @@ CONTRACT_ARGVS = [
     ("enumerate", "ncc", "--n", "5", "--k", "1", "--cap", "4"),
     ("verify", "recursions", "--max-n", "40"),
     ("verify", "series", "--order", "500"),
+    ("verify", "series", "--order", "12", "--max-k", "4000"),
+    ("tables", "gamma-inverse", "--rows", "100000"),
 ]
 
 

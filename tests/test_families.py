@@ -5,12 +5,17 @@ The five-row inverse tables are the golden fixture `cli.GOLDEN_ROWS`, which
 records of the `verify recursions` and `verify series` suites.
 """
 
+import os
+import subprocess
 import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ncwishart
 from ncwishart.cli import GOLDEN_ROWS, _recursion_records, _series_records
 from ncwishart.families import (
     Family,
@@ -34,6 +39,7 @@ from ncwishart.polyc import PolyC, PolyXC
 
 X = PolyXC.x()
 C = PolyC.c()
+SRC = str(Path(ncwishart.__file__).resolve().parents[1])
 
 # sizes of the two suites under test; the recursion suite checks its
 # matrices at size RECURSION_MAX_N + 1
@@ -106,7 +112,7 @@ def test_second_kind_family_seeds():
 
 
 def test_second_kind_seeds_match_their_own_recurrence():
-    # the three-term recurrence reproduces the hard-coded degree 2/3 seeds
+    # from degree 1 on, a_n = 1 + c replaces the a_0 = c of the first step
     one_plus_c = PolyC.of(1, 1)
     assert pi_poly(2) == (X - one_plus_c) * pi_poly(1) - C * pi_poly(0)
     assert pi_poly(3) == (X - one_plus_c) * pi_poly(2) - C * pi_poly(1)
@@ -329,28 +335,51 @@ def test_series_column_zero_low_orders():
     assert p0.coeff(3) == PolyC.of(0, 1, 3, 1)
 
 
-def _stack_depth() -> int:
-    frame, depth = sys._getframe(), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    return depth
+# the member recurrences written out as plain PolyXC arithmetic,
+# f_{n+1} = (x - a_n) f_n - b_n f_{n-1}: the reference for the row-built
+# members, independent of families.RECURRENCES
+PLAIN_RECURRENCES = [
+    (chebyshev_C, lambda n: 0, lambda n: 2 if n == 1 else 1),
+    (chebyshev_S, lambda n: 0, lambda n: 1),
+    (gamma_tilde, lambda n: PolyC.of(1, 1), lambda n: 2 * C if n == 1 else C),
+    (pi_poly, lambda n: C if n == 0 else PolyC.of(1, 1), lambda n: C),
+]
+
+
+@pytest.mark.parametrize(
+    "member, a, b", PLAIN_RECURRENCES, ids=[m.__name__ for m, _, _ in PLAIN_RECURRENCES]
+)
+def test_row_built_members_follow_the_plain_recurrence(member, a, b):
+    prev, cur = PolyXC.zero(), PolyXC.one()
+    for n in range(41):
+        assert member(n) == cur, f"degree {n}"
+        prev, cur = cur, (X - a(n)) * cur - b(n) * prev
+
+
+@pytest.mark.parametrize("family", [Family.GAMMA_TILDE, Family.PI])
+def test_band_built_inverse_equals_the_inverted_table(family):
+    for size in range(1, 41):
+        assert inverse_table(family, size) == transition_matrix(family, size).invert(), size
 
 
 @pytest.mark.parametrize(
     "member, n",
-    [(pi_poly, 300), (gamma_tilde, 150), (chebyshev_C, 300), (chebyshev_S, 300)],
-    ids=lambda v: getattr(v, "__name__", str(v)),
+    [("pi_poly", 300), ("gamma_tilde", 150), ("chebyshev_C", 300), ("chebyshev_S", 300)],
 )
 def test_cold_cache_needs_no_deep_recursion(member, n):
-    """A cold member(n) fills its cache bottom-up instead of recursing n
-    levels deep, so it works under a recursion limit far below n."""
-    warm = [member(k) for k in range(8)]
-    member.cache_clear()
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_stack_depth() + 60)
-    try:
-        top = member(n)
-    finally:
-        sys.setrecursionlimit(limit)
-    assert top.degree == n and top.coeff(n) == PolyC.one()
-    assert [member(k) for k in range(8)] == warm
+    """A cold member(n), in a fresh interpreter, builds its rows one after
+    the other, so it works under a recursion limit far below n."""
+    code = f"""
+        import sys
+        from ncwishart.families import {member}
+        sys.setrecursionlimit(60)
+        top = {member}({n})
+        print(top.degree, top.coeff({n}))
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(n), "1"]

@@ -150,10 +150,6 @@ class TestLimits:
         census = weighted_count(enum_snc(m, n), WeightRule.ALL_BLOCKS)
         assert predict_covariance(m, n) == census
 
-    def test_covariance_reads_any_larger_table(self):
-        # evaluate_statistics reads every pair from the max-degree table
-        assert predict_covariance(2, 3, 9) == predict_covariance(2, 3)
-
 
 class TestChecks:
     def test_tolerance_band_formula(self):
