@@ -65,14 +65,10 @@ from .polyc import PolyC, PolyXC, SeriesZ
 _NUMERIC = {
     "rmt": (
         "EnsembleConfig",
-        "StatCheck",
-        "covariance_check",
         "evaluate_statistics",
-        "pi_pair_trace",
-        "power_trace",
+        "pair_variance_check",
+        "power_covariance_check",
         "sample_traces",
-        "variance_check",
-        "word_variance_limit",
     ),
     "wick": ("function_algebra", "matrix_algebra", "scalar_algebra", "wick_report"),
 }
@@ -102,8 +98,8 @@ MIN_REPORT_DEPTH = 4
 MAX_REPORT_DEPTH = 6
 # the exact suites' sizes grow their polynomial work as a power of the
 # size: `verify recursions --max-n 25` takes about 0.7 s (30: 0.9 s) and
-# `verify series --order 50` about 5 s (60: 9 s), and `--order 50 --max-k
-# 50`, the slowest series run in range, 19 s on a 2-core Xeon VM
+# `verify series --order 50` about 4-5 s (60: 10 s), and `--order 50
+# --max-k 50`, the slowest series run in range, 5-6 s on a 2-core Xeon VM
 MAX_RECURSIONS_N = 25
 MAX_SERIES_ORDER = 50
 # the slowest table is `gamma-inverse`, which inverts its forward table in
@@ -1020,36 +1016,28 @@ def _resolve_ensemble(args: argparse.Namespace, max_degree: int,
         raise UsageError(str(exc)) from exc
 
 
-def _split_checks(checks: list[StatCheck]) -> tuple[list[dict], list[dict]]:
-    statistics = []
-    covariance = []
-    for chk in checks:
-        keys = chk.keys or (chk.name,)
-        if chk.kind == "mean":
-            statistics.append(
-                {
-                    "key": keys[0],
-                    "mean": chk.estimate,
-                    "se_mean": chk.se,
-                    "predicted_mean": chk.limit,
-                    "tolerance": chk.tolerance,
-                    "pass": chk.passed,
-                }
-            )
-        else:
-            covariance.append(
-                {
-                    "kind": chk.kind,
-                    "key_a": keys[0],
-                    "key_b": keys[-1],
-                    "estimate": chk.estimate,
-                    "se": chk.se,
-                    "predicted": chk.limit,
-                    "tolerance": chk.tolerance,
-                    "pass": chk.passed,
-                }
-            )
-    return statistics, covariance
+def _mc_record(chk) -> dict:
+    """The report row of one `rmt.StatCheck`: a mean row or a (co)variance
+    row."""
+    if chk.kind == "mean":
+        return {
+            "key": chk.keys[0],
+            "mean": chk.estimate,
+            "se_mean": chk.se,
+            "predicted_mean": chk.limit,
+            "tolerance": chk.tolerance,
+            "pass": chk.passed,
+        }
+    return {
+        "kind": chk.kind,
+        "key_a": chk.keys[0],
+        "key_b": chk.keys[-1],
+        "estimate": chk.estimate,
+        "se": chk.se,
+        "predicted": chk.limit,
+        "tolerance": chk.tolerance,
+        "pass": chk.passed,
+    }
 
 
 def cmd_mc(args: argparse.Namespace) -> tuple[dict, int]:
@@ -1070,41 +1058,21 @@ def cmd_mc(args: argparse.Namespace) -> tuple[dict, int]:
             )
         config = _resolve_ensemble(args, args.max_degree, num_matrices)
         samples = sample_traces(config)
-        checks = evaluate_statistics(config, samples)
+        checks = evaluate_statistics(samples)
         if word is not None:
-            degrees, letters = word
-            key = f"tr pi[1](X{letters[0]}) pi[1](X{letters[1]})"
-            if all(key not in chk.keys for chk in checks):
-                values = pi_pair_trace(samples, letters[0] - 1, letters[1] - 1)
-                limit = float(word_variance_limit(degrees, letters, config.c))
-                checks.append(
-                    variance_check(
-                        values, limit, config.cols, f"var {key}", (key, key)
-                    )
-                )
+            first, second = word[1]
+            mixed = pair_variance_check(samples, first - 1, second - 1)
+            # the suite already holds the word 1,1:1,2
+            if all(chk.keys != mixed.keys for chk in checks):
+                checks.append(mixed)
     else:
         if args.m is None or args.n is None:
             raise UsageError("mc raw-cov needs --m and --n")
-        m, n = args.m, args.n
-        if m < 1 or n < 1:
-            raise UsageError(f"powers must be >= 1, got m={m}, n={n}")
-        num_matrices = args.p if args.p is not None else 1
-        config = _resolve_ensemble(args, max(m, n), num_matrices)
-        prediction = predict_covariance(m, n)
-        samples = sample_traces(config)
-        key_a, key_b = f"tr X1^{m}", f"tr X1^{n}"
-        checks = [
-            covariance_check(
-                power_trace(samples, 0, m),
-                power_trace(samples, 0, n),
-                float(prediction.evaluate(config.c)),
-                config.cols,
-                f"cov {key_a}, {key_b}",
-                (key_a, key_b),
-            )
-        ]
+        if args.p not in (None, 1):
+            raise UsageError(f"mc raw-cov samples X1 only; got --p {args.p}, expected 1")
+        config = _resolve_ensemble(args, max(args.m, args.n), 1)
+        checks = [power_covariance_check(sample_traces(config), args.m, args.n)]
     elapsed = time.perf_counter() - start
-    statistics, covariance = _split_checks(checks)
     failures = sum(1 for chk in checks if not chk.passed)
     report = {
         "command": "mc",
@@ -1114,8 +1082,8 @@ def cmd_mc(args: argparse.Namespace) -> tuple[dict, int]:
         "cols": config.cols,
         "c": str(config.c),
         "c_prime": str(config.c_prime),
-        "statistics": statistics,
-        "covariance": covariance,
+        "statistics": [_mc_record(chk) for chk in checks if chk.kind == "mean"],
+        "covariance": [_mc_record(chk) for chk in checks if chk.kind != "mean"],
         "seed": config.seed,
         "elapsed_s": elapsed,
         "status": "pass" if failures == 0 else "fail",
@@ -1237,8 +1205,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="ratio limit as an exact fraction, e.g. 1, 1/2, 0.5 "
                            "(default: 1 when --M is absent)")
     p_mc.add_argument("--p", type=_positive_int, default=None,
-                      help="independent matrices (default: 2 for diagonalize, "
-                           "1 for raw-cov)")
+                      help="independent matrices (diagonalize: default 2; "
+                           "raw-cov reads X1 only and takes only 1)")
     p_mc.add_argument("--samples", type=_positive_int, default=20000)
     p_mc.add_argument("--seed", type=_nonnegative_int, default=0)
     p_mc.add_argument("--max-degree", type=_positive_int, default=3,
@@ -1248,8 +1216,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--n", type=_positive_int, default=None,
                       help="raw-cov: second power")
     p_mc.add_argument("--mixed", default=None, metavar="WORD",
-                      help="diagonalize: alternating word 'd1,d2,...:i1,i2,...' "
-                           "whose variance is held against its exact limit")
+                      help="diagonalize: the word '1,1:i,j' (degrees 1,1 on "
+                           "matrices i != j) whose product variance is held "
+                           "against its exact limit c^2")
     p_mc.set_defaults(handler=cmd_mc)
     return parser
 

@@ -341,7 +341,7 @@ def series_P(k: int, order: int) -> SeriesZ:
     """Generating series of column k of the inverse second-kind table."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return _ladder(order) ** k * series_P0(order)
+    return series_P0(order) if k == 0 else _climb(series_P, k, order)
 
 
 @lru_cache(maxsize=None)
@@ -364,5 +364,14 @@ def series_G(n: int, order: int) -> SeriesZ:
     """Generating series of column n of the inverse arc-sine table."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _ladder(order) ** n * series_G0(order)
+    return series_G0(order) if n == 0 else _climb(series_G, n, order)
+
+
+def _climb(column, k: int, order: int) -> SeriesZ:
+    """Column k of a cached column function as column k-1 times the
+    ladder.  The columns below are built first, in rising order, so a cold
+    call recurses one level deep at most."""
+    for j in range(1, k):
+        column(j, order)
+    return column(k - 1, order) * _ladder(order)
 

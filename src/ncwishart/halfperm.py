@@ -407,16 +407,11 @@ def enum_ncl(n: int, k: int) -> tuple[LinearHalfPerm, ...]:
 
 
 def weighted_count(diagrams, weight=WeightRule.ALL_BLOCKS) -> PolyC:
-    """Sum of c^(statistic) over the diagrams.
-
-    `weight` is a WeightRule or a callable mapping a diagram to the
-    integer exponent.
-    """
+    """Sum of c^(statistic) over the diagrams, the statistic picked by the
+    WeightRule `weight`."""
     total = PolyC.zero()
     for d in diagrams:
-        if callable(weight):
-            e = weight(d)
-        elif weight is WeightRule.ALL_BLOCKS:
+        if weight is WeightRule.ALL_BLOCKS:
             e = d.num_cycles() if hasattr(d, "num_cycles") else d.perm.num_cycles()
         elif weight is WeightRule.CLOSED_BLOCKS:
             if isinstance(d, (CircularHalfPerm, LinearHalfPerm)):

@@ -18,8 +18,9 @@ bit on a given platform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -36,11 +37,10 @@ class EnsembleConfig:
     """Shape, size, and seed of a Wishart sampling run.
 
     `ratio` is the exact c parameter used in predictions; it defaults to
-    rows/cols.  `second_order` is the exact c' parameter, defaulting to
-    rows - ratio*cols (zero under the default ratio).  Passing an
-    explicit `ratio` models a sequence whose limit differs from the
-    finite-size ratio, e.g. rows=205, cols=200 with ratio 1 gives
-    second_order 5.
+    rows/cols.  The exact c' parameter is rows - c*cols, zero under the
+    default ratio.  Passing an explicit `ratio` models a sequence whose
+    limit differs from the finite-size ratio, e.g. rows=205, cols=200
+    with ratio 1 gives c' = 5.
     """
 
     rows: int
@@ -50,7 +50,6 @@ class EnsembleConfig:
     max_degree: int = 3
     seed: int = 0
     ratio: Fraction | None = None
-    second_order: Fraction | None = None
 
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
@@ -70,8 +69,6 @@ class EnsembleConfig:
 
     @property
     def c_prime(self) -> Fraction:
-        if self.second_order is not None:
-            return self.second_order
         return self.rows - self.c * self.cols
 
 
@@ -82,7 +79,7 @@ class TraceSamples:
 
     config: EnsembleConfig
     powers: np.ndarray
-    pair_traces: dict = field(default_factory=dict)
+    pair_traces: dict
 
 
 def sample_traces(config: EnsembleConfig) -> TraceSamples:
@@ -153,7 +150,7 @@ def polynomial_trace(
     return out
 
 
-def pi_pair_trace(samples: TraceSamples, i: int = 0, j: int = 1) -> np.ndarray:
+def pi_pair_trace(samples: TraceSamples, i: int, j: int) -> np.ndarray:
     """Tr(f_1(X_i) f_1(X_j)) for every sample, f_1 = x - c the degree-one
     centered polynomial: the shortest alternating product statistic."""
     if i == j:
@@ -230,17 +227,16 @@ class StatCheck:
     """One estimated statistic held against its exact limit.
 
     `kind` says which estimator produced it (mean/variance/covariance) and
-    `keys` names the underlying statistic(s), so reports can be regrouped
-    without parsing the display name.
+    `keys` names the underlying statistic(s): one for a mean, two for a
+    (co)variance, so reports can be regrouped without parsing a name.
     """
 
-    name: str
+    kind: str
+    keys: tuple[str, ...]
     estimate: float
     limit: float
     tolerance: float
-    se: float = 0.0
-    kind: str = "stat"
-    keys: tuple[str, ...] = ()
+    se: float
 
     @property
     def passed(self) -> bool:
@@ -248,8 +244,12 @@ class StatCheck:
 
     def __str__(self) -> str:
         verdict = "ok" if self.passed else "FAIL"
+        if self.kind == "covariance":
+            name = f"cov {self.keys[0]}, {self.keys[1]}"
+        else:
+            name = f"{'mean' if self.kind == 'mean' else 'var'} {self.keys[0]}"
         return (
-            f"{self.name}: estimate {self.estimate:.6g}, "
+            f"{name}: estimate {self.estimate:.6g}, "
             f"limit {self.limit:.6g}, tolerance {self.tolerance:.3g} "
             f"[{verdict}]"
         )
@@ -261,44 +261,56 @@ def tolerance_band(se: float, limit: float, cols: int) -> float:
     return 3.0 * se + 10.0 / cols * (1.0 + abs(limit))
 
 
-def mean_check(
-    values: np.ndarray, limit: float, cols: int, name: str, keys=()
-) -> StatCheck:
-    s = len(values)
-    est = float(np.mean(values))
-    se = float(np.std(values, ddof=1)) / math.sqrt(s)
+def _check(kind, keys, estimate, terms, limit, cols) -> StatCheck:
+    """The check of an estimate that averages `terms`, its standard error
+    read off their spread."""
+    se = float(np.std(terms, ddof=1)) / math.sqrt(len(terms))
     return StatCheck(
-        name, est, limit, tolerance_band(se, limit, cols), se, "mean", tuple(keys)
+        kind, tuple(keys), estimate, limit, tolerance_band(se, limit, cols), se
     )
 
 
-def variance_check(
-    values: np.ndarray, limit: float, cols: int, name: str, keys=()
-) -> StatCheck:
-    s = len(values)
-    centered = values - np.mean(values)
-    est = float(np.sum(centered**2) / (s - 1))
-    se = float(np.std(centered**2, ddof=1)) / math.sqrt(s)
-    return StatCheck(
-        name, est, limit, tolerance_band(se, limit, cols), se, "variance", tuple(keys)
-    )
+def mean_check(values: np.ndarray, limit: float, cols: int, keys) -> StatCheck:
+    return _check("mean", keys, float(np.mean(values)), values, limit, cols)
 
 
 def covariance_check(
-    x: np.ndarray, y: np.ndarray, limit: float, cols: int, name: str, keys=()
+    x: np.ndarray, y: np.ndarray, limit: float, cols: int, keys
 ) -> StatCheck:
-    s = len(x)
     prod = (x - np.mean(x)) * (y - np.mean(y))
-    est = float(np.sum(prod) / (s - 1))
-    se = float(np.std(prod, ddof=1)) / math.sqrt(s)
-    return StatCheck(
-        name, est, limit, tolerance_band(se, limit, cols), se, "covariance", tuple(keys)
+    est = float(np.sum(prod) / (len(x) - 1))
+    return _check("covariance", keys, est, prod, limit, cols)
+
+
+def variance_check(values: np.ndarray, limit: float, cols: int, keys) -> StatCheck:
+    """The covariance of the values with themselves."""
+    return replace(covariance_check(values, values, limit, cols, keys), kind="variance")
+
+
+def power_covariance_check(samples: TraceSamples, m: int, n: int) -> StatCheck:
+    """Covariance of Tr(X_1^m) and Tr(X_1^n) against the diagonalized
+    limit read off the inverse arc-sine table."""
+    cfg = samples.config
+    return covariance_check(
+        power_trace(samples, 0, m),
+        power_trace(samples, 0, n),
+        float(predict_covariance(m, n).evaluate(cfg.c)),
+        cfg.cols,
+        (f"tr X1^{m}", f"tr X1^{n}"),
     )
 
 
-def evaluate_statistics(
-    config: EnsembleConfig, samples: TraceSamples | None = None
-) -> list[StatCheck]:
+def pair_variance_check(samples: TraceSamples, i: int, j: int) -> StatCheck:
+    """Variance of the two-letter product Tr(f_1(X_i) f_1(X_j)) (matrices
+    numbered from 0) against its limit c^2."""
+    key = f"tr pi[1](X{i + 1}) pi[1](X{j + 1})"
+    limit = float(word_variance_limit((1, 1), (i, j), samples.config.c))
+    return variance_check(
+        pi_pair_trace(samples, i, j), limit, samples.config.cols, (key, key)
+    )
+
+
+def evaluate_statistics(samples: TraceSamples) -> list[StatCheck]:
     """The full estimator suite for a sampling run.
 
     Checks, for every matrix and degree up to the config's max: the mean
@@ -308,70 +320,37 @@ def evaluate_statistics(
     least two matrices are sampled), and the covariance of plain power
     traces against the diagonalized limit.
     """
-    if samples is None:
-        samples = sample_traces(config)
-    c, c_prime = config.c, config.c_prime
-    cols = config.cols
-    checks: list[StatCheck] = []
-
+    config = samples.config
+    c, c_prime, cols = config.c, config.c_prime, config.cols
+    degrees = range(1, config.max_degree + 1)
     gamma_traces = {
         (n, i): polynomial_trace(samples, Family.GAMMA, n, i)
         for i in range(config.num_matrices)
-        for n in range(1, config.max_degree + 1)
+        for n in degrees
     }
+    key = {(n, i): f"tr gamma[{n}](X{i + 1})" for n, i in gamma_traces}
+
+    checks = []
     for (n, i), values in gamma_traces.items():
         limit = float(centered_trace_mean_limit(n, c, c_prime))
-        key = f"tr gamma[{n}](X{i + 1})"
-        checks.append(mean_check(values, limit, cols, f"mean {key}", (key,)))
-    for (n, i) in gamma_traces:
+        checks.append(mean_check(values, limit, cols, (key[n, i],)))
+    for n, i in gamma_traces:
         values = polynomial_trace(samples, Family.PI, n, i)
         limit = float(second_kind_trace_mean_limit(n, c, c_prime))
-        key = f"tr pi[{n}](X{i + 1})"
-        checks.append(mean_check(values, limit, cols, f"mean {key}", (key,)))
+        checks.append(mean_check(values, limit, cols, (f"tr pi[{n}](X{i + 1})",)))
     for (n, i), values in gamma_traces.items():
         limit = float(centered_trace_covariance_limit(n, i, n, i, c))
-        key = f"tr gamma[{n}](X{i + 1})"
+        checks.append(variance_check(values, limit, cols, (key[n, i],) * 2))
+    for a, b in combinations(sorted(gamma_traces), 2):
+        limit = float(centered_trace_covariance_limit(*a, *b, c))
         checks.append(
-            variance_check(values, limit, cols, f"var {key}", (key, key))
-        )
-    keys = sorted(gamma_traces)
-    for a in range(len(keys)):
-        for b in range(a + 1, len(keys)):
-            (n1, i1), (n2, i2) = keys[a], keys[b]
-            limit = float(centered_trace_covariance_limit(n1, i1, n2, i2, c))
-            key_a = f"tr gamma[{n1}](X{i1 + 1})"
-            key_b = f"tr gamma[{n2}](X{i2 + 1})"
-            checks.append(
-                covariance_check(
-                    gamma_traces[keys[a]],
-                    gamma_traces[keys[b]],
-                    limit,
-                    cols,
-                    f"cov {key_a}, {key_b}",
-                    (key_a, key_b),
-                )
+            covariance_check(
+                gamma_traces[a], gamma_traces[b], limit, cols, (key[a], key[b])
             )
-
+        )
     if config.num_matrices >= 2:
-        s_values = pi_pair_trace(samples, 0, 1)
-        limit = float(word_variance_limit((1, 1), (1, 2), c))
-        key = "tr pi[1](X1) pi[1](X2)"
-        checks.append(
-            variance_check(s_values, limit, cols, f"var {key}", (key, key))
-        )
-
-    for m in range(1, config.max_degree + 1):
+        checks.append(pair_variance_check(samples, 0, 1))
+    for m in degrees:
         for n in range(m, config.max_degree + 1):
-            limit = float(predict_covariance(m, n).evaluate(c))
-            key_a, key_b = f"tr X1^{m}", f"tr X1^{n}"
-            checks.append(
-                covariance_check(
-                    power_trace(samples, 0, m),
-                    power_trace(samples, 0, n),
-                    limit,
-                    cols,
-                    f"cov {key_a}, {key_b}",
-                    (key_a, key_b),
-                )
-            )
+            checks.append(power_covariance_check(samples, m, n))
     return checks

@@ -152,6 +152,20 @@ def test_an_unsupported_mixed_word_is_rejected_before_sampling(capsys, monkeypat
     assert out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("p", ["2", "3"])
+def test_raw_cov_with_more_than_one_matrix_is_rejected_before_sampling(
+    capsys, monkeypatch, p
+):
+    def sample_traces(config):
+        raise AssertionError("sampled before --p was checked")
+
+    monkeypatch.setattr(cli, "sample_traces", sample_traces)
+    argv = ["mc", "raw-cov", "--m", "1", "--n", "2", "--p", p, "--N", "4", "--samples", "4"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "--p" in err
+
+
 def _failed_replace(src, dst):
     raise OSError("replace failed")
 
@@ -291,6 +305,21 @@ def test_mc_matches_schema(capsys, argv):
     assert report["experiment"] == argv[0]
     assert code == (0 if report["status"] == "pass" else 1)
     assert report["statistics"] or report["covariance"]
+
+
+def test_raw_cov_and_diagonalize_report_the_same_power_covariance(capsys):
+    # both read X1 from the first child of the seed and build the record
+    # with one function, so the record is equal bit for bit
+    def record(*argv):
+        flags = ("--N", "10", "--samples", "64", "--seed", "5", "--c", "1/2")
+        main(["mc", *argv, *flags, "--format", "json"])
+        report = json.loads(capsys.readouterr()[0])
+        return [rec for rec in report["covariance"]
+                if (rec["key_a"], rec["key_b"]) == ("tr X1^2", "tr X1^3")]
+
+    raw = record("raw-cov", "--m", "2", "--n", "3")
+    assert len(raw) == 1
+    assert record("diagonalize", "--max-degree", "3") == raw
 
 
 @pytest.mark.parametrize(

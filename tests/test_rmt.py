@@ -157,19 +157,35 @@ class TestChecks:
         assert tolerance_band(0.0, 0.0, 100) == pytest.approx(0.1)
 
     def test_check_verdicts(self):
-        ok = StatCheck("x", 1.04, 1.0, 0.05)
+        ok = StatCheck("mean", ("x",), 1.04, 1.0, 0.05, 0.0)
         assert ok.passed and "[ok]" in str(ok)
-        bad = StatCheck("x", 1.1, 1.0, 0.05)
+        bad = StatCheck("mean", ("x",), 1.1, 1.0, 0.05, 0.0)
         assert not bad.passed and "[FAIL]" in str(bad)
+
+    def test_the_display_name_comes_from_kind_and_keys(self):
+        def name(kind, keys):
+            return str(StatCheck(kind, keys, 1.0, 1.0, 0.0, 0.0)).split(":")[0]
+
+        assert name("mean", ("x",)) == "mean x"
+        assert name("variance", ("x", "x")) == "var x"
+        assert name("covariance", ("x", "y")) == "cov x, y"
 
     def test_checks_on_synthetic_gaussian_data(self):
         rng = np.random.default_rng(42)
         x = rng.normal(5.0, 2.0, 4000)
         y = x + rng.normal(0.0, 1.0, 4000)
-        assert mean_check(x, 5.0, 100, "m").passed
-        assert variance_check(x, 4.0, 100, "v").passed
-        assert covariance_check(x, y, 4.0, 100, "cv").passed
-        assert not mean_check(x, 6.0, 1000, "m").passed
+        assert mean_check(x, 5.0, 100, ("x",)).passed
+        assert variance_check(x, 4.0, 100, ("x", "x")).passed
+        assert covariance_check(x, y, 4.0, 100, ("x", "y")).passed
+        assert not mean_check(x, 6.0, 1000, ("x",)).passed
+
+    def test_a_variance_is_the_covariance_of_the_values_with_themselves(self):
+        x = np.random.default_rng(7).normal(0.0, 3.0, 501)
+        var = variance_check(x, 9.0, 100, ("x", "x"))
+        cov = covariance_check(x, x, 9.0, 100, ("x", "x"))
+        assert (var.kind, cov.kind) == ("variance", "covariance")
+        assert (var.estimate, var.se, var.tolerance) == (cov.estimate, cov.se, cov.tolerance)
+        assert var.estimate == pytest.approx(np.var(x, ddof=1), rel=1e-12)
 
 
 class TestCalibration:
@@ -178,7 +194,7 @@ class TestCalibration:
             rows=48, cols=48, num_matrices=2, num_samples=1200,
             max_degree=3, seed=11,
         )
-        checks = evaluate_statistics(cfg)
+        checks = evaluate_statistics(sample_traces(cfg))
         # 6 first-kind means + 6 second-kind means + 6 variances
         # + 15 pairwise covariances + 1 product variance + 6 power covariances
         assert len(checks) == 40
@@ -190,6 +206,6 @@ class TestCalibration:
             rows=30, cols=60, num_matrices=2, num_samples=1200,
             max_degree=2, seed=5,
         )
-        checks = evaluate_statistics(cfg)
+        checks = evaluate_statistics(sample_traces(cfg))
         failed = [str(c) for c in checks if not c.passed]
         assert not failed, failed
