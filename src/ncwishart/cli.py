@@ -28,7 +28,9 @@ from typing import Iterator
 from .colored import enum_colored_ncc, open_profile
 from .dots import dot_decode, dot_encode, enum_dots
 from .families import (
+    MAX_BATCH_ENTRIES,
     MAX_DEGREE,
+    MAX_STORED_TRACES,
     Family,
     TransitionMatrix,
     chebyshev_C,
@@ -1198,7 +1200,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_mc.add_argument("experiment", choices=("diagonalize", "raw-cov"))
     p_mc.add_argument("--N", type=_positive_int, default=200,
-                      help="matrix dimension (default 200)")
+                      help="matrix dimension (default 200); a batch of draws, p "
+                           "M-by-N matrices per sample, holds at most "
+                           f"{MAX_BATCH_ENTRIES} entries")
     p_mc.add_argument("--M", type=_positive_int, default=None,
                       help="row count (default: c*N)")
     p_mc.add_argument("--c", default=None,
@@ -1207,7 +1211,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--p", type=_positive_int, default=None,
                       help="independent matrices (diagonalize: default 2; "
                            "raw-cov reads X1 only and takes only 1)")
-    p_mc.add_argument("--samples", type=_positive_int, default=20000)
+    p_mc.add_argument("--samples", type=_positive_int, default=20000,
+                      help="samples (default 20000); each stores p*max-degree power "
+                           "traces and p(p-1)/2 cross traces, at most "
+                           f"{MAX_STORED_TRACES} in all")
     p_mc.add_argument("--seed", type=_nonnegative_int, default=0)
     p_mc.add_argument("--max-degree", type=_positive_int, default=3,
                       help=f"diagonalize: largest degree (default 3, at most {MAX_DEGREE})")

@@ -12,7 +12,18 @@ two-letter product is centered with variance c^2.
 
 Sampling is deterministic for a fixed config: each matrix slot gets its
 own child of one seed sequence, so statistics are reproducible bit for
-bit on a given platform.
+bit on a given platform.  Per batch and matrix the real parts of G are
+drawn first, then the imaginary parts, both with unit variance; the
+trace code below does not change these draws, which the benchmark's
+recorded `mc` results depend on.  The
+sampler forms the smaller Gram matrix, W = G G* (M-by-M) when M < N and
+W = G*G (N-by-N) otherwise; the two share their nonzero spectrum, so
+Tr X^k = Tr W^k / (2N)^k.  It forms W^j only up to j = ceil(k/2) and reads
+
+    Tr W^2j = |W^j|_F^2,    Tr W^(2j+1) = Re <W^j, W^(j+1)>_F,
+
+scaling by (2N)^-k once at the end.  The cross traces (2N)^2 Tr(X_i X_j)
+are <W_i, W_j>_F from the N-by-N Grams, or |G_i G_j*|_F^2 when M < N.
 """
 
 from __future__ import annotations
@@ -24,7 +35,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .families import MAX_DEGREE, Family, predict_covariance, transition_matrix
+from .families import (
+    MAX_BATCH_ENTRIES,
+    MAX_DEGREE,
+    MAX_STORED_TRACES,
+    Family,
+    predict_covariance,
+    transition_matrix,
+)
 # not used here: the benchmark tracer wraps these two names in this module
 from .halfperm import weighted_count  # noqa: F401
 from .perms import enum_snc  # noqa: F401
@@ -60,6 +78,19 @@ class EnsembleConfig:
             raise ValueError("need at least two samples")
         if not 1 <= self.max_degree <= MAX_DEGREE:
             raise ValueError(f"max_degree {self.max_degree} is out of range (cap {MAX_DEGREE})")
+        p = self.num_matrices
+        batch = p * min(_BATCH, self.num_samples) * self.rows * self.cols
+        if batch > MAX_BATCH_ENTRIES:
+            raise ValueError(
+                f"a batch of {p} matrices of {self.rows}x{self.cols} draws holds {batch} "
+                f"entries (cap {MAX_BATCH_ENTRIES}); lower --N, --M or --p"
+            )
+        stored = (p * self.max_degree + p * (p - 1) // 2) * self.num_samples
+        if stored > MAX_STORED_TRACES:
+            raise ValueError(
+                f"{self.num_samples} samples store {stored} traces "
+                f"(cap {MAX_STORED_TRACES}); lower --samples"
+            )
         if self.ratio is not None and self.ratio <= 0:
             raise ValueError("ratio must be positive")
 
@@ -75,11 +106,26 @@ class EnsembleConfig:
 @dataclass
 class TraceSamples:
     """Per-sample traces: powers[i, k-1, s] = Tr(X_i^k) for sample s, and
-    pair_traces[(i, j)][s] = Tr(X_i X_j) for i < j."""
+    pair_traces[(i, j)][s] = Tr(X_i X_j) for i < j.
+
+    `sample_traces` reads them off the smaller Gram W of each draw G (G G*
+    when rows < cols, else G*G), as Tr W^2j = |W^j|_F^2 and Tr W^(2j+1) =
+    Re <W^j, W^(j+1)>_F, scaled by (2N)^-k; the draws are those of forming
+    X = G*G / 2N in full, and so are the traces, to rounding."""
 
     config: EnsembleConfig
     powers: np.ndarray
     pair_traces: dict
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re<a, b> = Re Tr(a* b) for each matrix of two batches: Tr(a b) when
+    a and b are Hermitian, and the squared Frobenius norm when a is b.
+    Read as the dot product of the real views of the entries."""
+    shape = (a.shape[0], -1)
+    return np.einsum(
+        "bi,bi->b", a.reshape(shape).view(np.float64), b.reshape(shape).view(np.float64)
+    )
 
 
 def sample_traces(config: EnsembleConfig) -> TraceSamples:
@@ -89,32 +135,45 @@ def sample_traces(config: EnsembleConfig) -> TraceSamples:
     deg = config.max_degree
     root = np.random.SeedSequence(config.seed)
     gens = [np.random.default_rng(child) for child in root.spawn(p)]
+    wide = m < n  # the Gram G G* is the smaller one
+    top = (deg + 1) // 2  # Tr W^k needs W^j for j <= ceil(k/2) only
 
     powers = np.empty((p, deg, total))
     pairs = {
         (i, j): np.empty(total) for i in range(p) for j in range(i + 1, p)
     }
-    scale = math.sqrt(2 * n)
 
     done = 0
     while done < total:
         b = min(_BATCH, total - done)
         sl = slice(done, done + b)
-        mats = []
+        draws, grams = [], []
         for i in range(p):
-            re = gens[i].standard_normal((b, m, n))
-            im = gens[i].standard_normal((b, m, n))
-            g = (re + 1j * im) / scale
-            a = np.matmul(g.conj().transpose(0, 2, 1), g)
-            mats.append(a)
-            acc = a
-            powers[i, 0, sl] = np.einsum("bii->b", a).real
-            for k in range(1, deg):
-                acc = np.matmul(acc, a)
-                powers[i, k, sl] = np.einsum("bii->b", acc).real
+            g = np.empty((b, m, n), dtype=np.complex128)
+            g.real = gens[i].standard_normal((b, m, n))
+            g.imag = gens[i].standard_normal((b, m, n))
+            g_star = g.conj().transpose(0, 2, 1)
+            w = np.matmul(g, g_star) if wide else np.matmul(g_star, g)
+            w_powers = [w]
+            for _ in range(1, top):
+                w_powers.append(np.matmul(w_powers[-1], w))
+            powers[i, 0, sl] = np.einsum("bii->b", w).real
+            for k in range(2, deg + 1):
+                # Tr W^2j = |W^j|^2 and Tr W^(2j+1) = Re<W^j, W^(j+1)>
+                powers[i, k - 1, sl] = _inner(w_powers[k // 2 - 1], w_powers[(k - 1) // 2])
+            draws.append(g)
+            grams.append(w)
         for (i, j), out in pairs.items():
-            out[sl] = np.einsum("bij,bji->b", mats[i], mats[j]).real
+            if wide:  # Tr(G_i* G_i G_j* G_j) = |G_i G_j*|^2
+                cross = np.matmul(draws[i], draws[j].conj().transpose(0, 2, 1))
+                out[sl] = _inner(cross, cross)
+            else:
+                out[sl] = _inner(grams[i], grams[j])
         done += b
+    # X = G*G / 2N: undo the unit-variance draws in one pass per power
+    powers *= (2.0 * n) ** -np.arange(1, deg + 1)[:, None]
+    for out in pairs.values():
+        out /= (2.0 * n) ** 2
     return TraceSamples(config=config, powers=powers, pair_traces=pairs)
 
 

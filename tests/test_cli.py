@@ -85,6 +85,13 @@ def test_json_matches_schema_and_library(capsys, cell):
     assert report["weight"] == str(weight)
 
 
+# a 149 GiB batch of draws and a 7.28 TiB trace store
+OVERSIZED_MC = (
+    ("mc", "diagonalize", "--N", "100000", "--samples", "2"),
+    ("mc", "raw-cov", "--m", "1", "--n", "1", "--N", "2", "--samples", "1000000000000"),
+)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -93,6 +100,7 @@ def test_json_matches_schema_and_library(capsys, cell):
         ("enumerate", "snc", "--m", "7", "--n", "6"),
         ("mc", "diagonalize", "--max-degree", str(MAX_DEGREE + 1), "--N", "4", "--samples", "4"),
         ("mc", "raw-cov", "--m", str(MAX_DEGREE + 1), "--n", "1", "--N", "4", "--samples", "4"),
+        *OVERSIZED_MC,
         ("verify", "lineardecomp", "--max-n", "13"),
         ("verify", "bijections", "--max-n", "13"),
         ("verify", "cut-reassemble", "--max-total", "13"),
@@ -206,6 +214,7 @@ CONTRACT_ARGVS = [
     ("verify", "series", "--order", "500"),
     ("verify", "series", "--order", "12", "--max-k", "4000"),
     ("tables", "gamma-inverse", "--rows", "100000"),
+    *OVERSIZED_MC,
 ]
 
 

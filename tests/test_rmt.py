@@ -1,6 +1,7 @@
 """Tests for the Wishart Monte Carlo module (fast sizes only; the full
 acceptance-scale run lives in the acceptance suite)."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from ncwishart.halfperm import WeightRule, weighted_count
 from ncwishart.perms import enum_snc
 from ncwishart.polyc import PolyC
 from ncwishart.rmt import (
+    _BATCH,
     EnsembleConfig,
     StatCheck,
     centered_trace_covariance_limit,
@@ -27,7 +29,13 @@ from ncwishart.rmt import (
     variance_check,
     word_variance_limit,
 )
-from ncwishart.families import MAX_DEGREE, Family, predict_covariance
+from ncwishart.families import (
+    MAX_BATCH_ENTRIES,
+    MAX_DEGREE,
+    MAX_STORED_TRACES,
+    Family,
+    predict_covariance,
+)
 
 
 class TestConfig:
@@ -48,6 +56,19 @@ class TestConfig:
         EnsembleConfig(rows=2, cols=2, max_degree=MAX_DEGREE)
         with pytest.raises(ValueError, match=f"cap {MAX_DEGREE}"):
             EnsembleConfig(rows=2, cols=2, max_degree=degree)
+
+    def test_a_batch_of_draws_is_capped(self):
+        # two samples of two 2048x2048 matrices fill the cap
+        EnsembleConfig(rows=2048, cols=2048, num_matrices=2, num_samples=2)
+        with pytest.raises(ValueError, match=f"cap {MAX_BATCH_ENTRIES}"):
+            EnsembleConfig(rows=2048, cols=2049, num_matrices=2, num_samples=2)
+
+    def test_the_trace_store_is_capped(self):
+        # 2 matrices at degree 3 store 6 powers and 1 cross trace a sample
+        most = MAX_STORED_TRACES // 7
+        EnsembleConfig(rows=2, cols=2, num_matrices=2, num_samples=most)
+        with pytest.raises(ValueError, match=f"cap {MAX_STORED_TRACES}"):
+            EnsembleConfig(rows=2, cols=2, num_matrices=2, num_samples=most + 1)
 
     def test_default_parameters_are_exact(self):
         cfg = EnsembleConfig(rows=100, cols=200)
@@ -110,6 +131,88 @@ class TestSampling:
         got = polynomial_trace(s, Family.PI, 1, 0)
         want = power_trace(s, 0, 1) - float(cfg.c) * cfg.cols
         assert np.allclose(got, want)
+
+
+def dense_sample_traces(config):
+    """The sampler as first written, kept as the oracle of sample_traces:
+    it scales G by 1/sqrt(2N), forms the N-by-N X = G*G whatever the shape,
+    and takes every power by one more matmul.  Same draws."""
+    m, n, p = config.rows, config.cols, config.num_matrices
+    total, deg = config.num_samples, config.max_degree
+    gens = [np.random.default_rng(child)
+            for child in np.random.SeedSequence(config.seed).spawn(p)]
+    powers = np.empty((p, deg, total))
+    pairs = {(i, j): np.empty(total) for i in range(p) for j in range(i + 1, p)}
+    done = 0
+    while done < total:
+        b = min(_BATCH, total - done)
+        sl = slice(done, done + b)
+        mats = []
+        for i in range(p):
+            re = gens[i].standard_normal((b, m, n))
+            im = gens[i].standard_normal((b, m, n))
+            g = (re + 1j * im) / math.sqrt(2 * n)
+            a = np.matmul(g.conj().transpose(0, 2, 1), g)
+            mats.append(a)
+            acc = a
+            powers[i, 0, sl] = np.einsum("bii->b", a).real
+            for k in range(1, deg):
+                acc = np.matmul(acc, a)
+                powers[i, k, sl] = np.einsum("bii->b", acc).real
+        for (i, j), out in pairs.items():
+            out[sl] = np.einsum("bij,bji->b", mats[i], mats[j]).real
+        done += b
+    return powers, pairs
+
+
+class TestAgainstTheDenseSampler:
+    # rows < cols forms G G*, rows >= cols forms G*G; 2 batches and a part
+    @pytest.mark.parametrize("shape", [(3, 5), (4, 4), (5, 3)], ids=str)
+    @pytest.mark.parametrize("degree", range(1, 7))
+    @pytest.mark.parametrize("p", range(1, 4))
+    def test_traces_match(self, shape, degree, p):
+        rows, cols = shape
+        cfg = EnsembleConfig(rows=rows, cols=cols, num_matrices=p,
+                             num_samples=2 * _BATCH + 7, max_degree=degree, seed=5)
+        s = sample_traces(cfg)
+        powers, pairs = dense_sample_traces(cfg)
+        np.testing.assert_allclose(s.powers, powers, rtol=1e-12, atol=0)
+        assert s.pair_traces.keys() == pairs.keys()
+        for key, want in pairs.items():
+            np.testing.assert_allclose(s.pair_traces[key], want, rtol=1e-12, atol=0)
+
+
+def exact_moment(k, rows, cols):
+    """E Tr(B^k) for B = G*G, G a rows-by-cols matrix of standard complex
+    Gaussians (E|g|^2 = 1), by the three-term recursion of Haagerup and
+    Thorbjornsen, Expo. Math. 21 (2003), Thm 8.2:
+    (k+2) D_{k+1} = (2k+1)(M+N) D_k + (k-1)(k^2 - (M-N)^2) D_{k-1}."""
+    m, n = rows, cols
+    d = [n, m * n]
+    for j in range(1, k):
+        top = (2 * j + 1) * (m + n) * d[j] + (j - 1) * (j * j - (m - n) ** 2) * d[j - 1]
+        assert top % (j + 2) == 0
+        d.append(top // (j + 2))
+    return d[k]
+
+
+class TestExactFiniteMeans:
+    def test_the_recursion_gives_the_known_low_moments(self):
+        # E Tr B^2 = MN(M+N), E Tr B^3 = MN(M^2 + 3MN + N^2 + 1)
+        assert exact_moment(2, 3, 5) == 15 * 8
+        assert exact_moment(3, 3, 5) == 15 * (9 + 45 + 25 + 1)
+        assert exact_moment(4, 1, 1) == math.factorial(4)
+
+    # both Gram sides and, through k <= 6, both parities of the identity
+    @pytest.mark.parametrize(("rows", "cols", "seed"), [(3, 5, 1), (5, 3, 2), (4, 4, 3)])
+    def test_sample_means_hold_the_exact_values(self, rows, cols, seed):
+        cfg = EnsembleConfig(rows=rows, cols=cols, num_samples=4000, max_degree=6, seed=seed)
+        s = sample_traces(cfg)
+        for k in range(1, 7):
+            values = power_trace(s, 0, k)
+            se = np.std(values, ddof=1) / math.sqrt(len(values))
+            exact = exact_moment(k, rows, cols) / cols**k
+            assert abs(np.mean(values) - exact) <= 4 * se, (k, np.mean(values), exact, se)
 
 
 class TestLimits:
