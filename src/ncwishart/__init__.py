@@ -13,7 +13,8 @@ The package has five parts:
 * :mod:`ncwishart.rmt` -- Monte-Carlo experiments on complex Wishart
   matrices checking the predicted fluctuation moments.
 * :mod:`ncwishart.wick` -- a truncated-Fock operator model realizing the
-  diagram calculus, with exactness checked on the safe subspace.
+  diagram calculus, with exactness checked on the safe subspace; vectors
+  are complex arrays with one column each, operators are applied by rule.
 * :mod:`ncwishart.cli` -- the ``ncwishart`` command line tool.
 
 Only :mod:`ncwishart.rmt` and :mod:`ncwishart.wick` compute in floating
@@ -72,7 +73,6 @@ _NUMERIC = {
     "rmt": ("EnsembleConfig", "StatCheck", "evaluate_statistics", "sample_traces"),
     "wick": (
         "FockOperator",
-        "FockVector",
         "OperatorCheck",
         "TracialAlgebra",
         "convolution",
@@ -139,7 +139,6 @@ __all__ = [
     "predict_covariance",
     "sample_traces",
     "FockOperator",
-    "FockVector",
     "OperatorCheck",
     "TracialAlgebra",
     "convolution",

@@ -451,15 +451,8 @@ def cut(a: AnnularPerm) -> tuple[CircularHalfPerm, CircularHalfPerm]:
             frozenset(x - offset for x in t & pset) for t in through
         ]
         bbar = frozenset(x - offset for x in exits & pset)
-        size = len(points)
-        _, _, comp_blocks = _perm_data(induced)
-        if bbar not in comp_blocks:
-            raise AssertionError(
-                f"exit set {sorted(bbar)} is not a complement cycle of {induced}"
-            )
-        halves.append(
-            make_circular(size, induced, open_sets, sorted(bbar))
-        )
+        # CircularHalfPerm checks that the exit set is a complement cycle
+        halves.append(make_circular(len(points), induced, open_sets, sorted(bbar)))
     return halves[0], halves[1]
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations as _perm_orders
 from itertools import product as _product
 
 # Largest m + n the annular enumeration accepts: its sweep visits every
@@ -324,47 +323,37 @@ def is_annular_noncrossing(m: int, n: int, p: Perm) -> bool:
 _SNC_ORDERINGS_MAX = 1024
 
 
-def _snc_orderings(b: tuple[int, ...], m: int, prune: bool) -> tuple:
-    """The candidate cyclic orderings of one block for `iter_snc_images`,
-    each as a 0-based point sequence (each point maps to the next)."""
+def _snc_orderings(b: tuple[int, ...], m: int) -> tuple:
+    """The geometrically admissible cyclic orderings of one block for
+    `iter_snc_images`, each as a 0-based point sequence (each point maps
+    to the next)."""
     b0 = tuple(x - 1 for x in b)  # 0-based, increasing
-    if len(b0) == 1:
+    split = 0
+    while split < len(b0) and b0[split] < m:
+        split += 1
+    outer, inner = b0[:split], b0[split:]
+    if not outer or not inner:
         return (b0,)
-    seqs = []
-    if prune:
-        split = 0
-        while split < len(b0) and b0[split] < m:
-            split += 1
-        outer, inner = b0[:split], b0[split:]
-        if not outer or not inner:
-            seqs.append(b0)
-        else:
-            for r in range(len(outer)):
-                run_out = outer[r:] + outer[:r]
-                for t in range(len(inner)):
-                    seqs.append(run_out + inner[t:] + inner[:t])
-    else:
-        head, rest = b0[0], b0[1:]
-        for order in _perm_orders(rest):
-            seqs.append((head,) + order)
-    return tuple(seqs)
+    return tuple(
+        outer[r:] + outer[:r] + inner[t:] + inner[:t]
+        for r in range(len(outer))
+        for t in range(len(inner))
+    )
 
 
-def iter_snc_images(m: int, n: int, prune: bool = True):
+def iter_snc_images(m: int, n: int):
     """Yield image tuples of all connected non-crossing permutations of
     the (m, n)-annulus, streamed in set-partition sweep order.
 
     Each set partition of [m + n] is expanded into candidate cycle
     orderings and every candidate is pushed through the cycle-count
-    saturation filter.  With prune=True only geometrically admissible
-    orderings are tried: a pure block is traversed increasingly, and a
-    block meeting both circles is traversed as one contiguous outer run
-    followed by one contiguous inner run, each run a rotation of the
-    sorted points (a strip can attach to either circle at any offset).
-    With prune=False every cyclic ordering of every block is tried.  The
-    filter is identical in both modes, so pruning can only ever drop
-    candidates, and the test suite holds the two modes against each other
-    on small annuli along with the closed-form count.
+    saturation filter.  Only geometrically admissible orderings are
+    tried: a pure block is traversed increasingly, and a block meeting
+    both circles is traversed as one contiguous outer run followed by one
+    contiguous inner run, each run a rotation of the sorted points (a
+    strip can attach to either circle at any offset).  The test suite
+    holds the stream against a sweep over every cyclic ordering of every
+    block on small annuli, along with the closed-form count.
     """
     total = m + n
     g = [0] * total  # the two-arc rotation, 0-based
@@ -387,7 +376,7 @@ def iter_snc_images(m: int, n: int, prune: bool = True):
             if cands is None:
                 if len(orderings) == _SNC_ORDERINGS_MAX:
                     orderings.clear()
-                cands = orderings[b] = _snc_orderings(b, m, prune)
+                cands = orderings[b] = _snc_orderings(b, m)
             per_block.append(cands)
         img = [0] * total
         inv = [0] * total

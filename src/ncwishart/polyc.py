@@ -411,10 +411,6 @@ class PolyXC:
 
     __rmul__ = __mul__
 
-    def coefficients_at(self, cval: Scalar) -> list[Fraction]:
-        """Numeric x-coefficients after substituting a rational c."""
-        return [a.evaluate(cval) for a in self.coeffs]
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -539,12 +535,6 @@ class SeriesZ:
         out = (PolyC.zero(),) * shift + self.coeffs[: self.order + 1 - shift]
         return SeriesZ(self.order, out)
 
-    def div_z(self, shift: int = 1) -> "SeriesZ":
-        """Divide by z^shift; the dropped low coefficients must vanish."""
-        if any(not a.is_zero() for a in self.coeffs[:shift]):
-            raise ValueError("series is not divisible by z^%d" % shift)
-        return SeriesZ(self.order - shift, self.coeffs[shift:])
-
     def div_polyc_exact(self, divisor: PolyC) -> "SeriesZ":
         """Divide every coefficient exactly by a fixed PolyC."""
         return SeriesZ(self.order, tuple(a.div_exact(divisor) for a in self.coeffs))
@@ -573,11 +563,6 @@ class SeriesZ:
         if other is NotImplemented:
             return NotImplemented
         return self * other.inverse()
-
-    def truncate(self, order: int) -> "SeriesZ":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return SeriesZ(order, self.coeffs[: order + 1])
 
     def __str__(self) -> str:
         pieces = []

@@ -8,6 +8,11 @@ decomposition, and adjoint identities can be verified as dense numerical
 residuals.  Truncation is handled by contract: an operator that raises
 degree by at most ``g`` acts exactly on vectors of degree at most
 ``depth - g``, and every verification restricts to that subspace.
+
+A block of vectors of the depth-L space is a complex array of shape
+(D, columns), D = 1 + dim + ... + dim^L, with degree-major rows (see
+:func:`tensor_word`).  The operators stay lazy, closures applied by rule
+rather than dense D x D matrices: the report composes over a hundred.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ __all__ = [
     "scalar_algebra",
     "matrix_algebra",
     "function_algebra",
-    "FockVector",
+    "vacuum",
+    "tensor_word",
     "FockOperator",
     "identity_operator",
     "creation",
@@ -223,8 +229,15 @@ def function_algebra() -> TracialAlgebra:
 # ---------------------------------------------------------------------------
 
 
+def _degree_rows(dim: int, depth: int) -> list[slice]:
+    """The row slice of each degree 0..depth."""
+    bounds = list(itertools.accumulate((dim**r for r in range(depth + 1)), initial=0))
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def _on_first_factor(mat: np.ndarray, seg: np.ndarray) -> np.ndarray:
-    """Apply ``mat`` (rows x dim) to the first tensor factor of a segment.
+    """Apply ``mat`` (rows x dim) to the first tensor factor of the rows of
+    one degree.
 
     A sum of ``dim`` scaled slices, not a BLAS product: the operands are a
     few rows by thousands of columns, where a threaded BLAS call waits on
@@ -235,139 +248,69 @@ def _on_first_factor(mat: np.ndarray, seg: np.ndarray) -> np.ndarray:
     return sum(mat[:, i, None] * slices[i] for i in range(mat.shape[1]))
 
 
-def _segment_sizes(dim: int, depth: int) -> tuple[int, ...]:
-    return tuple(dim**r for r in range(depth + 1))
+def vacuum(dim: int, depth: int) -> np.ndarray:
+    """The vacuum as a single column."""
+    v = np.zeros((_degree_rows(dim, depth)[-1].stop, 1), dtype=complex)
+    v[0, 0] = 1.0
+    return v
 
 
-@dataclass(frozen=True)
-class FockVector:
-    """A vector, or a block of column vectors, in the depth-truncated full
-    Fock space.
+def tensor_word(letters: Sequence[np.ndarray], dim: int, depth: int) -> np.ndarray:
+    """The tensor product of the letters as a single column.
 
-    ``segments[r]`` holds the flat coefficient array of the degree-``r``
-    tensor words (first tensor factor is the major index).  Every segment
-    may carry one trailing column axis of a common width; the operators
-    then act on each column.  ``truncated`` records that a creation
-    operator pushed nonzero mass past the depth cap somewhere in this
-    vector's history (in any column).
+    The vacuum row comes first, then the ``dim`` rows of degree 1, then
+    the ``dim**2`` rows of degree 2, first tensor factor major:
+
+    >>> tensor_word([[1, 2], [3, 5]], 2, 2).real.ravel().tolist()
+    [0.0, 0.0, 0.0, 3.0, 5.0, 6.0, 10.0]
     """
-
-    depth: int
-    dim: int
-    segments: tuple[np.ndarray, ...]
-    truncated: bool = False
-
-    def __post_init__(self) -> None:
-        if len(self.segments) != self.depth + 1:
-            raise ValueError("segment count does not match the depth cap")
-        tail = self.tail
-        if len(tail) > 1:
-            raise ValueError("segments carry at most one column axis")
-        for r, seg in enumerate(self.segments):
-            if seg.shape != (self.dim**r,) + tail:
-                raise ValueError(f"segment {r} has the wrong shape")
-
-    @property
-    def tail(self) -> tuple[int, ...]:
-        """The column axis shared by every segment: () or (columns,)."""
-        return self.segments[0].shape[1:]
-
-    @classmethod
-    def vacuum(cls, dim: int, depth: int) -> "FockVector":
-        segs = [np.zeros(s, dtype=complex) for s in _segment_sizes(dim, depth)]
-        segs[0][0] = 1.0
-        return cls(depth, dim, tuple(segs))
-
-    @classmethod
-    def tensor_word(
-        cls, letters: Sequence[np.ndarray], dim: int, depth: int
-    ) -> "FockVector":
-        if len(letters) > depth:
-            raise ValueError("word is longer than the depth cap")
-        segs = [np.zeros(s, dtype=complex) for s in _segment_sizes(dim, depth)]
-        word = reduce(np.kron, [np.asarray(w, dtype=complex) for w in letters],
-                      np.ones(1, dtype=complex))
-        segs[len(letters)] = word
-        return cls(depth, dim, tuple(segs))
-
-    def _combine(self, other: "FockVector", sign: complex) -> "FockVector":
-        if (self.depth, self.dim) != (other.depth, other.dim):
-            raise ValueError("vectors live on different spaces")
-        segs = tuple(a + sign * b for a, b in zip(self.segments, other.segments))
-        return FockVector(
-            self.depth, self.dim, segs, self.truncated or other.truncated
-        )
-
-    def __add__(self, other: "FockVector") -> "FockVector":
-        return self._combine(other, 1.0)
-
-    def __sub__(self, other: "FockVector") -> "FockVector":
-        return self._combine(other, -1.0)
-
-    def __mul__(self, scalar: complex) -> "FockVector":
-        segs = tuple(scalar * s for s in self.segments)
-        return FockVector(self.depth, self.dim, segs, self.truncated)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "FockVector":
-        return self * (-1.0)
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate(self.segments)
-
-    def norm(self) -> float:
-        return float(np.sqrt(sum(np.vdot(s, s).real for s in self.segments)))
-
-    def column_norms(self) -> np.ndarray:
-        """The norm of each column (a 0-d array for a single vector)."""
-        return np.sqrt(sum((np.abs(s) ** 2).sum(axis=0) for s in self.segments))
-
-    def degree_range(self) -> tuple[int, int]:
-        """Lowest and highest degree carrying a nonzero coefficient."""
-        live = [r for r, s in enumerate(self.segments) if np.any(s != 0)]
-        if not live:
-            return (0, -1)
-        return (live[0], live[-1])
+    if len(letters) > depth:
+        raise ValueError("word is longer than the depth cap")
+    rows = _degree_rows(dim, depth)
+    v = np.zeros((rows[-1].stop, 1), dtype=complex)
+    v[rows[len(letters)], 0] = reduce(np.kron, letters, np.ones(1, dtype=complex))
+    return v
 
 
-def _basis_blocks(dim: int, depth: int, max_degree: int) -> Iterator[FockVector]:
+def _basis_blocks(dim: int, depth: int, max_degree: int) -> Iterator[np.ndarray]:
     """Coordinate tensor-word basis vectors of degree at most ``max_degree``,
     in order of degree, as blocks of at most BASIS_BLOCK columns."""
-    sizes = _segment_sizes(dim, depth)
-    bounds = np.cumsum(sizes)[:-1]
-    cut = _subspace_dim(dim, max_degree)
+    rows = _degree_rows(dim, depth)
+    cut = rows[max_degree].stop
     for start in range(0, cut, BASIS_BLOCK):
         width = min(BASIS_BLOCK, cut - start)
-        block = np.zeros((sum(sizes), width), dtype=complex)
+        block = np.zeros((rows[-1].stop, width), dtype=complex)
         block[np.arange(start, start + width), np.arange(width)] = 1.0
-        yield FockVector(depth, dim, tuple(np.split(block, bounds)))
+        yield block
 
 
-def _subspace_dim(dim: int, max_degree: int) -> int:
-    return sum(dim**r for r in range(max_degree + 1))
+def gram_apply(alg: TracialAlgebra, v: np.ndarray) -> np.ndarray:
+    """Apply the block-diagonal Gram matrix (per-degree tensor powers).
 
-
-def gram_apply(alg: TracialAlgebra, v: FockVector) -> FockVector:
-    """Apply the block-diagonal Gram matrix (per-degree tensor powers)."""
-    G = alg.gram
-    d = v.dim
-    out = []
-    for r, seg in enumerate(v.segments):
-        arr = seg.copy()
+    The rows of ``v`` hold degrees 0, 1, ..., k for any k: a vector of the
+    depth-k space, or the first rows of a deeper one.
+    """
+    G, d = alg.gram, alg.dim
+    out = np.empty(v.shape, dtype=complex)
+    start = r = 0
+    while start < len(v):
+        rows = slice(start, start + d**r)
+        arr = v[rows]
+        if len(arr) != d**r:
+            raise ValueError("the rows do not end at a degree boundary")
         for _ in range(r):
             # G acts on the first factor, which then moves to the back of
             # the word: r turns reach every factor and restore the order
-            turned = _on_first_factor(G, arr).reshape((d, -1) + v.tail)
-            arr = np.moveaxis(turned, 0, 1).reshape(seg.shape)
-        out.append(arr)
-    return FockVector(v.depth, v.dim, tuple(out), v.truncated)
+            turned = _on_first_factor(G, arr).reshape(d, -1, v.shape[1])
+            arr = np.moveaxis(turned, 0, 1).reshape(d**r, -1)
+        out[rows] = arr
+        start, r = rows.stop, r + 1
+    return out
 
 
-def fock_inner(alg: TracialAlgebra, u: FockVector, v: FockVector) -> complex:
-    """Inner product, linear in the first argument."""
-    gu = gram_apply(alg, u)
-    return complex(sum(np.vdot(b, a) for a, b in zip(gu.segments, v.segments)))
+def fock_inner(alg: TracialAlgebra, u: np.ndarray, v: np.ndarray) -> complex:
+    """Inner product of two single-column vectors, linear in the first."""
+    return complex(np.vdot(v, gram_apply(alg, u)))
 
 
 # ---------------------------------------------------------------------------
@@ -382,17 +325,19 @@ class FockOperator:
     ``creation_degree`` bounds how far the operator can raise the degree
     along any path of its expression tree; inputs of degree at most
     ``depth - creation_degree`` are therefore mapped exactly, with no
-    truncation loss anywhere in the evaluation.
+    truncation loss anywhere in the evaluation.  The input is an array of
+    column vectors of the depth-``depth`` space.
     """
 
     depth: int
     dim: int
     creation_degree: int
-    fn: Callable[[FockVector], FockVector]
+    fn: Callable[[np.ndarray], np.ndarray]
 
-    def __call__(self, v: FockVector) -> FockVector:
-        if (v.depth, v.dim) != (self.depth, self.dim):
-            raise ValueError("vector does not live on this operator's space")
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        rows = _degree_rows(self.dim, self.depth)[-1].stop
+        if np.ndim(v) != 2 or len(v) != rows:
+            raise ValueError(f"expected {rows} rows by columns, got shape {np.shape(v)}")
         return self.fn(v)
 
     @property
@@ -438,19 +383,18 @@ def identity_operator(dim: int, depth: int) -> FockOperator:
 def creation(alg: TracialAlgebra, d_el: np.ndarray, depth: int) -> FockOperator:
     """Left creation: prepend the element as a new first tensor factor.
 
-    Raises the degree by exactly one; mass in the top degree is dropped
-    and the result is flagged as truncated.
+    Raises the degree by exactly one; mass in the top degree is dropped.
     """
-    d_el = np.asarray(d_el, dtype=complex)
     dim = alg.dim
+    # a (dim, 1) factor makes kron act on each column separately
+    d_col = np.asarray(d_el, dtype=complex).reshape(dim, 1)
+    rows = _degree_rows(dim, depth)
 
-    def apply(v: FockVector) -> FockVector:
-        # a (dim, 1) factor makes kron act on each column separately
-        d_col = d_el.reshape((dim,) + (1,) * len(v.tail))
-        segs = [np.zeros(v.segments[0].shape, dtype=complex)]
-        segs += [np.kron(d_col, seg) for seg in v.segments[:depth]]
-        dropped = bool(np.any(v.segments[depth] != 0)) and bool(np.any(d_el != 0))
-        return FockVector(depth, dim, tuple(segs), v.truncated or dropped)
+    def apply(v: np.ndarray) -> np.ndarray:
+        out = np.zeros(v.shape, dtype=complex)
+        for lower, upper in zip(rows, rows[1:]):
+            out[upper] = np.kron(d_col, v[lower])
+        return out
 
     return FockOperator(depth, dim, 1, apply)
 
@@ -460,17 +404,16 @@ def annihilation(alg: TracialAlgebra, d_el: np.ndarray, depth: int) -> FockOpera
 
     Lowers the degree by exactly one and kills the vacuum.
     """
-    d_el = np.asarray(d_el, dtype=complex)
     dim = alg.dim
-    basis = np.eye(dim, dtype=complex)
-    pair = np.array(
-        [[alg.psi(alg.multiply(alg.star(d_el), basis[i])) for i in range(dim)]]
-    )
+    # pair[0, i] = psi(d* b_i), the inner product of basis element i with d
+    pair = (alg.gram @ np.conj(np.asarray(d_el, dtype=complex)))[None, :]
+    rows = _degree_rows(dim, depth)
 
-    def apply(v: FockVector) -> FockVector:
-        segs = [_on_first_factor(pair, seg).reshape((-1,) + v.tail) for seg in v.segments[1:]]
-        segs.append(np.zeros(v.segments[depth].shape, dtype=complex))
-        return FockVector(depth, dim, tuple(segs), v.truncated)
+    def apply(v: np.ndarray) -> np.ndarray:
+        out = np.zeros(v.shape, dtype=complex)
+        for lower, upper in zip(rows, rows[1:]):
+            out[lower] = _on_first_factor(pair, v[upper]).reshape(-1, v.shape[1])
+        return out
 
     return FockOperator(depth, dim, 0, apply)
 
@@ -480,11 +423,13 @@ def preservation(alg: TracialAlgebra, d_el: np.ndarray, depth: int) -> FockOpera
     d_el = np.asarray(d_el, dtype=complex)
     dim = alg.dim
     left = np.tensordot(d_el, alg.mult, axes=(0, 0)).T  # [k, i] of d * b_i
+    rows = _degree_rows(dim, depth)
 
-    def apply(v: FockVector) -> FockVector:
-        segs = [np.zeros(v.segments[0].shape, dtype=complex)]
-        segs += [_on_first_factor(left, seg).reshape(seg.shape) for seg in v.segments[1:]]
-        return FockVector(depth, dim, tuple(segs), v.truncated)
+    def apply(v: np.ndarray) -> np.ndarray:
+        out = np.zeros(v.shape, dtype=complex)
+        for degree in rows[1:]:
+            out[degree] = _on_first_factor(left, v[degree]).reshape(-1, v.shape[1])
+        return out
 
     return FockOperator(depth, dim, 0, apply)
 
@@ -513,9 +458,7 @@ def wick(
     """
     letters = tuple(np.asarray(w, dtype=complex) for w in word)
     if len(letters) > depth:
-        raise ValueError(
-            f"word of length {len(letters)} exceeds the depth cap {depth}"
-        )
+        raise ValueError(f"word of length {len(letters)} exceeds the depth cap {depth}")
     return _wick(alg, letters, depth)
 
 
@@ -577,9 +520,7 @@ def open_singletons(n: int) -> LinearHalfPerm:
 
 def _shift_blocks(pi: LinearHalfPerm, offset: int):
     closed = [tuple(p + offset for p in b) for b in pi.closed_blocks()]
-    opens = [
-        tuple(p + offset for p in sorted(b)) for b in pi.opens
-    ]
+    opens = [tuple(p + offset for p in sorted(b)) for b in pi.opens]
     opens.sort(key=lambda b: b[0])
     return closed, opens
 
@@ -671,14 +612,6 @@ class OperatorCheck:
     def passed(self) -> bool:
         return self.max_residual <= self.tolerance
 
-    def to_json(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "instance": self.instance,
-            "max_residual": self.max_residual,
-            "pass": self.passed,
-        }
-
     def __str__(self) -> str:
         mark = "ok" if self.passed else "FAIL"
         return (
@@ -703,8 +636,9 @@ def operator_residual(lhs: FockOperator, rhs: FockOperator) -> float:
     scale = 0.0
     for x in _basis_blocks(lhs.dim, lhs.depth, degree):
         a, b = lhs(x), rhs(x)
-        worst = max(worst, float((a - b).column_norms().max()))
-        scale = max(scale, float(a.column_norms().max()), float(b.column_norms().max()))
+        worst = max(worst, float(np.linalg.norm(a - b, axis=0).max()))
+        scale = max(scale, float(np.linalg.norm(a, axis=0).max()),
+                    float(np.linalg.norm(b, axis=0).max()))
     return worst / max(scale, _SCALE_FLOOR)
 
 
@@ -720,7 +654,7 @@ def adjoint_residual(
     degree = min(op.exact_input_degree, op_star.exact_input_degree)
     if degree < 0:
         raise ValueError("no exact subspace at this depth cap")
-    cut = _subspace_dim(op.dim, degree)
+    cut = _degree_rows(op.dim, degree)[-1].stop
 
     def form(operator: FockOperator) -> tuple[np.ndarray, float]:
         """Gram-weighted outputs on the subspace, one column per basis
@@ -728,8 +662,8 @@ def adjoint_residual(
         cols, top = [], 0.0
         for x in _basis_blocks(op.dim, op.depth, degree):
             out = operator(x)
-            top = max(top, float(out.column_norms().max()))
-            cols.append(gram_apply(alg, out).flat()[:cut])
+            top = max(top, float(np.linalg.norm(out, axis=0).max()))
+            cols.append(gram_apply(alg, out[:cut]))
         return np.hstack(cols), top
 
     lhs, top = form(op)
@@ -752,9 +686,9 @@ def verify_vacuum(
     alg: TracialAlgebra, word: Sequence[np.ndarray], depth: int
 ) -> OperatorCheck:
     """Defining property: the Wick product maps the vacuum to its word."""
-    got = wick(alg, word, depth)(FockVector.vacuum(alg.dim, depth))
-    want = FockVector.tensor_word(word, alg.dim, depth)
-    residual = (got - want).norm() / max(want.norm(), _SCALE_FLOOR)
+    got = wick(alg, word, depth)(vacuum(alg.dim, depth))
+    want = tensor_word(word, alg.dim, depth)
+    residual = float(np.linalg.norm(got - want) / max(np.linalg.norm(want), _SCALE_FLOOR))
     return OperatorCheck(
         "vacuum action", f"{alg.name}, n={len(word)}, L={depth}", residual
     )
@@ -869,17 +803,15 @@ def verify_inductive_step(
     if not d_let or not e_let:
         raise ValueError("both words must be nonempty")
     dim = alg.dim
-    e_vec = FockVector.tensor_word(e_let, dim, depth)
-    e_tail = FockVector.tensor_word(e_let[1:], dim, depth)
+    e_vec = tensor_word(e_let, dim, depth)
+    e_tail = tensor_word(e_let[1:], dim, depth)
     lhs = wick(alg, d_let, depth)(e_vec)
     lhs = lhs - alg.psi(alg.multiply(d_let[-1], e_let[0])) * (
         wick(alg, d_let[:-1], depth)(e_tail)
     )
     merged = d_let[:-1] + (alg.multiply(d_let[-1], e_let[0]),) + e_let[1:]
-    rhs = FockVector.tensor_word(d_let + e_let, dim, depth) + (
-        FockVector.tensor_word(merged, dim, depth)
-    )
-    residual = (lhs - rhs).norm() / max(rhs.norm(), _SCALE_FLOOR)
+    rhs = tensor_word(d_let + e_let, dim, depth) + tensor_word(merged, dim, depth)
+    residual = float(np.linalg.norm(lhs - rhs) / max(np.linalg.norm(rhs), _SCALE_FLOOR))
     return OperatorCheck(
         "inductive step",
         f"{alg.name}, m={len(d_let)}, n={len(e_let)}, L={depth}",
@@ -900,9 +832,7 @@ def _convolution_sizes_ok(max_left: int, max_right: int) -> bool:
                 for sigma in all_ncl(n):
                     merged = convolution(pi, sigma)
                     expect = 2 * min(pi.k, sigma.k) + 1
-                    if len(merged) != expect:
-                        return False
-                    if len(set(merged)) != expect:
+                    if len(merged) != expect or len(set(merged)) != expect:
                         return False
                     if not set(merged) <= universe:
                         return False
@@ -953,13 +883,7 @@ def wick_report(
         checks.append(verify_inductive_step(alg, letters[:2], letters[2:4], depth))
     for n in range(1, 4):
         ok = prepend_split_is_bijection(n)
-        checks.append(
-            OperatorCheck("prepend bijection", f"n={n}", 0.0 if ok else 1.0)
-        )
+        checks.append(OperatorCheck("prepend bijection", f"n={n}", 0.0 if ok else 1.0))
     sizes_ok = _convolution_sizes_ok(2, 2)
-    checks.append(
-        OperatorCheck(
-            "convolution sizes", "m,n <= 2", 0.0 if sizes_ok else 1.0
-        )
-    )
+    checks.append(OperatorCheck("convolution sizes", "m,n <= 2", 0.0 if sizes_ok else 1.0))
     return checks

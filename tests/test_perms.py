@@ -7,7 +7,7 @@ cross iff some a < b < c < d has a, c in one and b, d in the other).
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given
@@ -33,6 +33,15 @@ from ncwishart.perms import (
     set_partitions,
 )
 from ncwishart.polyc import PolyC
+
+
+def every_ordering_images(m, n):
+    """Every cyclic ordering of every block of every set partition of
+    [m + n] -- that is, every permutation -- through the annular
+    saturation test: the unpruned sweep that `iter_snc_images` must match."""
+    for img in permutations(range(1, m + n + 1)):
+        if is_annular_noncrossing(m, n, Perm(img)):
+            yield img
 
 
 def blocks_cross(b1, b2):
@@ -222,9 +231,8 @@ class TestAnnulus:
         # the admissible-ordering filter must agree with trying every
         # cyclic ordering of every block
         for m, n in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (1, 4), (3, 3)]:
-            pruned = sorted(iter_snc_images(m, n, prune=True))
-            full = sorted(iter_snc_images(m, n, prune=False))
-            assert pruned == full, (m, n)
+            pruned = sorted(iter_snc_images(m, n))
+            assert pruned == sorted(every_ordering_images(m, n)), (m, n)
 
     def test_figure_eight_element_is_enumerated(self):
         # the annulus-(8,4) permutation with a 4-point block straddling
@@ -276,8 +284,7 @@ class TestFastPaths:
                 assert a.complement_perm() == rot.compose(a.perm.inverse())
 
     def test_bounded_orderings_memo(self, monkeypatch):
-        want = {(m, n): sorted(iter_snc_images(m, n)) for m, n in [(3, 3), (4, 3)]}
+        want = {(m, n): sorted(every_ordering_images(m, n)) for m, n in [(3, 3), (4, 3)]}
         monkeypatch.setattr(perms, "_SNC_ORDERINGS_MAX", 3)
         for (m, n), images in want.items():
             assert sorted(iter_snc_images(m, n)) == images
-            assert sorted(iter_snc_images(m, n, prune=False)) == images

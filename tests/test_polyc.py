@@ -103,13 +103,6 @@ def test_xpoly_mixed_scalars():
     assert x * PolyC.c() == PolyC.c() * x
 
 
-def test_coefficients_at_rational_point():
-    x = PolyXC.x()
-    p = x * x - PolyC.of(1, 2) * x + PolyC.of(0, 0, 1)
-    vals = p.coefficients_at(Fraction(1, 2))
-    assert vals == [Fraction(1, 4), Fraction(-2), Fraction(1)]
-
-
 # -- SeriesZ ---------------------------------------------------------------
 
 
@@ -129,15 +122,12 @@ def test_series_division_by_unit(cs):
     assert (s * u) / u == s
 
 
-def test_series_shift_round_trip():
+def test_series_shift():
     s = SeriesZ.from_coeffs(4, [1, PolyC.c()])
     up = s.times_z()
+    assert up.order == 4
     assert up.coeff(0).is_zero() and up.coeff(1) == PolyC.one()
-    back = up.div_z()
-    assert back.order == 3
-    assert back.coeff(0) == PolyC.one() and back.coeff(1) == PolyC.c()
-    with pytest.raises(ValueError):
-        s.div_z()
+    assert up.coeff(2) == PolyC.c()
 
 
 def test_series_truncation_rules():
@@ -147,8 +137,6 @@ def test_series_truncation_rules():
     assert (s + t).order == 2
     with pytest.raises(ValueError):
         SeriesZ.from_coeffs(1, [1, 2, 3])
-    with pytest.raises(ValueError):
-        s.truncate(9)
 
 
 def test_series_inverse_requires_rational_unit():
