@@ -96,7 +96,7 @@ def __getattr__(name: str):
 # it needs tensor words of length 4 under the depth cap
 MIN_REPORT_DEPTH = 4
 # the truncated Fock basis grows by the algebra's dimension per level: the
-# 2x2 matrix algebra takes about 0.9 s at depth 5, and 7-7.5 s and 160 MB
+# 2x2 matrix algebra takes about 0.9 s at depth 5, and 7.5 s and 82 MB
 # peak RSS at depth 6, on a 2-core Xeon VM
 MAX_REPORT_DEPTH = 6
 # the exact suites' sizes grow their polynomial work as a power of the
@@ -788,7 +788,7 @@ def _cut_reassemble_records(max_total: int) -> list[dict]:
                 )
                 unique_ok = unique_ok and all(glued[img] == 1 for img in members)
                 size_ok = size_ok and len(members) == h1.k
-                rebuilt += glued
+                rebuilt.update(glued)
             census_ok = rebuilt == Counter(a.perm.image for a in elems)
             weight = weighted_count(elems, WeightRule.ALL_BLOCKS)
             records.append(

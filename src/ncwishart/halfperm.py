@@ -17,6 +17,16 @@ The weighted counts here (`weighted_count` over `enum_ncc` / `enum_ncl`)
 are the brute-force route to the same numbers the triangular transition
 matrices of `families` produce by exact linear algebra; the test suite
 holds the two routes against each other.
+
+Construction checks: `enum_ncc`, `enum_ncl` and `cut` build their halves
+in normal form through `perms._unchecked`, without re-running the
+`__post_init__` checks, since a generator's output, or either half of a
+valid annulus, is valid by construction; the test suite holds every such
+half to the checked constructor.  Everything else validates: the
+`CircularHalfPerm` and `LinearHalfPerm` constructors, `make_circular`
+and `make_linear` (and so the linear recursion's maps and
+`dots.dot_decode`), and `reassemble`, which builds a checked
+`AnnularPerm`.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ from itertools import combinations
 from .perms import (
     AnnularPerm,
     Perm,
+    _unchecked,
     complement,
     enum_nc,
     is_noncrossing,
@@ -48,8 +59,8 @@ def _perm_data(perm: Perm) -> tuple[bool, frozenset, frozenset]:
     """What validating a half needs of its permutation: whether it is
     non-crossing, its block sets and its complement's block sets.
 
-    The enumerators build all halves of one permutation one after
-    another, so a single entry serves them all.
+    Checked builds of one permutation's halves often come one after
+    another (a decoded half and the next), so a single entry serves them.
     """
     return (
         is_noncrossing(perm),
@@ -237,17 +248,49 @@ class CircularHalfPerm:
         return opened + closed
 
 
-def make_circular(n: int, perm: Perm, open_sets, bbar) -> CircularHalfPerm:
-    """Build a half-perm of the non-crossing permutation `perm` from raw
-    open block sets and collecting cycle, recomputing all normal forms."""
-    bbar_t = tuple(sorted(bbar))
+def _normal_opens(perm: Perm, open_sets, bbar_t) -> tuple[tuple[int, ...], ...]:
+    """Raw open block sets in normal form: each rotated to start at its
+    initial point, the tuple sorted by those points."""
     opens = []
     for b in open_sets:
         b_sorted = tuple(sorted(b))
         x = initial_point(perm, b_sorted, bbar_t)
         opens.append(_rotate_to(b_sorted, x))
     opens.sort(key=lambda blk: blk[0])
-    return CircularHalfPerm(n=n, perm=perm, opens=tuple(opens), bbar=bbar_t)
+    return tuple(opens)
+
+
+def make_circular(n: int, perm: Perm, open_sets, bbar) -> CircularHalfPerm:
+    """Build a half-perm of the non-crossing permutation `perm` from raw
+    open block sets and collecting cycle, recomputing all normal forms."""
+    bbar_t = tuple(sorted(bbar))
+    return CircularHalfPerm(
+        n=n, perm=perm, opens=_normal_opens(perm, open_sets, bbar_t), bbar=bbar_t
+    )
+
+
+def _circular(n, perm, opens=(), bbar=None, designated=None, designated_in=None):
+    """A CircularHalfPerm from fields already in normal form, unchecked."""
+    return _unchecked(
+        CircularHalfPerm, n=n, perm=perm, opens=opens, bbar=bbar,
+        designated=designated, designated_in=designated_in,
+    )
+
+
+def _exit_rotations(blocks, bbar) -> list[tuple[int, ...]]:
+    """The blocks of a non-crossing partition that meet its complement
+    cycle `bbar`, each rotated to start at the one point it shares with
+    bbar, in order of that point: every choice of open blocks collected
+    by bbar, in normal form."""
+    members = set(bbar)
+    out = []
+    for b in blocks:
+        common = members.intersection(b)
+        if common:
+            (x,) = common
+            out.append(_rotate_to(b, x))
+    out.sort()
+    return out
 
 
 @dataclass(frozen=True)
@@ -357,29 +400,15 @@ def enum_ncc(n: int, k: int) -> tuple[CircularHalfPerm, ...]:
         blocks = _blocks(perm)
         comp_cycles = _blocks(complement(perm))
         if k == 0:
-            for b in blocks:
-                out.append(
-                    CircularHalfPerm(
-                        n=n, perm=perm, designated=tuple(sorted(b)), designated_in="perm"
-                    )
-                )
-            for b in comp_cycles:
-                out.append(
-                    CircularHalfPerm(
-                        n=n,
-                        perm=perm,
-                        designated=tuple(sorted(b)),
-                        designated_in="complement",
-                    )
-                )
+            for where, cycles in (("perm", blocks), ("complement", comp_cycles)):
+                for b in cycles:
+                    out.append(_circular(n, perm, designated=tuple(sorted(b)),
+                                         designated_in=where))
             continue
         for bbar in comp_cycles:
-            bbar_set = set(bbar)
-            meeting = [b for b in blocks if bbar_set & set(b)]
-            if len(meeting) < k:
-                continue
-            for chosen in combinations(meeting, k):
-                out.append(make_circular(n, perm, chosen, bbar))
+            bbar_t = tuple(sorted(bbar))
+            for opens in combinations(_exit_rotations(blocks, bbar), k):
+                out.append(_circular(n, perm, opens, bbar_t))
     out.sort(key=lambda h: h.sort_key())
     return tuple(out)
 
@@ -391,17 +420,13 @@ def enum_ncl(n: int, k: int) -> tuple[LinearHalfPerm, ...]:
         return (make_linear(0, (), ()),)
     out: list[LinearHalfPerm] = []
     for perm in enum_nc(n):
-        blocks = _blocks(perm)
+        bbar_t = tuple(sorted(complement(perm).cycle_containing(1)))
         if k == 0:
-            out.append(make_linear(n, blocks, ()))
+            circ = _circular(n, perm, designated=bbar_t, designated_in="complement")
+            out.append(_unchecked(LinearHalfPerm, circ=circ))
             continue
-        bbar = complement(perm).cycle_containing(1)
-        bbar_set = set(bbar)
-        meeting = [b for b in blocks if bbar_set & set(b)]
-        if len(meeting) < k:
-            continue
-        for chosen in combinations(meeting, k):
-            out.append(LinearHalfPerm(make_circular(n, perm, chosen, bbar)))
+        for opens in combinations(_exit_rotations(_blocks(perm), bbar_t), k):
+            out.append(_unchecked(LinearHalfPerm, circ=_circular(n, perm, opens, bbar_t)))
     out.sort(key=lambda h: h.sort_key())
     return tuple(out)
 
@@ -450,9 +475,9 @@ def cut(a: AnnularPerm) -> tuple[CircularHalfPerm, CircularHalfPerm]:
         open_sets = [
             frozenset(x - offset for x in t & pset) for t in through
         ]
-        bbar = frozenset(x - offset for x in exits & pset)
-        # CircularHalfPerm checks that the exit set is a complement cycle
-        halves.append(make_circular(len(points), induced, open_sets, sorted(bbar)))
+        bbar = tuple(sorted(x - offset for x in exits & pset))
+        opens = _normal_opens(induced, open_sets, bbar)
+        halves.append(_circular(len(points), induced, opens, bbar))
     return halves[0], halves[1]
 
 

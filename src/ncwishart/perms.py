@@ -20,6 +20,12 @@ stays the public predicate and the test suite holds the two against each
 other.  On the annulus every set partition is expanded into cyclic
 orderings of its blocks and each candidate goes through the saturation
 filter.
+
+Construction checks: `Perm` and the public `AnnularPerm(m, n, perm)`
+always validate.  `enum_snc` builds its annuli through `_unchecked`,
+skipping `AnnularPerm.__post_init__`, because every image it wraps has
+just passed the saturation filter; `halfperm` uses the same path for the
+halves its generators and `cut` build.
 """
 
 from __future__ import annotations
@@ -31,6 +37,22 @@ from itertools import product as _product
 # Largest m + n the annular enumeration accepts: its sweep visits every
 # set partition of the m + n points.
 ANNULAR_CAP = 12
+
+
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass `cls` with every field given,
+    built without running its `__post_init__` checks.
+
+    Only generators whose output is valid by construction build through
+    here; the test suite holds each such diagram to the checked
+    constructor.
+    """
+    obj = object.__new__(cls)
+    # field by field, as the generated __init__ does: filling obj.__dict__
+    # instead costs about 200 more bytes per diagram
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -78,29 +100,32 @@ class Perm:
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Cycles rotated to start at their minimum, sorted by minimum."""
+        image = self.image
+        seen = [False] * (len(image) + 1)
         out = []
-        seen = [False] * self.size
-        for i in range(1, self.size + 1):
-            if not seen[i - 1]:
-                cyc = []
-                j = i
-                while not seen[j - 1]:
-                    seen[j - 1] = True
+        for i in range(1, len(image) + 1):
+            if not seen[i]:
+                seen[i] = True
+                cyc = [i]
+                j = image[i - 1]
+                while j != i:
+                    seen[j] = True
                     cyc.append(j)
-                    j = self.image[j - 1]
+                    j = image[j - 1]
                 out.append(tuple(cyc))
         return tuple(out)
 
     def num_cycles(self) -> int:
-        seen = [False] * self.size
+        image = self.image
+        seen = [False] * (len(image) + 1)
         count = 0
-        for i in range(self.size):
+        for i in range(1, len(image) + 1):
             if not seen[i]:
                 count += 1
                 j = i
                 while not seen[j]:
                     seen[j] = True
-                    j = self.image[j] - 1
+                    j = image[j - 1]
         return count
 
     def cycle_containing(self, i: int) -> tuple[int, ...]:
@@ -183,29 +208,26 @@ def is_noncrossing(p: Perm) -> bool:
 
 def set_partitions(n: int):
     """All set partitions of {1..n} as tuples of increasing blocks,
-    in restricted-growth-string order."""
+    in restricted-growth-string order.
+
+    Point x joins each block in turn and then opens a block of its own;
+    the partitions of the points below x are grown, never rebuilt.
+    """
     if n == 0:
         yield ()
         return
-    rgs = [0] * n
-    maxes = [0] * n
 
-    while True:
-        blocks: list[list[int]] = [[] for _ in range(max(rgs) + 1)]
-        for i, b in enumerate(rgs):
-            blocks[b].append(i + 1)
-        yield tuple(tuple(b) for b in blocks)
-        # advance the restricted growth string
-        i = n - 1
-        while i > 0 and rgs[i] == maxes[i - 1] + 1:
-            i -= 1
-        if i == 0:
+    def grow(x: int, blocks: tuple):
+        if x == n:
+            for i in range(len(blocks)):
+                yield blocks[:i] + (blocks[i] + (x,),) + blocks[i + 1:]
+            yield blocks + ((x,),)
             return
-        rgs[i] += 1
-        maxes[i] = max(maxes[i - 1], rgs[i])
-        for j in range(i + 1, n):
-            rgs[j] = 0
-            maxes[j] = maxes[i]
+        for i in range(len(blocks)):
+            yield from grow(x + 1, blocks[:i] + (blocks[i] + (x,),) + blocks[i + 1:])
+        yield from grow(x + 1, blocks + ((x,),))
+
+    yield from grow(1, ())
 
 
 def partition_to_perm(blocks) -> Perm:
@@ -379,25 +401,25 @@ def iter_snc_images(m: int, n: int):
                 cands = orderings[b] = _snc_orderings(b, m)
             per_block.append(cands)
         img = [0] * total
-        inv = [0] * total
+        comp = [0] * total  # the rotation composed with the inverse of img
         for combo in _product(*per_block):
             for seq in combo:
                 i = seq[-1]
                 for j in seq:
                     img[i] = j
-                    inv[j] = i
+                    comp[j] = g[i]
                     i = j
-            seen = 0
+            seen = [False] * total
             cnt = 0
             for i0 in rng:
-                if not (seen >> i0) & 1:
+                if not seen[i0]:
                     cnt += 1
                     j = i0
-                    while not (seen >> j) & 1:
-                        seen |= 1 << j
-                        j = g[inv[j]]
+                    while not seen[j]:
+                        seen[j] = True
+                        j = comp[j]
             if cnt == target:
-                yield tuple(x + 1 for x in img)
+                yield tuple([x + 1 for x in img])
 
 
 def _check_annulus(m: int, n: int) -> None:
@@ -420,4 +442,4 @@ def enum_snc(m: int, n: int) -> tuple[AnnularPerm, ...]:
     """
     _check_annulus(m, n)
     images = sorted(iter_snc_images(m, n))
-    return tuple(AnnularPerm(m, n, Perm(img)) for img in images)
+    return tuple(_unchecked(AnnularPerm, m=m, n=n, perm=Perm(img)) for img in images)

@@ -649,37 +649,39 @@ def adjoint_residual(
 
     Compares the two sesquilinear forms over the coordinate tensor-word
     basis of the common exact subspace, with the per-degree Gram matrix
-    supplying the inner product.
+    supplying the inner product.  The form of ``op_star`` is held whole;
+    each basis block of ``op``'s form is compared against its rows as it
+    is produced.
     """
     degree = min(op.exact_input_degree, op_star.exact_input_degree)
     if degree < 0:
         raise ValueError("no exact subspace at this depth cap")
     cut = _degree_rows(op.dim, degree)[-1].stop
 
-    def form(operator: FockOperator) -> tuple[np.ndarray, float]:
-        """Gram-weighted outputs on the subspace, one column per basis
-        vector, and the largest output norm."""
-        cols, top = [], 0.0
+    def form(operator: FockOperator) -> Iterator[tuple[slice, np.ndarray, float]]:
+        """Gram-weighted outputs on the subspace block by block: the
+        basis columns, one output column per basis vector, and the
+        largest output norm."""
+        start = 0
         for x in _basis_blocks(op.dim, op.depth, degree):
             out = operator(x)
-            top = max(top, float(np.linalg.norm(out, axis=0).max()))
-            cols.append(gram_apply(alg, out[:cut]))
-        return np.hstack(cols), top
+            cols = slice(start, start + x.shape[1])
+            start = cols.stop
+            yield cols, gram_apply(alg, out[:cut]), float(np.linalg.norm(out, axis=0).max())
 
-    lhs, top = form(op)
-    via_star, top_star = form(op_star)
-    diff = np.abs(lhs - via_star.conj().T).max()
     # scale against the full operator outputs, not just the paired window:
     # the forms may legitimately vanish on the subspace while the
     # operators themselves are of order one
-    scale = max(
-        top,
-        top_star,
-        float(np.abs(lhs).max()),
-        float(np.abs(via_star).max()),
-        _SCALE_FLOOR,
-    )
-    return float(diff / scale)
+    scale = _SCALE_FLOOR
+    via_star = np.empty((cut, cut), dtype=complex)
+    for cols, block, top in form(op_star):
+        via_star[:, cols] = block
+        scale = max(scale, top, float(np.abs(block).max()))
+    diff = 0.0
+    for cols, block, top in form(op):
+        scale = max(scale, top, float(np.abs(block).max()))
+        diff = max(diff, float(np.abs(block - via_star[cols].conj().T).max()))
+    return diff / scale
 
 
 def verify_vacuum(

@@ -1,6 +1,7 @@
 """Tests for circular/linear half-permutations, cut/reassemble, and the
 weighted-count bridge to the transition-matrix inverses."""
 
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -317,6 +318,32 @@ class TestOddPairing:
     def test_identity_full_range(self, n):
         lhs, rhs = lineardecomp_check(n)
         assert lhs == rhs
+
+
+class TestUncheckedBuilds:
+    """The generators and `cut` build diagrams without re-running their
+    checks; every such diagram must pass the checked constructor."""
+
+    @staticmethod
+    def assert_checked(d):
+        assert dataclasses.replace(d) == d
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_half_permutations(self, n):
+        for k in range(n + 1):
+            for h in enum_ncc(n, k):
+                self.assert_checked(h)
+            for h in enum_ncl(n, k):
+                self.assert_checked(h.circ)
+                self.assert_checked(h)
+
+    @pytest.mark.parametrize("total", range(2, 9))
+    def test_annuli_and_their_halves(self, total):
+        for m in range(1, total):
+            for a in enum_snc(m, total - m):
+                self.assert_checked(a)
+                for h in cut(a):
+                    self.assert_checked(h)
 
 
 class TestCutReassemble:

@@ -246,8 +246,40 @@ class TestAnnulus:
         )
 
 
+def rgs_partitions(n):
+    """Set partitions of {1..n} by advancing a restricted growth string
+    and rebuilding the blocks from it each time: the sweep that the
+    incremental `set_partitions` replaced."""
+    if n == 0:
+        yield ()
+        return
+    rgs = [0] * n
+    maxes = [0] * n
+    while True:
+        blocks = [[] for _ in range(max(rgs) + 1)]
+        for i, b in enumerate(rgs):
+            blocks[b].append(i + 1)
+        yield tuple(tuple(b) for b in blocks)
+        i = n - 1
+        while i > 0 and rgs[i] == maxes[i - 1] + 1:
+            i -= 1
+        if i == 0:
+            return
+        rgs[i] += 1
+        maxes[i] = max(maxes[i - 1], rgs[i])
+        for j in range(i + 1, n):
+            rgs[j] = 0
+            maxes[j] = maxes[i]
+
+
 class TestFastPaths:
     """Each fast path against the code it replaced."""
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_set_partitions_keep_the_growth_string_order(self, n):
+        # `enumerate snc` streams in sweep order, so the order is checked,
+        # not just the set
+        assert list(set_partitions(n)) == list(rgs_partitions(n))
 
     def test_stack_test_matches_saturation(self):
         for n in range(10):
