@@ -15,6 +15,8 @@ The package has five parts:
 * :mod:`ncwishart.wick` -- a truncated-Fock operator model realizing the
   diagram calculus, with exactness checked on the safe subspace; vectors
   are complex arrays with one column each, operators are applied by rule.
+  The Wick product itself is the function ``ncwishart.wick.wick``; the
+  package name ``wick`` is always the submodule.
 * :mod:`ncwishart.cli` -- the ``ncwishart`` command line tool.
 
 Only :mod:`ncwishart.rmt` and :mod:`ncwishart.wick` compute in floating
@@ -25,9 +27,7 @@ command line that is ``mc`` and ``verify wick``; every other command runs
 without numpy.
 """
 
-import sys
 from importlib import import_module
-from types import ModuleType
 
 from .polyc import PolyC, PolyXC, SeriesZ
 from .perms import AnnularPerm, Perm, enum_nc, enum_snc, iter_snc_images
@@ -52,7 +52,6 @@ from .colored import (
 from .dots import DotStructure, dot_decode, dot_encode, enum_dots
 from .families import (
     Family,
-    ShiftConstants,
     TransitionMatrix,
     chebyshev_C,
     chebyshev_S,
@@ -65,6 +64,7 @@ from .families import (
     predict_covariance,
     series_G,
     series_P,
+    shift_constant,
     transition_matrix,
 )
 
@@ -78,7 +78,6 @@ _NUMERIC = {
         "convolution",
         "p_operator",
         "w_pi",
-        "wick",
         "wick_report",
     ),
 }
@@ -92,17 +91,6 @@ def __getattr__(name: str):
             return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-
-class _Package(ModuleType):
-    def __setattr__(self, name: str, value) -> None:
-        # The first import of the submodule `wick` binds it here; the
-        # package's `wick` stays that module's function.
-        if name == "wick" and isinstance(value, ModuleType):
-            value = value.wick
-        super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package
 
 __version__ = "0.1.0"
 
@@ -144,10 +132,9 @@ __all__ = [
     "convolution",
     "p_operator",
     "w_pi",
-    "wick",
     "wick_report",
     "Family",
-    "ShiftConstants",
+    "shift_constant",
     "TransitionMatrix",
     "chebyshev_C",
     "chebyshev_S",

@@ -106,13 +106,6 @@ class ColoredAnnularSpec:
     def inner_intervals(self) -> tuple[tuple[int, ...], ...]:
         return _intervals(self.inner_lengths, start=self.m + 1)
 
-    def point_colors(self) -> tuple:
-        """Color of each point 1..m+n in order."""
-        return _point_colors(
-            self.outer_lengths + self.inner_lengths,
-            self.outer_colors + self.inner_colors,
-        )
-
 
 def _point_colors(lengths, colors) -> tuple:
     out = []
@@ -378,33 +371,28 @@ def product_variance_check(
     return lhs, rhs
 
 
-def single_interval_variance_check(
-    m: int, n: int, same_color: bool = True
-) -> tuple[PolyC, PolyC]:
-    """Both routes to the limiting covariance of two single-letter traces:
-    the circular-table-contracted sum over whole-circle annular sets, and
-    the weight of the spoke set (m rotations of weight c^m when the sizes
-    and colors match, zero otherwise)."""
+def single_interval_variance_check(m: int, n: int) -> tuple[PolyC, PolyC]:
+    """Both routes to the limiting covariance of two single-letter traces
+    of one color: the circular-table-contracted sum over whole-circle
+    annular sets, and the weight of the spoke set (m rotations of weight
+    c^m when the sizes match, zero otherwise)."""
     if m < 1 or n < 1:
         raise ValueError("circle sizes must be positive")
     coeff = transition_matrix(Family.GAMMA_TILDE, max(m, n) + 1)
     lhs = PolyC.zero()
-    if same_color:
-        for u in range(1, m + 1):
-            for v in range(1, n + 1):
-                factor = coeff.entry(m, u) * coeff.entry(n, v)
-                if factor == PolyC.zero():
-                    continue
-                spec = ColoredAnnularSpec((u,), ("a",), (v,), ("a",))
-                lhs = lhs + factor * weighted_count(
-                    enum_colored_snc(spec), WeightRule.ALL_BLOCKS
-                )
-    rhs = PolyC.zero()
-    if same_color:
-        rhs = weighted_count(
-            enum_colored_snc(spoke_spec((m,), ("a",), (n,), ("a",))),
-            WeightRule.ALL_BLOCKS,
-        )
+    for u in range(1, m + 1):
+        for v in range(1, n + 1):
+            factor = coeff.entry(m, u) * coeff.entry(n, v)
+            if factor == PolyC.zero():
+                continue
+            spec = ColoredAnnularSpec((u,), ("a",), (v,), ("a",))
+            lhs = lhs + factor * weighted_count(
+                enum_colored_snc(spec), WeightRule.ALL_BLOCKS
+            )
+    rhs = weighted_count(
+        enum_colored_snc(spoke_spec((m,), ("a",), (n,), ("a",))),
+        WeightRule.ALL_BLOCKS,
+    )
     return lhs, rhs
 
 

@@ -60,13 +60,6 @@ class DotStructure:
         """Open-block count: white unprimed dots in excess of j."""
         return self.unprimed.count(WHITE) - self.j
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "unprimed": list(self.unprimed),
-            "primed": list(self.primed),
-        }
-
     def __str__(self) -> str:
         sym = {BLACK: "b", WHITE: "w"}
         return " ".join(

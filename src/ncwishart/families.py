@@ -139,28 +139,21 @@ def pi_poly(n: int) -> PolyXC:
     return _member(Family.PI.value, n)
 
 
-@dataclass(frozen=True)
-class ShiftConstants:
-    """The constant shifts that recenter the arc-sine family.
+def shift_constant(n: int) -> PolyC:
+    """The constant shift that recenters the arc-sine family's member n.
 
     ``d(0) = -1``, ``d(1) = 1`` and ``d(n) = (-1)^n (c - 1)`` afterwards,
     so consecutive shifts cancel from n = 3 on.
     """
-
-    @staticmethod
-    def d(n: int) -> PolyC:
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        if n == 0:
-            return PolyC.const(-1)
-        if n == 1:
-            return PolyC.one()
-        if n % 2 == 0:
-            return PolyC.of(-1, 1)
-        return PolyC.of(1, -1)
-
-    def sequence(self, count: int) -> tuple[PolyC, ...]:
-        return tuple(self.d(n) for n in range(count))
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n == 0:
+        return PolyC.const(-1)
+    if n == 1:
+        return PolyC.one()
+    if n % 2 == 0:
+        return PolyC.of(-1, 1)
+    return PolyC.of(1, -1)
 
 
 def gamma(n: int) -> PolyXC:
@@ -171,7 +164,7 @@ def gamma(n: int) -> PolyXC:
     """
     if n == 0:
         return PolyXC.one()
-    return gamma_tilde(n) + ShiftConstants.d(n)
+    return gamma_tilde(n) + shift_constant(n)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +235,6 @@ class TransitionMatrix:
                 row[k] = -acc
             inv.append(row)
         return TransitionMatrix(tuple(tuple(r) for r in inv))
-
-    def to_json(self) -> list[list[list[str]]]:
-        return [[cell.as_json() for cell in row] for row in self.rows]
 
 
 def transition_matrix(family: Family, size: int) -> TransitionMatrix:

@@ -18,15 +18,20 @@ are the brute-force route to the same numbers the triangular transition
 matrices of `families` produce by exact linear algebra; the test suite
 holds the two routes against each other.
 
+A linear half-permutation is a circular one whose collecting cycle
+contains 1, so `LinearHalfPerm` is a `CircularHalfPerm` subclass with no
+fields of its own: its `__post_init__` runs the circular checks and then
+the linear condition.
+
 Construction checks: `enum_ncc`, `enum_ncl` and `cut` build their halves
 in normal form through `perms._unchecked`, without re-running the
 `__post_init__` checks, since a generator's output, or either half of a
 valid annulus, is valid by construction; the test suite holds every such
 half to the checked constructor.  Everything else validates: the
-`CircularHalfPerm` and `LinearHalfPerm` constructors, `make_circular`
-and `make_linear` (and so the linear recursion's maps and
-`dots.dot_decode`), and `reassemble`, which builds a checked
-`AnnularPerm`.
+`CircularHalfPerm` and `LinearHalfPerm` constructors (a linear build runs
+both classes' checks), `make_circular` and `make_linear` (and so the
+linear recursion's maps and `dots.dot_decode`), and `reassemble`, which
+builds a checked `AnnularPerm`.
 """
 
 from __future__ import annotations
@@ -50,22 +55,23 @@ from .polyc import PolyC
 DISC_CAP = 12
 
 
-def _blocks(perm: Perm) -> tuple[tuple[int, ...], ...]:
-    return perm.cycles()
-
-
 @lru_cache(maxsize=1)
 def _perm_data(perm: Perm) -> tuple[bool, frozenset, frozenset]:
     """What validating a half needs of its permutation: whether it is
     non-crossing, its block sets and its complement's block sets.
 
-    Checked builds of one permutation's halves often come one after
-    another (a decoded half and the next), so a single entry serves them.
+    Both cycle walks are done once; non-crossing is the genus bound
+    #(perm) + #(complement) == n + 1 read off them (the empty permutation
+    counts as non-crossing).  Checked builds of one permutation's halves
+    often come one after another (a decoded half and the next), so a
+    single entry serves them.
     """
+    blocks = perm.cycles()
+    comp_blocks = complement(perm).cycles()
     return (
-        is_noncrossing(perm),
-        frozenset(map(frozenset, _blocks(perm))),
-        frozenset(map(frozenset, _blocks(complement(perm)))),
+        perm.size == 0 or len(blocks) + len(comp_blocks) == perm.size + 1,
+        frozenset(map(frozenset, blocks)),
+        frozenset(map(frozenset, comp_blocks)),
     )
 
 
@@ -183,10 +189,9 @@ class CircularHalfPerm:
         return tuple(frozenset(b) for b in self.opens)
 
     def closed_blocks(self) -> tuple[tuple[int, ...], ...]:
-        open_sets = set(self.open_sets())
-        return tuple(
-            b for b in _blocks(self.perm) if frozenset(b) not in open_sets
-        )
+        # a cycle starts at its least point, so its minimum names it
+        open_mins = {min(b) for b in self.opens}
+        return tuple(b for b in self.perm.cycles() if b[0] not in open_mins)
 
     @property
     def num_closed(self) -> int:
@@ -219,21 +224,6 @@ class CircularHalfPerm:
             self.designated or (),
             self.designated_in or "",
         )
-
-    def to_json(self) -> dict:
-        out = {
-            "n": self.n,
-            "cycles": [list(c) for c in self.perm.cycles()],
-            "open": [list(b) for b in self.opens],
-        }
-        if self.designated is not None:
-            out["designated"] = {
-                "block": list(self.designated),
-                "in": self.designated_in,
-            }
-        else:
-            out["designated"] = None
-        return out
 
     def __str__(self) -> str:
         if self.n == 0:
@@ -269,10 +259,11 @@ def make_circular(n: int, perm: Perm, open_sets, bbar) -> CircularHalfPerm:
     )
 
 
-def _circular(n, perm, opens=(), bbar=None, designated=None, designated_in=None):
-    """A CircularHalfPerm from fields already in normal form, unchecked."""
+def _circular(n, perm, opens=(), bbar=None, designated=None, designated_in=None,
+              cls=CircularHalfPerm):
+    """A half of class `cls` from fields already in normal form, unchecked."""
     return _unchecked(
-        CircularHalfPerm, n=n, perm=perm, opens=opens, bbar=bbar,
+        cls, n=n, perm=perm, opens=opens, bbar=bbar,
         designated=designated, designated_in=designated_in,
     )
 
@@ -294,7 +285,7 @@ def _exit_rotations(blocks, bbar) -> list[tuple[int, ...]]:
 
 
 @dataclass(frozen=True)
-class LinearHalfPerm:
+class LinearHalfPerm(CircularHalfPerm):
     """A circular half-permutation whose collecting cycle contains 1.
 
     Cutting the circle open just before 1 turns it into a line; with no
@@ -303,56 +294,17 @@ class LinearHalfPerm:
     weight c^(#blocks) the plain partition should carry).
     """
 
-    circ: CircularHalfPerm
-
     def __post_init__(self) -> None:
-        c = self.circ
-        if c.opens:
-            if 1 not in c.bbar:
+        super().__post_init__()
+        if self.opens:
+            if 1 not in self.bbar:
                 raise ValueError("the collecting cycle must contain 1")
-        elif c.n > 0:
-            if c.designated_in != "complement" or 1 not in c.designated:
+        elif self.n > 0:
+            if self.designated_in != "complement" or 1 not in self.designated:
                 raise ValueError(
                     "with no open blocks the designated block must be the "
                     "complement block through 1"
                 )
-
-    @property
-    def n(self) -> int:
-        return self.circ.n
-
-    @property
-    def perm(self) -> Perm:
-        return self.circ.perm
-
-    @property
-    def k(self) -> int:
-        return self.circ.k
-
-    @property
-    def opens(self):
-        return self.circ.opens
-
-    @property
-    def num_closed(self) -> int:
-        return self.circ.num_closed
-
-    def closed_blocks(self):
-        return self.circ.closed_blocks()
-
-    def closed_weight_exponent(self) -> int:
-        if self.circ.opens:
-            return self.circ.num_closed
-        return self.circ.perm.num_cycles()
-
-    def sort_key(self):
-        return self.circ.sort_key()
-
-    def to_json(self) -> dict:
-        return self.circ.to_json()
-
-    def __str__(self) -> str:
-        return str(self.circ)
 
 
 def make_linear(n: int, blocks, open_sets) -> LinearHalfPerm:
@@ -363,19 +315,15 @@ def make_linear(n: int, blocks, open_sets) -> LinearHalfPerm:
     """
     perm = partition_to_perm(tuple(tuple(sorted(b)) for b in blocks))
     if n == 0:
-        return LinearHalfPerm(CircularHalfPerm(n=0, perm=perm))
-    comp = complement(perm)
-    bbar = comp.cycle_containing(1)
+        return LinearHalfPerm(n=0, perm=perm)
+    bbar = tuple(sorted(complement(perm).cycle_containing(1)))
     if not open_sets:
         return LinearHalfPerm(
-            CircularHalfPerm(
-                n=n,
-                perm=perm,
-                designated=tuple(sorted(bbar)),
-                designated_in="complement",
-            )
+            n=n, perm=perm, designated=bbar, designated_in="complement"
         )
-    return LinearHalfPerm(make_circular(n, perm, open_sets, bbar))
+    return LinearHalfPerm(
+        n=n, perm=perm, opens=_normal_opens(perm, open_sets, bbar), bbar=bbar
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +345,8 @@ def enum_ncc(n: int, k: int) -> tuple[CircularHalfPerm, ...]:
         return (CircularHalfPerm(n=0, perm=Perm(())),)
     out: list[CircularHalfPerm] = []
     for perm in enum_nc(n):
-        blocks = _blocks(perm)
-        comp_cycles = _blocks(complement(perm))
+        blocks = perm.cycles()
+        comp_cycles = complement(perm).cycles()
         if k == 0:
             for where, cycles in (("perm", blocks), ("complement", comp_cycles)):
                 for b in cycles:
@@ -422,11 +370,11 @@ def enum_ncl(n: int, k: int) -> tuple[LinearHalfPerm, ...]:
     for perm in enum_nc(n):
         bbar_t = tuple(sorted(complement(perm).cycle_containing(1)))
         if k == 0:
-            circ = _circular(n, perm, designated=bbar_t, designated_in="complement")
-            out.append(_unchecked(LinearHalfPerm, circ=circ))
+            out.append(_circular(n, perm, designated=bbar_t,
+                                 designated_in="complement", cls=LinearHalfPerm))
             continue
-        for opens in combinations(_exit_rotations(_blocks(perm), bbar_t), k):
-            out.append(_unchecked(LinearHalfPerm, circ=_circular(n, perm, opens, bbar_t)))
+        for opens in combinations(_exit_rotations(perm.cycles(), bbar_t), k):
+            out.append(_circular(n, perm, opens, bbar_t, cls=LinearHalfPerm))
     out.sort(key=lambda h: h.sort_key())
     return tuple(out)
 
@@ -439,7 +387,7 @@ def weighted_count(diagrams, weight=WeightRule.ALL_BLOCKS) -> PolyC:
         if weight is WeightRule.ALL_BLOCKS:
             e = d.num_cycles() if hasattr(d, "num_cycles") else d.perm.num_cycles()
         elif weight is WeightRule.CLOSED_BLOCKS:
-            if isinstance(d, (CircularHalfPerm, LinearHalfPerm)):
+            if isinstance(d, CircularHalfPerm):
                 e = d.closed_weight_exponent()
             elif isinstance(d, AnnularPerm):
                 e = d.num_cycles() - len(d.through_cycles())
@@ -526,7 +474,7 @@ def linear_case(h: LinearHalfPerm) -> int:
     """
     last = h.n
     block = set(h.perm.cycle_containing(last))
-    is_open = frozenset(block) in set(h.circ.open_sets())
+    is_open = frozenset(block) in set(h.open_sets())
     if is_open:
         return 1 if len(block) == 1 else 2
     return 3 if len(block) == 1 else 4

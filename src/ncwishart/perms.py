@@ -192,9 +192,6 @@ def _annular_complement(m: int, n: int, p: Perm) -> Perm:
     ))
 
 
-kreweras = complement
-
-
 def is_noncrossing(p: Perm) -> bool:
     if p.size == 0:
         return True

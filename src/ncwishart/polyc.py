@@ -125,12 +125,6 @@ class PolyC:
     def coeff(self, k: int) -> Scalar:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
-    def constant_value(self) -> Scalar:
-        """The value of a constant polynomial (error if degree > 0)."""
-        if len(self.coeffs) > 1:
-            raise ValueError(f"not a constant: {self}")
-        return self.coeffs[0] if self.coeffs else 0
-
     # -- arithmetic --------------------------------------------------------
 
     @staticmethod
@@ -201,18 +195,6 @@ class PolyC:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "PolyC":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = PolyC.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def div_exact(self, divisor: "PolyC") -> "PolyC":
         """Exact polynomial division; raises if the remainder is nonzero.
 
@@ -245,7 +227,7 @@ class PolyC:
             acc = acc * value + a
         return acc
 
-    # -- text and JSON forms ----------------------------------------------
+    # -- text form ---------------------------------------------------------
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -308,14 +290,6 @@ class PolyC:
         for k, v in terms.items():
             out[k] = v
         return cls(tuple(out))
-
-    def as_json(self) -> list[str]:
-        """Coefficient list as 'p/q' strings (ascending)."""
-        return [f"{a.numerator}/{a.denominator}" for a in self.coeffs]
-
-    @classmethod
-    def from_json(cls, data: list[str]) -> "PolyC":
-        return cls(tuple(Fraction(s) for s in data))
 
 
 @dataclass(frozen=True)
@@ -518,18 +492,6 @@ class SeriesZ:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "SeriesZ":
-        if n < 0:
-            raise ValueError("negative power of a truncated series")
-        result = SeriesZ.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def times_z(self, shift: int = 1) -> "SeriesZ":
         """Multiply by z^shift (same truncation order; top terms fall off)."""
         out = (PolyC.zero(),) * shift + self.coeffs[: self.order + 1 - shift]
@@ -538,42 +500,3 @@ class SeriesZ:
     def div_polyc_exact(self, divisor: PolyC) -> "SeriesZ":
         """Divide every coefficient exactly by a fixed PolyC."""
         return SeriesZ(self.order, tuple(a.div_exact(divisor) for a in self.coeffs))
-
-    def inverse(self) -> "SeriesZ":
-        """Multiplicative inverse of a series whose z^0 term is a nonzero rational.
-
-        >>> u = SeriesZ.one(4) - SeriesZ.z(4)
-        >>> all(u.inverse().coeff(k) == PolyC.one() for k in range(5))
-        True
-        """
-        lead = self.coeffs[0].constant_value()
-        if lead == 0:
-            raise ValueError("series unit must have a nonzero constant term")
-        inv_lead = _exact_quotient(1, lead)
-        out = [PolyC.const(inv_lead)]
-        for k in range(1, self.order + 1):
-            acc = PolyC.zero()
-            for j in range(1, k + 1):
-                acc = acc + self.coeffs[j] * out[k - j]
-            out.append(acc * (-inv_lead))
-        return SeriesZ(self.order, tuple(out))
-
-    def __truediv__(self, other: "SeriesZ | PolyC | Scalar") -> "SeriesZ":
-        other = SeriesZ._coerce(other, self.order)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __str__(self) -> str:
-        pieces = []
-        for k, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            if k == 0:
-                pieces.append(f"({a})")
-            elif k == 1:
-                pieces.append(f"({a})*z")
-            else:
-                pieces.append(f"({a})*z^{k}")
-        body = " + ".join(pieces) if pieces else "0"
-        return f"{body} + O(z^{self.order + 1})"

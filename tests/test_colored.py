@@ -82,7 +82,6 @@ class TestSpecValidation:
     def test_single_interval_has_no_alternation_constraint(self):
         spec = ColoredAnnularSpec((3,), ("a",), (2,), ("a",))
         assert spec.m == 3 and spec.n == 2
-        assert spec.point_colors() == ("a",) * 5
 
     def test_filter_arity(self):
         with pytest.raises(ValueError, match="one count per interval"):
@@ -100,7 +99,6 @@ class TestSpecValidation:
         spec = ColoredAnnularSpec((2, 1), ("a", "b"), (1, 2), ("b", "a"))
         assert spec.outer_intervals() == ((1, 2), (3,))
         assert spec.inner_intervals() == ((4,), (5, 6))
-        assert spec.point_colors() == ("a", "a", "b", "b", "a", "a")
 
 
 class TestFilteredEnumeration:

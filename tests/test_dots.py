@@ -80,11 +80,6 @@ class TestFrozenStructures:
     def test_string_form(self):
         d = DotStructure(2, (WHITE, BLACK), (WHITE, WHITE))
         assert str(d) == "ww bw"
-        assert d.to_json() == {
-            "n": 2,
-            "unprimed": ["white", "black"],
-            "primed": ["white", "white"],
-        }
 
 
 class TestValidation:

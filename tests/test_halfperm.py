@@ -2,6 +2,7 @@
 weighted-count bridge to the transition-matrix inverses."""
 
 import dataclasses
+import itertools
 from collections import Counter
 
 import pytest
@@ -13,6 +14,7 @@ from ncwishart.halfperm import (
     CircularHalfPerm,
     LinearHalfPerm,
     WeightRule,
+    _perm_data,
     cut,
     enum_ncc,
     enum_ncl,
@@ -27,7 +29,14 @@ from ncwishart.halfperm import (
     unfold_marked,
     weighted_count,
 )
-from ncwishart.perms import AnnularPerm, Perm, enum_nc, enum_snc
+from ncwishart.perms import (
+    AnnularPerm,
+    Perm,
+    complement,
+    enum_nc,
+    enum_snc,
+    is_noncrossing,
+)
 from ncwishart.polyc import PolyC
 
 C = PolyC.monomial(1)
@@ -103,8 +112,6 @@ class TestInverseTableBridge:
 class TestElementInvariants:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_circular_structure(self, n):
-        from ncwishart.perms import complement
-
         seen = set()
         for k in range(n + 1):
             for h in enum_ncc(n, k):
@@ -129,11 +136,11 @@ class TestElementInvariants:
         for k in range(n + 1):
             for h in enum_ncl(n, k):
                 if k == 0:
-                    assert h.circ.designated_in == "complement"
-                    assert 1 in h.circ.designated
+                    assert h.designated_in == "complement"
+                    assert 1 in h.designated
                     assert h.closed_weight_exponent() == h.perm.num_cycles()
                 else:
-                    assert 1 in h.circ.bbar
+                    assert 1 in h.bbar
 
     def test_linear_zero_open_is_plain_noncrossing(self):
         for n in range(7):
@@ -144,16 +151,8 @@ class TestElementInvariants:
             again = make_circular(h.n, h.perm, h.open_sets(), h.bbar)
             assert again == h
         for h in enum_ncl(4, 2):
-            again = make_linear(h.n, h.perm.cycles(), h.circ.open_sets())
+            again = make_linear(h.n, h.perm.cycles(), h.open_sets())
             assert again == h
-
-    def test_json_shape(self):
-        h = enum_ncc(2, 1)[0]
-        out = h.to_json()
-        assert set(out) == {"n", "cycles", "open", "designated"}
-        assert out["designated"] is None
-        d = enum_ncc(2, 0)[0].to_json()
-        assert set(d["designated"]) == {"block", "in"}
 
 
 class TestValidation:
@@ -189,7 +188,63 @@ class TestValidation:
         h = enum_ncc(2, 1)[-1]
         assert 1 not in h.bbar
         with pytest.raises(ValueError, match="contain 1"):
-            LinearHalfPerm(h)
+            LinearHalfPerm(**fields_of(h))
+
+    def test_linear_with_no_open_block_designates_the_complement_block_through_1(self):
+        for h in enum_ncc(3, 0):
+            linear = h.designated_in == "complement" and 1 in h.designated
+            if linear:
+                assert LinearHalfPerm(**fields_of(h)) in enum_ncl(3, 0)
+            else:
+                with pytest.raises(ValueError, match="through 1"):
+                    LinearHalfPerm(**fields_of(h))
+
+
+def fields_of(h):
+    return {f.name: getattr(h, f.name) for f in dataclasses.fields(h)}
+
+
+class TestLinearIsCircular:
+    """A linear half is a circular half whose collecting cycle contains 1."""
+
+    @staticmethod
+    def collected_through_1(h):
+        if h.opens:
+            return 1 in h.bbar
+        return h.n == 0 or (h.designated_in == "complement" and 1 in h.designated)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_linear_halves_are_the_circular_halves_collected_through_1(self, n):
+        for k in range(n + 1):
+            linear = enum_ncl(n, k)
+            assert all(isinstance(h, CircularHalfPerm) for h in linear)
+            want = {tuple(fields_of(h).values())
+                    for h in enum_ncc(n, k) if self.collected_through_1(h)}
+            assert {tuple(fields_of(h).values()) for h in linear} == want
+            assert len(linear) == len(want)
+
+    def test_replace_reruns_both_checks(self):
+        h = enum_ncl(4, 1)[0]
+        assert type(dataclasses.replace(h)) is LinearHalfPerm
+        crossing = Perm.from_cycles(4, ((1, 3), (2, 4)))
+        with pytest.raises(ValueError, match="non-crossing"):
+            dataclasses.replace(h, perm=crossing)
+        off_1 = next(c for c in enum_ncc(4, 1) if 1 not in c.bbar)
+        with pytest.raises(ValueError, match="contain 1"):
+            dataclasses.replace(h, **fields_of(off_1))
+
+    def test_a_checked_linear_build_runs_each_class_check_once(self, monkeypatch):
+        calls = []
+        for cls in (CircularHalfPerm, LinearHalfPerm):
+            def counted(self, check=cls.__dict__["__post_init__"], name=cls.__name__):
+                calls.append(name)
+                check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        h = enum_ncl(4, 2)[0]
+        assert calls == []
+        assert dataclasses.replace(h) == h
+        assert calls == ["LinearHalfPerm", "CircularHalfPerm"]
 
 
 def on4(*cycles):
@@ -239,6 +294,19 @@ def test_validation_ignores_the_previous_perm(case):
     CircularHalfPerm(n=4, **good)
     with pytest.raises(ValueError, match=message):
         CircularHalfPerm(n=4, **bad)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_perm_data_matches_its_definition(n):
+    """The one-walk validation data against the public predicate and the
+    block sets of both permutations, for every permutation of [n]."""
+    for image in itertools.permutations(range(1, n + 1)):
+        p = Perm(image)
+        assert _perm_data(p) == (
+            is_noncrossing(p),
+            frozenset(map(frozenset, p.cycles())),
+            frozenset(map(frozenset, complement(p).cycles())),
+        ), p
 
 
 class TestFourWaySplit:
@@ -334,7 +402,6 @@ class TestUncheckedBuilds:
             for h in enum_ncc(n, k):
                 self.assert_checked(h)
             for h in enum_ncl(n, k):
-                self.assert_checked(h.circ)
                 self.assert_checked(h)
 
     @pytest.mark.parametrize("total", range(2, 9))

@@ -87,8 +87,9 @@ def test_every_public_name_is_its_defining_module_attribute():
         assert getattr(importlib.import_module(obj.__module__), name) is obj, name
     from ncwishart import wick
 
-    assert isinstance(wick, types.FunctionType)
-    assert wick is sys.modules["ncwishart.wick"].wick
+    assert wick is sys.modules["ncwishart.wick"]
+    assert isinstance(wick.wick, types.FunctionType)
+    assert wick.wick.__module__ == "ncwishart.wick"
 
 
 @pytest.mark.parametrize(
@@ -103,12 +104,18 @@ def test_every_public_name_is_its_defining_module_attribute():
     ],
     ids=["fresh", "after importing the module", "after verify wick"],
 )
-def test_the_package_name_wick_is_the_function(prelude):
+def test_the_package_name_wick_is_the_submodule(prelude):
     assert run_fresh(prelude + """
-import json, sys
+import json, sys, types
+import ncwishart
 from ncwishart import wick
-print(json.dumps(wick is sys.modules["ncwishart.wick"].wick))
-""") is True
+module = sys.modules["ncwishart.wick"]
+print(json.dumps([
+    wick is module,
+    ncwishart.wick is module,
+    isinstance(module.wick, types.FunctionType),
+]))
+""") == [True, True, True]
 
 
 def test_a_wrapper_set_on_the_cli_before_main_is_called():

@@ -26,11 +26,6 @@ def test_ring_ops_agree_with_evaluation(p, q, v):
     assert (p * q).evaluate(v) == p.evaluate(v) * q.evaluate(v)
 
 
-@given(polys, st.integers(min_value=0, max_value=4), points)
-def test_power_agrees_with_evaluation(p, k, v):
-    assert (p ** k).evaluate(v) == p.evaluate(v) ** k
-
-
 @given(polys)
 def test_canonical_form_has_no_trailing_zero(p):
     if p.coeffs:
@@ -41,11 +36,6 @@ def test_canonical_form_has_no_trailing_zero(p):
 @given(polys)
 def test_text_round_trip(p):
     assert PolyC.parse(str(p)) == p
-
-
-@given(polys)
-def test_json_round_trip(p):
-    assert PolyC.from_json(p.as_json()) == p
 
 
 def test_text_form_examples():
@@ -106,22 +96,6 @@ def test_xpoly_mixed_scalars():
 # -- SeriesZ ---------------------------------------------------------------
 
 
-def test_series_geometric_inverse():
-    u = SeriesZ.one(6) - SeriesZ.z(6)
-    inv = u.inverse()
-    assert all(inv.coeff(k) == PolyC.one() for k in range(7))
-    assert u * inv == SeriesZ.one(6)
-
-
-@given(st.lists(small_fracs, min_size=1, max_size=5))
-def test_series_division_by_unit(cs):
-    if cs[0] == 0:
-        cs[0] = Fraction(1)
-    u = SeriesZ.from_coeffs(5, [PolyC.const(a) for a in cs])
-    s = SeriesZ.from_coeffs(5, [1, PolyC.c(), PolyC.of(1, 1)])
-    assert (s * u) / u == s
-
-
 def test_series_shift():
     s = SeriesZ.from_coeffs(4, [1, PolyC.c()])
     up = s.times_z()
@@ -137,13 +111,6 @@ def test_series_truncation_rules():
     assert (s + t).order == 2
     with pytest.raises(ValueError):
         SeriesZ.from_coeffs(1, [1, 2, 3])
-
-
-def test_series_inverse_requires_rational_unit():
-    with pytest.raises(ValueError):
-        SeriesZ.from_coeffs(3, [PolyC.c()]).inverse()
-    with pytest.raises(ValueError):
-        SeriesZ.zero(3).inverse()
 
 
 # -- coefficient representation against a plain-Fraction reference ----------
@@ -232,14 +199,6 @@ def test_ring_ops_match_the_fraction_reference(a, b):
     assert_matches(3 * p + Fraction(1, 2), ref_add(ref_mul((Fraction(3),), ra), (Fraction(1, 2),)))
 
 
-@given(coef_lists, st.integers(min_value=0, max_value=4))
-def test_power_matches_the_fraction_reference(a, k):
-    want = (Fraction(1),)
-    for _ in range(k):
-        want = ref_mul(want, ref(a))
-    assert_matches(PolyC(tuple(a)) ** k, want)
-
-
 @given(coef_lists, nonzero_coef_lists)
 def test_div_exact_matches_the_fraction_reference(a, d):
     p, q = PolyC(tuple(a)), PolyC(tuple(d))
@@ -262,55 +221,11 @@ def test_non_integral_quotients_are_exact():
     assert PolyC.of(7).evaluate(2) == 7 and type(PolyC.of(7).evaluate(2)) is Fraction
 
 
-def ref_series_inverse(coeffs, order):
-    """Inverse of a series with rational constant term, over Fraction lists."""
-    lead = coeffs[0][0]
-    out = [(1 / lead,)]
-    for k in range(1, order + 1):
-        acc = ()
-        for j in range(1, k + 1):
-            if j < len(coeffs):
-                acc = ref_add(acc, ref_mul(coeffs[j], out[k - j]))
-        out.append(ref_mul(acc, (-1 / lead,)))
-    return out
-
-
-@given(
-    st.one_of(st.sampled_from([1, -1, 2, -3, 6]), small_fracs.filter(bool)),
-    st.lists(coef_lists, max_size=4),
-    st.lists(coef_lists, max_size=5),
-)
-def test_series_inverse_and_division_match_the_reference(lead, tail, num):
-    order = 4
-    u = SeriesZ.from_coeffs(order, [PolyC.const(lead)] + [PolyC(tuple(cs)) for cs in tail])
-    want = ref_series_inverse([ref([lead])] + [ref(cs) for cs in tail], order)
-    inverse = u.inverse()
-    for k in range(order + 1):
-        assert_matches(inverse.coeff(k), want[k])
-    s = SeriesZ.from_coeffs(order, [PolyC(tuple(cs)) for cs in num])
-    quotient = s / u
-    for k in range(order + 1):
-        acc = ()
-        for j in range(min(k + 1, len(num))):
-            acc = ref_add(acc, ref_mul(ref(num[j]), want[k - j]))
-        assert_matches(quotient.coeff(k), acc)
-
-
-def test_integer_lead_series_inverse_stays_exact():
-    u = SeriesZ.from_coeffs(3, [2, PolyC.c()])
-    inverse = u.inverse()
-    assert_matches(inverse.coeff(0), (Fraction(1, 2),))
-    assert_matches(inverse.coeff(1), (Fraction(0), Fraction(-1, 4)))
-    assert_matches(inverse.coeff(3), (Fraction(0), Fraction(0), Fraction(0), Fraction(-1, 16)))
-    assert u * inverse == SeriesZ.one(3)
-
-
 @given(coef_lists)
-def test_text_json_equality_and_hash_are_unchanged(cs):
+def test_text_equality_and_hash_are_unchanged(cs):
     want = ref(cs)
     p = PolyC(tuple(cs))
     assert str(p) == ref_str(want)
-    assert p.as_json() == [f"{a.numerator}/{a.denominator}" for a in want]
     same = PolyC(want)
-    assert p == same and PolyC.from_json(p.as_json()) == p
+    assert p == same
     assert hash(p) == hash(same) == hash((want,))
