@@ -987,7 +987,8 @@ def _parse_word(spec: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _resolve_ensemble(args: argparse.Namespace, max_degree: int,
-                      num_matrices: int) -> EnsembleConfig:
+                      num_matrices: int,
+                      mixed: tuple[int, int] | None = None) -> EnsembleConfig:
     cols = args.N
     try:
         ratio = Fraction(args.c) if args.c is not None else None
@@ -1014,6 +1015,7 @@ def _resolve_ensemble(args: argparse.Namespace, max_degree: int,
             max_degree=max_degree,
             seed=args.seed,
             ratio=ratio,
+            mixed=mixed,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -1043,7 +1045,15 @@ def _mc_record(chk) -> dict:
     }
 
 
+# read by the BLAS library when numpy first loads
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def cmd_mc(args: argparse.Namespace) -> tuple[dict, int]:
+    # the sampler's products are too small for a second BLAS thread to
+    # help, and its draws run on the other cores
+    if "numpy" not in sys.modules and not any(v in os.environ for v in BLAS_THREAD_VARIABLES):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     _load_numeric("rmt")
     start = time.perf_counter()
     if args.experiment == "diagonalize":
@@ -1059,12 +1069,12 @@ def cmd_mc(args: argparse.Namespace) -> tuple[dict, int]:
                 "only the length-two, degree-one alternating word is sampled; "
                 f"got degrees {word[0]}"
             )
-        config = _resolve_ensemble(args, args.max_degree, num_matrices)
+        pair = tuple(i - 1 for i in word[1]) if word is not None else None
+        config = _resolve_ensemble(args, args.max_degree, num_matrices, pair)
         samples = sample_traces(config)
         checks = evaluate_statistics(samples)
-        if word is not None:
-            first, second = word[1]
-            mixed = pair_variance_check(samples, first - 1, second - 1)
+        if pair is not None:
+            mixed = pair_variance_check(samples, *pair)
             # the suite already holds the word 1,1:1,2
             if all(chk.keys != mixed.keys for chk in checks):
                 checks.append(mixed)
@@ -1198,6 +1208,13 @@ def build_parser() -> argparse.ArgumentParser:
         "mc", parents=[common],
         help="sample Wishart ensembles and hold trace statistics against "
              "their exact limits",
+        description="Sample Wishart ensembles and hold trace statistics against "
+                    "their exact limits.  Each matrix's next batch of draws is "
+                    "made on a worker thread (one per matrix, up to the core "
+                    "count) while the current batch is multiplied; the draws "
+                    "are those of a serial run.  BLAS runs on one thread "
+                    "(OPENBLAS_NUM_THREADS=1) unless one of "
+                    f"{', '.join(BLAS_THREAD_VARIABLES)} is set.",
     )
     p_mc.add_argument("experiment", choices=("diagonalize", "raw-cov"))
     p_mc.add_argument("--N", type=_positive_int, default=200,
@@ -1214,8 +1231,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "raw-cov reads X1 only and takes only 1)")
     p_mc.add_argument("--samples", type=_positive_int, default=20000,
                       help="samples (default 20000); each stores p*max-degree power "
-                           "traces and p(p-1)/2 cross traces, at most "
-                           f"{MAX_STORED_TRACES} in all")
+                           "traces and the cross traces of matrices 1,2 and of the "
+                           f"--mixed pair, at most {MAX_STORED_TRACES} in all")
     p_mc.add_argument("--seed", type=_nonnegative_int, default=0)
     p_mc.add_argument("--max-degree", type=_positive_int, default=3,
                       help=f"diagonalize: largest degree (default 3, at most {MAX_DEGREE})")

@@ -99,23 +99,24 @@ def dot_encode(h: CircularHalfPerm) -> DotStructure:
     unprimed = [BLACK] * n
     primed = [WHITE] * n
     perm = h.perm
-    inv = perm.inverse()
+    # a cycle starts at its least point, so its minimum names it; the
+    # point before `init` in its cycle is perm^-1(init)
     if h.k >= 1 or h.designated_in == "complement":
         ref = h.bbar if h.k >= 1 else h.designated
-        open_sets = set(h.open_sets())
+        open_mins = {min(b) for b in h.opens}
         for block in perm.cycles():
             init = initial_point(perm, block, ref)
             unprimed[init - 1] = WHITE
-            if frozenset(block) not in open_sets:
-                primed[inv(init) - 1] = BLACK
+            if block[0] not in open_mins:
+                primed[block[block.index(init) - 1] - 1] = BLACK
     else:
-        designated = frozenset(h.designated)
+        designated = min(h.designated)
         for block in perm.cycles():
-            if frozenset(block) == designated:
+            if block[0] == designated:
                 continue
             init = initial_point(perm, block, h.designated)
             unprimed[init - 1] = WHITE
-            primed[inv(init) - 1] = BLACK
+            primed[block[block.index(init) - 1] - 1] = BLACK
     return DotStructure(n, tuple(unprimed), tuple(primed))
 
 

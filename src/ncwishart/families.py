@@ -262,12 +262,13 @@ def inverse_table(family: Family, size: int) -> TransitionMatrix:
 # --max-degree 30 --N 4 --samples 4` takes about 0.6 s end to end on a
 # 2-core Xeon VM
 MAX_DEGREE = 30
-# the Monte Carlo's memory: a batch of draws of p M-by-N matrices peaks at
-# about 46 bytes per complex entry (`mc diagonalize --p 1 --N 600
-# --samples 32`, 11.5M entries: 565 MB peak RSS), and the traces stored
-# for the whole run at about 16 bytes each once the statistics are read
-# (`--p 2 --max-degree 6 --N 2 --samples 1000000`, 13M traces: 250 MB);
-# at the caps the two take about 0.8 and 0.5 GB
+# the Monte Carlo's memory: a batch of draws of p M-by-N matrices, with
+# the next batch drawn meanwhile, peaks at about 80 bytes per complex
+# entry (`mc diagonalize --p 1 --N 600 --samples 64`, 11.5M entries a
+# batch: 917 MB peak RSS on a 2-core Xeon VM, whatever the degree), and
+# the traces stored for the whole run at about 16 bytes each once the
+# statistics are read (`--p 2 --max-degree 6 --N 2 --samples 1000000`,
+# 13M traces: 250 MB); at the caps the two take about 1.3 and 0.5 GB
 MAX_BATCH_ENTRIES = 2**24
 MAX_STORED_TRACES = 2**25
 

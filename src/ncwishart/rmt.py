@@ -23,12 +23,24 @@ Tr X^k = Tr W^k / (2N)^k.  It forms W^j only up to j = ceil(k/2) and reads
     Tr W^2j = |W^j|_F^2,    Tr W^(2j+1) = Re <W^j, W^(j+1)>_F,
 
 scaling by (2N)^-k once at the end.  The cross traces (2N)^2 Tr(X_i X_j)
-are <W_i, W_j>_F from the N-by-N Grams, or |G_i G_j*|_F^2 when M < N.
+are <W_i, W_j>_F from the N-by-N Grams, or |G_i G_j*|_F^2 when M < N,
+for the pairs the config names only.
+
+The draws run on worker threads, min(p, cores) of them: while this
+thread runs the Gram, power and Frobenius products of a batch, each
+matrix slot's next batch is drawn into two float buffers allocated once,
+one batch in flight per slot.  Each slot keeps its own generator, so the
+draws, and the traces, are those of drawing in turn.  For Grams of up
+to a few hundred rows a second BLAS thread only competes with the draws,
+so `mc` sets OPENBLAS_NUM_THREADS=1 before numpy loads unless a BLAS
+thread variable is already set.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
@@ -59,6 +71,10 @@ class EnsembleConfig:
     default ratio.  Passing an explicit `ratio` models a sequence whose
     limit differs from the finite-size ratio, e.g. rows=205, cols=200
     with ratio 1 gives c' = 5.
+
+    `mixed` names a second pair of matrices (numbered from 0) whose cross
+    trace is sampled, besides the pair (0, 1) that the suite reads when
+    at least two matrices are sampled; `pairs` lists them all.
     """
 
     rows: int
@@ -68,6 +84,7 @@ class EnsembleConfig:
     max_degree: int = 3
     seed: int = 0
     ratio: Fraction | None = None
+    mixed: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
@@ -85,7 +102,11 @@ class EnsembleConfig:
                 f"a batch of {p} matrices of {self.rows}x{self.cols} draws holds {batch} "
                 f"entries (cap {MAX_BATCH_ENTRIES}); lower --N, --M or --p"
             )
-        stored = (p * self.max_degree + p * (p - 1) // 2) * self.num_samples
+        if self.mixed is not None:
+            i, j = self.mixed
+            if i == j or not (0 <= i < p and 0 <= j < p):
+                raise ValueError(f"mixed pair {self.mixed} needs two of the {p} matrices")
+        stored = (p * self.max_degree + len(self.pairs)) * self.num_samples
         if stored > MAX_STORED_TRACES:
             raise ValueError(
                 f"{self.num_samples} samples store {stored} traces "
@@ -93,6 +114,14 @@ class EnsembleConfig:
             )
         if self.ratio is not None and self.ratio <= 0:
             raise ValueError("ratio must be positive")
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The pairs i < j whose cross traces Tr(X_i X_j) are sampled."""
+        pairs = {(0, 1)} if self.num_matrices >= 2 else set()
+        if self.mixed is not None:
+            pairs.add((min(self.mixed), max(self.mixed)))
+        return tuple(sorted(pairs))
 
     @property
     def c(self) -> Fraction:
@@ -106,12 +135,14 @@ class EnsembleConfig:
 @dataclass
 class TraceSamples:
     """Per-sample traces: powers[i, k-1, s] = Tr(X_i^k) for sample s, and
-    pair_traces[(i, j)][s] = Tr(X_i X_j) for i < j.
+    pair_traces[(i, j)][s] = Tr(X_i X_j) for each (i, j) in config.pairs.
 
     `sample_traces` reads them off the smaller Gram W of each draw G (G G*
     when rows < cols, else G*G), as Tr W^2j = |W^j|_F^2 and Tr W^(2j+1) =
     Re <W^j, W^(j+1)>_F, scaled by (2N)^-k; the draws are those of forming
-    X = G*G / 2N in full, and so are the traces, to rounding."""
+    X = G*G / 2N in full, and so are the traces, to rounding.  The next
+    batch of draws is made on a worker thread while the current one is
+    multiplied; the values are bit for bit those of drawing in turn."""
 
     config: EnsembleConfig
     powers: np.ndarray
@@ -128,50 +159,86 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
+def _draw(gen: np.random.Generator, re: np.ndarray, im: np.ndarray) -> None:
+    """One batch of a slot's draws: the real parts, then the imaginary ones."""
+    gen.standard_normal(out=re)
+    gen.standard_normal(out=im)
+
+
+def _power_traces(g: np.ndarray, wide: bool, out: np.ndarray) -> np.ndarray:
+    """Fill out[k-1] with Tr W^k for each draw of the batch g, W its
+    smaller Gram, and return W.  Only the last two powers are held."""
+    g_star = g.conj().transpose(0, 2, 1)
+    w = np.matmul(g, g_star) if wide else np.matmul(g_star, g)
+    out[0] = np.einsum("bii->b", w).real
+    high = w  # W^j
+    for k in range(2, len(out) + 1):
+        if k % 2:  # Tr W^(2j+1) = Re<W^j, W^(j+1)>
+            low, high = high, np.matmul(high, w)
+            out[k - 1] = _inner(low, high)
+        else:  # Tr W^2j = |W^j|^2
+            out[k - 1] = _inner(high, high)
+    return w
+
+
+def _cross_trace(a: np.ndarray, b: np.ndarray, wide: bool) -> np.ndarray:
+    """(2N)^2 Tr(X_i X_j) for each draw: |G_i G_j*|^2 from the draws when
+    wide, else <W_i, W_j> from the N-by-N Grams."""
+    if wide:  # Tr(G_i* G_i G_j* G_j) = |G_i G_j*|^2
+        cross = np.matmul(a, b.conj().transpose(0, 2, 1))
+        return _inner(cross, cross)
+    return _inner(a, b)
+
+
 def sample_traces(config: EnsembleConfig) -> TraceSamples:
-    """Run the Monte Carlo and collect trace statistics."""
+    """Run the Monte Carlo and collect trace statistics.
+
+    Each slot's next batch is drawn on a worker thread (numpy's draws
+    release the GIL) while this thread runs the products of the current
+    one; the worker fills the slot's two float buffers, which are copied
+    out before its next draw is submitted."""
     m, n, p = config.rows, config.cols, config.num_matrices
     total = config.num_samples
-    deg = config.max_degree
     root = np.random.SeedSequence(config.seed)
     gens = [np.random.default_rng(child) for child in root.spawn(p)]
     wide = m < n  # the Gram G G* is the smaller one
-    top = (deg + 1) // 2  # Tr W^k needs W^j for j <= ceil(k/2) only
 
-    powers = np.empty((p, deg, total))
-    pairs = {
-        (i, j): np.empty(total) for i in range(p) for j in range(i + 1, p)
-    }
+    powers = np.empty((p, config.max_degree, total))
+    pairs = {pair: np.empty(total) for pair in config.pairs}
+    needed = {i for pair in pairs for i in pair}
+    size = min(_BATCH, total)
+    parts = [(np.empty((size, m, n)), np.empty((size, m, n))) for _ in range(p)]
+    pool = ThreadPoolExecutor(max(1, min(p, os.cpu_count() or 1)))
 
-    done = 0
-    while done < total:
-        b = min(_BATCH, total - done)
-        sl = slice(done, done + b)
-        draws, grams = [], []
-        for i in range(p):
-            g = np.empty((b, m, n), dtype=np.complex128)
-            g.real = gens[i].standard_normal((b, m, n))
-            g.imag = gens[i].standard_normal((b, m, n))
-            g_star = g.conj().transpose(0, 2, 1)
-            w = np.matmul(g, g_star) if wide else np.matmul(g_star, g)
-            w_powers = [w]
-            for _ in range(1, top):
-                w_powers.append(np.matmul(w_powers[-1], w))
-            powers[i, 0, sl] = np.einsum("bii->b", w).real
-            for k in range(2, deg + 1):
-                # Tr W^2j = |W^j|^2 and Tr W^(2j+1) = Re<W^j, W^(j+1)>
-                powers[i, k - 1, sl] = _inner(w_powers[k // 2 - 1], w_powers[(k - 1) // 2])
-            draws.append(g)
-            grams.append(w)
-        for (i, j), out in pairs.items():
-            if wide:  # Tr(G_i* G_i G_j* G_j) = |G_i G_j*|^2
-                cross = np.matmul(draws[i], draws[j].conj().transpose(0, 2, 1))
-                out[sl] = _inner(cross, cross)
-            else:
-                out[sl] = _inner(grams[i], grams[j])
-        done += b
+    def submit(i: int, b: int) -> Future:
+        re, im = parts[i]
+        return pool.submit(_draw, gens[i], re[:b], im[:b])
+
+    try:
+        pending = [submit(i, size) for i in range(p)]
+        for done in range(0, total, _BATCH):
+            b = min(_BATCH, total - done)
+            after = min(_BATCH, total - done - b)
+            sl = slice(done, done + b)
+            kept = {}  # what the cross traces read: the draws when wide, else the Grams
+            for i in range(p):
+                pending[i].result()
+                g = np.empty((b, m, n), dtype=np.complex128)
+                g.real, g.imag = parts[i][0][:b], parts[i][1][:b]
+                if after:
+                    pending[i] = submit(i, after)
+                else:  # the last batch: free the buffers before the products
+                    parts[i] = None
+                w = _power_traces(g, wide, powers[i, :, sl])
+                if i in needed:
+                    kept[i] = g if wide else w
+                del g, w  # so that the next slot's batch is not allocated beside them
+            for (i, j), out in pairs.items():
+                out[sl] = _cross_trace(kept[i], kept[j], wide)
+    finally:
+        pool.shutdown(cancel_futures=True)
     # X = G*G / 2N: undo the unit-variance draws in one pass per power
-    powers *= (2.0 * n) ** -np.arange(1, deg + 1)[:, None]
+    powers *= (2.0 * n) ** -np.arange(1, config.max_degree + 1)[:, None]
     for out in pairs.values():
         out /= (2.0 * n) ** 2
     return TraceSamples(config=config, powers=powers, pair_traces=pairs)
@@ -215,8 +282,10 @@ def pi_pair_trace(samples: TraceSamples, i: int, j: int) -> np.ndarray:
     if i == j:
         raise ValueError("the two letters must differ")
     cfg = samples.config
-    a, b = min(i, j), max(i, j)
-    cross = samples.pair_traces[(a, b)]
+    pair = (min(i, j), max(i, j))
+    if pair not in samples.pair_traces:
+        raise ValueError(f"the cross trace of matrices {pair} was not sampled")
+    cross = samples.pair_traces[pair]
     c = float(cfg.c)
     return (
         cross

@@ -331,6 +331,25 @@ def test_raw_cov_and_diagonalize_report_the_same_power_covariance(capsys):
     assert record("diagonalize", "--max-degree", "3") == raw
 
 
+def test_mc_samples_only_the_pairs_it_reads(capsys, monkeypatch):
+    seen = []
+    sample = cli.sample_traces
+
+    def recording(config):
+        seen.append(config.pairs)
+        return sample(config)
+
+    monkeypatch.setattr(cli, "sample_traces", recording)
+    argv = ["mc", "diagonalize", "--p", "4", "--mixed", "1,1:3,2", "--N", "6",
+            "--samples", "40", "--format", "json"]
+    main(argv)
+    report = json.loads(capsys.readouterr()[0])
+    assert seen == [((0, 1), (1, 2))]
+    keys = [rec["key_a"] for rec in report["covariance"]]
+    assert keys.count("tr pi[1](X1) pi[1](X2)") == 1
+    assert keys.count("tr pi[1](X3) pi[1](X2)") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

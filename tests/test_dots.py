@@ -25,7 +25,7 @@ from ncwishart.dots import (
     recursion_class,
 )
 from ncwishart.families import Family, inverse_table
-from ncwishart.halfperm import CircularHalfPerm, enum_ncc
+from ncwishart.halfperm import CircularHalfPerm, enum_ncc, initial_point
 from ncwishart.perms import Perm
 from ncwishart.polyc import PolyC
 
@@ -37,6 +37,39 @@ def gbar(n, k):
     if not 0 <= k <= n:
         return PolyC.zero()
     return inverse_table(Family.GAMMA_TILDE, n + 1).entry(n, k)
+
+
+def reference_dot_encode(h):
+    """dot_encode as first written, kept as its oracle: blocks are told
+    apart as sets and the final point of a block is read off perm^-1."""
+    n = h.n
+    unprimed = [BLACK] * n
+    primed = [WHITE] * n
+    perm = h.perm
+    inv = perm.inverse()
+    if h.k >= 1 or h.designated_in == "complement":
+        ref = h.bbar if h.k >= 1 else h.designated
+        open_sets = set(h.open_sets())
+        for block in perm.cycles():
+            init = initial_point(perm, block, ref)
+            unprimed[init - 1] = WHITE
+            if frozenset(block) not in open_sets:
+                primed[inv(init) - 1] = BLACK
+    else:
+        for block in perm.cycles():
+            if frozenset(block) == frozenset(h.designated):
+                continue
+            init = initial_point(perm, block, h.designated)
+            unprimed[init - 1] = WHITE
+            primed[inv(init) - 1] = BLACK
+    return DotStructure(n, tuple(unprimed), tuple(primed))
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_encode_matches_the_set_based_reference(n):
+    for k in range(n + 1):
+        for h in enum_ncc(n, k):
+            assert dot_encode(h) == reference_dot_encode(h)
 
 
 class TestFrozenStructures:

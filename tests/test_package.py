@@ -2,7 +2,9 @@
 wrapper can replace, and numpy loaded only by the commands that compute in
 floating point.  Each import check runs in a fresh interpreter."""
 
+import contextlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -14,15 +16,17 @@ from pathlib import Path
 import pytest
 
 import ncwishart
+from ncwishart import cli
 
 SRC = str(Path(ncwishart.__file__).resolve().parents[1])
 
 
-def run_fresh(code: str):
-    """Run `code` in a fresh interpreter; return its last stdout line as JSON."""
+def run_fresh(code: str, env=None):
+    """Run `code` in a fresh interpreter (in `env`, by default this one's);
+    return its last stdout line as JSON."""
     proc = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code)],
-        env={**os.environ, "PYTHONPATH": SRC},
+        env={**(os.environ if env is None else env), "PYTHONPATH": SRC},
         capture_output=True, text=True, timeout=120, check=False,
     )
     assert proc.returncode == 0, proc.stderr
@@ -30,14 +34,15 @@ def run_fresh(code: str):
 
 
 MAIN = """
-    import contextlib, io, json, sys
+    import contextlib, io, json, os, sys
     from ncwishart import cli
     with contextlib.redirect_stdout(io.StringIO()):
         try:
             code = cli.main({argv!r})
         except SystemExit as exc:  # --help
             code = exc.code
-    print(json.dumps([code, "numpy" in sys.modules]))
+    print(json.dumps([code, "numpy" in sys.modules, "concurrent.futures" in sys.modules,
+                      os.environ.get("OPENBLAS_NUM_THREADS")]))
 """
 
 # (argv, exit code); the forward family has no fixture, so --check is a
@@ -76,7 +81,41 @@ def test_importing_the_package_leaves_numpy_out():
     ids=lambda value: " ".join(value) if isinstance(value, list) else str(value),
 )
 def test_only_the_floating_point_commands_load_numpy(argv, code, numpy):
-    assert run_fresh(MAIN.format(argv=argv)) == [code, numpy]
+    got = run_fresh(MAIN.format(argv=argv))
+    assert got[:2] == [code, numpy]
+    if not numpy:  # nor the sampler's thread pool
+        assert got[2] is False
+
+
+MC = NUMERIC_COMMANDS[1][0]
+
+
+@pytest.mark.parametrize(
+    "argv,env,pinned",
+    [
+        (MC, {}, "1"),
+        (MC, {"OMP_NUM_THREADS": "3"}, None),
+        (MC, {"MKL_NUM_THREADS": "2"}, None),
+        (NUMERIC_COMMANDS[0][0], {}, None),
+    ],
+    ids=["mc", "mc with OMP_NUM_THREADS", "mc with MKL_NUM_THREADS", "verify wick"],
+)
+def test_mc_runs_blas_on_one_thread_unless_a_thread_count_is_set(argv, env, pinned):
+    base = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARIABLES}
+    got = run_fresh(MAIN.format(argv=argv), env={**base, **env})
+    assert got[0] == 0 and got[1] is True
+    assert got[3] == pinned
+
+
+def test_mc_after_numpy_is_loaded_leaves_the_environment_alone(monkeypatch):
+    import numpy  # noqa: F401  (BLAS has read its settings)
+
+    for name in cli.BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    before = dict(os.environ)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(MC) == 0
+    assert dict(os.environ) == before
 
 
 def test_every_public_name_is_its_defining_module_attribute():

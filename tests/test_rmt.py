@@ -2,6 +2,7 @@
 acceptance-scale run lives in the acceptance suite)."""
 
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from ncwishart.rmt import (
     _BATCH,
     EnsembleConfig,
     StatCheck,
+    _inner,
     centered_trace_covariance_limit,
     centered_trace_mean_limit,
     covariance_check,
@@ -70,6 +72,32 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"cap {MAX_STORED_TRACES}"):
             EnsembleConfig(rows=2, cols=2, num_matrices=2, num_samples=most + 1)
 
+    def test_the_store_counts_only_the_sampled_pairs(self):
+        # 8 matrices at degree 1 store 8 powers and the one pair (0, 1)
+        most = MAX_STORED_TRACES // 9
+        EnsembleConfig(rows=2, cols=2, num_matrices=8, max_degree=1, num_samples=most)
+        with pytest.raises(ValueError, match=f"cap {MAX_STORED_TRACES}"):
+            EnsembleConfig(rows=2, cols=2, num_matrices=8, max_degree=1, num_samples=most + 1)
+        # a --mixed pair other than (0, 1) is one more trace a sample
+        with pytest.raises(ValueError, match=f"cap {MAX_STORED_TRACES}"):
+            EnsembleConfig(rows=2, cols=2, num_matrices=8, max_degree=1, num_samples=most,
+                           mixed=(7, 2))
+
+    @pytest.mark.parametrize("p,mixed,pairs", [
+        (1, None, ()),
+        (2, None, ((0, 1),)),
+        (8, None, ((0, 1),)),
+        (3, (1, 0), ((0, 1),)),
+        (4, (3, 1), ((0, 1), (1, 3))),
+    ], ids=str)
+    def test_the_sampled_pairs(self, p, mixed, pairs):
+        assert EnsembleConfig(rows=2, cols=2, num_matrices=p, mixed=mixed).pairs == pairs
+
+    @pytest.mark.parametrize("mixed", [(0, 0), (0, 2), (-1, 1)], ids=str)
+    def test_the_mixed_pair_names_two_sampled_matrices(self, mixed):
+        with pytest.raises(ValueError, match="mixed pair"):
+            EnsembleConfig(rows=2, cols=2, num_matrices=2, mixed=mixed)
+
     def test_default_parameters_are_exact(self):
         cfg = EnsembleConfig(rows=100, cols=200)
         assert cfg.c == Fraction(1, 2)
@@ -125,6 +153,13 @@ class TestSampling:
         with pytest.raises(ValueError, match="must differ"):
             pi_pair_trace(s, 1, 1)
 
+    def test_an_unsampled_pair_is_refused(self):
+        cfg = EnsembleConfig(rows=2, cols=2, num_matrices=3, num_samples=5, seed=0)
+        s = sample_traces(cfg)
+        assert s.pair_traces.keys() == {(0, 1)}
+        with pytest.raises(ValueError, match="not sampled"):
+            pi_pair_trace(s, 2, 1)
+
     def test_degree_one_polynomial_trace_is_the_centered_power(self):
         cfg = EnsembleConfig(rows=4, cols=4, num_samples=10, seed=2)
         s = sample_traces(cfg)
@@ -142,7 +177,7 @@ def dense_sample_traces(config):
     gens = [np.random.default_rng(child)
             for child in np.random.SeedSequence(config.seed).spawn(p)]
     powers = np.empty((p, deg, total))
-    pairs = {(i, j): np.empty(total) for i in range(p) for j in range(i + 1, p)}
+    pairs = {pair: np.empty(total) for pair in config.pairs}
     done = 0
     while done < total:
         b = min(_BATCH, total - done)
@@ -165,6 +200,11 @@ def dense_sample_traces(config):
     return powers, pairs
 
 
+def mixed_pair(p):
+    """A --mixed pair other than (0, 1) once there are three matrices."""
+    return (p - 1, p - 2) if p >= 3 else None
+
+
 class TestAgainstTheDenseSampler:
     # rows < cols forms G G*, rows >= cols forms G*G; 2 batches and a part
     @pytest.mark.parametrize("shape", [(3, 5), (4, 4), (5, 3)], ids=str)
@@ -173,13 +213,98 @@ class TestAgainstTheDenseSampler:
     def test_traces_match(self, shape, degree, p):
         rows, cols = shape
         cfg = EnsembleConfig(rows=rows, cols=cols, num_matrices=p,
-                             num_samples=2 * _BATCH + 7, max_degree=degree, seed=5)
+                             num_samples=2 * _BATCH + 7, max_degree=degree, seed=5,
+                             mixed=mixed_pair(p))
         s = sample_traces(cfg)
         powers, pairs = dense_sample_traces(cfg)
         np.testing.assert_allclose(s.powers, powers, rtol=1e-12, atol=0)
         assert s.pair_traces.keys() == pairs.keys()
         for key, want in pairs.items():
             np.testing.assert_allclose(s.pair_traces[key], want, rtol=1e-12, atol=0)
+
+
+def serial_sample_traces(config):
+    """The sampler with its draws made in turn on one thread, kept as the
+    oracle of the pipelined sample_traces: same draws, same products."""
+    m, n, p = config.rows, config.cols, config.num_matrices
+    total, deg = config.num_samples, config.max_degree
+    gens = [np.random.default_rng(child)
+            for child in np.random.SeedSequence(config.seed).spawn(p)]
+    wide = m < n
+    top = (deg + 1) // 2
+    powers = np.empty((p, deg, total))
+    pairs = {pair: np.empty(total) for pair in config.pairs}
+    done = 0
+    while done < total:
+        b = min(_BATCH, total - done)
+        sl = slice(done, done + b)
+        draws, grams = [], []
+        for i in range(p):
+            g = np.empty((b, m, n), dtype=np.complex128)
+            g.real = gens[i].standard_normal((b, m, n))
+            g.imag = gens[i].standard_normal((b, m, n))
+            g_star = g.conj().transpose(0, 2, 1)
+            w = np.matmul(g, g_star) if wide else np.matmul(g_star, g)
+            w_powers = [w]
+            for _ in range(1, top):
+                w_powers.append(np.matmul(w_powers[-1], w))
+            powers[i, 0, sl] = np.einsum("bii->b", w).real
+            for k in range(2, deg + 1):
+                powers[i, k - 1, sl] = _inner(w_powers[k // 2 - 1], w_powers[(k - 1) // 2])
+            draws.append(g)
+            grams.append(w)
+        for (i, j), out in pairs.items():
+            if wide:
+                cross = np.matmul(draws[i], draws[j].conj().transpose(0, 2, 1))
+                out[sl] = _inner(cross, cross)
+            else:
+                out[sl] = _inner(grams[i], grams[j])
+        done += b
+    powers *= (2.0 * n) ** -np.arange(1, deg + 1)[:, None]
+    for out in pairs.values():
+        out /= (2.0 * n) ** 2
+    return powers, pairs
+
+
+class TestAgainstTheSerialSampler:
+    @pytest.mark.parametrize("shape", [(4, 6), (5, 5), (6, 4)], ids=str)
+    @pytest.mark.parametrize("p", range(1, 5))
+    @pytest.mark.parametrize("samples", [2, _BATCH - 1, _BATCH, _BATCH + 1, 71])
+    @pytest.mark.parametrize("degree", range(1, 7))
+    def test_traces_are_bit_identical(self, shape, p, samples, degree):
+        rows, cols = shape
+        cfg = EnsembleConfig(rows=rows, cols=cols, num_matrices=p, num_samples=samples,
+                             max_degree=degree, seed=17, mixed=mixed_pair(p))
+        s = sample_traces(cfg)
+        powers, pairs = serial_sample_traces(cfg)
+        assert np.array_equal(s.powers, powers)
+        assert s.pair_traces.keys() == pairs.keys()
+        for key, want in pairs.items():
+            assert np.array_equal(s.pair_traces[key], want)
+
+    def test_a_failed_draw_is_raised_at_once_and_stops_the_workers(self, monkeypatch):
+        calls = []
+
+        class FailingGenerator:
+            def __init__(self, seed):
+                self._gen = real_default_rng(seed)
+
+            def standard_normal(self, *args, **kwargs):
+                calls.append(self)
+                if calls.count(self) == 3:
+                    raise RuntimeError("draw failed")
+                return self._gen.standard_normal(*args, **kwargs)
+
+        real_default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", FailingGenerator)
+        threads = threading.active_count()
+        cfg = EnsembleConfig(rows=3, cols=3, num_matrices=2, num_samples=10 * _BATCH)
+        with pytest.raises(RuntimeError, match="draw failed"):
+            sample_traces(cfg)
+        assert threading.active_count() == threads
+        # the third call is the first of the second batch; the sampler
+        # stops there instead of drawing on
+        assert max(calls.count(gen) for gen in set(calls)) == 3
 
 
 def exact_moment(k, rows, cols):
