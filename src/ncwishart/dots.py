@@ -4,8 +4,8 @@ A dot structure places a black or white dot on each of the 2n positions
 1, 1', 2, 2', ..., n, n' around a circle.  The structures with j black
 dots on primed positions and j + k white dots on unprimed positions are
 in bijection with the circular half-permutations of [n] having k open
-and j closed blocks (j = weight exponent for k = 0, where the designated
-block's location decides the count).  Since the number of such dot
+and j closed blocks, a designated block not counted (j is the weight
+exponent).  Since the number of such dot
 structures is plainly C(n,j)·C(n,j+k), the bijection proves the
 closed-block generating identities that the transition matrices of
 `families` compute by linear algebra.
@@ -88,10 +88,9 @@ def dot_encode(h: CircularHalfPerm) -> DotStructure:
     """Color the 2n dots from a circular half-permutation.
 
     Whites go on the initial point of every block (walked from the
-    collecting cycle, or from the designated block when k = 0) and on
-    every primed position that is not the final point of a closed block;
-    a designated block of the partition itself gets no marks at all
-    (black unprimed, white primed throughout).
+    collecting cycle, or from the designated block) and on every primed
+    position that is not the final point of a closed block; a designated
+    block gets no marks at all (black unprimed, white primed throughout).
     """
     n = h.n
     if n == 0:
@@ -99,23 +98,17 @@ def dot_encode(h: CircularHalfPerm) -> DotStructure:
     unprimed = [BLACK] * n
     primed = [WHITE] * n
     perm = h.perm
+    ref = h.bbar or h.designated
     # a cycle starts at its least point, so its minimum names it; the
     # point before `init` in its cycle is perm^-1(init)
-    if h.k >= 1 or h.designated_in == "complement":
-        ref = h.bbar if h.k >= 1 else h.designated
-        open_mins = {min(b) for b in h.opens}
-        for block in perm.cycles():
-            init = initial_point(perm, block, ref)
-            unprimed[init - 1] = WHITE
-            if block[0] not in open_mins:
-                primed[block[block.index(init) - 1] - 1] = BLACK
-    else:
-        designated = min(h.designated)
-        for block in perm.cycles():
-            if block[0] == designated:
-                continue
-            init = initial_point(perm, block, h.designated)
-            unprimed[init - 1] = WHITE
+    unmarked = h.designated[0] if h.designated else None
+    open_mins = {min(b) for b in h.opens}
+    for block in perm.cycles():
+        if block[0] == unmarked:
+            continue
+        init = initial_point(perm, block, ref)
+        unprimed[init - 1] = WHITE
+        if block[0] not in open_mins:
             primed[block[block.index(init) - 1] - 1] = BLACK
     return DotStructure(n, tuple(unprimed), tuple(primed))
 
@@ -206,9 +199,7 @@ def dot_decode(d: DotStructure) -> CircularHalfPerm:
             comp = complement(perm)
             if set(comp.cycle_containing(members[0])) != set(members):
                 raise AssertionError(f"walk-accepted points {members} are no complement cycle")
-            return CircularHalfPerm(
-                n=n, perm=perm, designated=members, designated_in="complement"
-            )
+            return CircularHalfPerm(n=n, perm=perm, bbar=members)
         if perm.num_cycles() != j + 1:
             raise AssertionError(f"{perm.num_cycles()} blocks decoded for j={j}")
         unmarked = [
@@ -218,9 +209,7 @@ def dot_decode(d: DotStructure) -> CircularHalfPerm:
         ]
         if len(unmarked) != 1:
             raise AssertionError(f"{len(unmarked)} unmarked blocks, expected one")
-        return CircularHalfPerm(
-            n=n, perm=perm, designated=unmarked[0], designated_in="perm"
-        )
+        return CircularHalfPerm(n=n, perm=perm, designated=unmarked[0])
 
     initials = sorted(opener // 2 + 1 for opener, _ in second)
     by_point = {i: b for b in blocks for i in b}

@@ -3,10 +3,10 @@
 A circular half-permutation is one circle's worth of an annular
 permutation: a non-crossing permutation together with a record of which
 blocks were severed (the *open* blocks) and where they exited (one point
-per open block, all exits collected by a single cycle of the Kreweras
-complement).  With zero open blocks the extra datum is instead a
-*designated* block, taken either from the permutation or from its
-complement.
+per open block, all exits collected by a single cycle `bbar` of the
+Kreweras complement).  With zero open blocks the extra datum is either
+such a collecting cycle, which then collects nothing, or a *designated*
+block of the permutation.
 
 `cut` and `reassemble` realize the annulus <-> pair-of-halves bijection:
 an annular permutation with k through-cycles cuts into two halves with k
@@ -19,9 +19,9 @@ matrices of `families` produce by exact linear algebra; the test suite
 holds the two routes against each other.
 
 A linear half-permutation is a circular one whose collecting cycle
-contains 1, so `LinearHalfPerm` is a `CircularHalfPerm` subclass with no
-fields of its own: its `__post_init__` runs the circular checks and then
-the linear condition.
+contains 1, whatever k (so it designates no block), and `LinearHalfPerm`
+is a `CircularHalfPerm` subclass with no fields of its own: its
+`__post_init__` runs the circular checks and then the linear condition.
 
 Construction checks: `enum_ncc`, `enum_ncl` and `cut` build their halves
 in normal form through `perms._unchecked`, without re-running the
@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
+from .families import Family, inverse_table
 from .perms import (
     AnnularPerm,
     Perm,
@@ -114,12 +115,23 @@ class WeightRule(enum.Enum):
 class CircularHalfPerm:
     """One circle's half of a severed annular permutation.
 
-    For k >= 1 open blocks: `bbar` is the cycle of the Kreweras
-    complement collecting the exit points, and each entry of `opens` is a
-    cycle of `perm` rotated to start at its exit (initial) point, the
-    tuple sorted by those points.  For k = 0: `designated` names a block
-    of `perm` (`designated_in="perm"`) or of its complement
-    (`designated_in="complement"`).
+    `bbar` is the cycle of the Kreweras complement collecting the exit
+    points, and each entry of `opens` is a cycle of `perm` rotated to
+    start at its exit (initial) point, the tuple sorted by those points.
+    With zero open blocks the collecting cycle collects nothing; a half
+    may then name a block of `perm` as `designated` in its place.  Both
+    blocks are stored sorted, and only the empty half has neither.
+
+    The text form lists the open blocks in brackets, then the closed
+    blocks; with no open blocks it marks the collecting cycle with *c
+    or the designated block with *:
+
+    >>> [str(h) for h in enum_ncc(2, 1)]
+    ['[1](2)', '[2](1)', '[1,2]', '[2,1]']
+    >>> str(make_circular(3, Perm((2, 1, 3)), (), (1, 3)))
+    '(1,2)(3)*c(1,3)'
+    >>> str(CircularHalfPerm(n=3, perm=Perm((2, 1, 3)), designated=(1, 2)))
+    '(1,2)(3)*(1,2)'
     """
 
     n: int
@@ -127,7 +139,6 @@ class CircularHalfPerm:
     opens: tuple[tuple[int, ...], ...] = ()
     bbar: tuple[int, ...] | None = None
     designated: tuple[int, ...] | None = None
-    designated_in: str | None = None
 
     def __post_init__(self) -> None:
         if self.perm.size != self.n:
@@ -135,13 +146,18 @@ class CircularHalfPerm:
         noncrossing, blocks, comp_blocks = _perm_data(self.perm)
         if not noncrossing:
             raise ValueError(f"{self.perm} is not non-crossing")
-        if self.opens:
-            if self.designated is not None or self.designated_in is not None:
-                raise ValueError("open blocks and a designated block are exclusive")
-            if self.bbar is None:
-                raise ValueError("open blocks need the collecting complement cycle")
+        if self.designated is not None:
+            if self.bbar is not None or self.opens:
+                raise ValueError("a designated block and a collecting cycle are exclusive")
+            if frozenset(self.designated) not in blocks:
+                raise ValueError(f"{self.designated} is not a block of the perm")
+            if tuple(sorted(self.designated)) != self.designated:
+                raise ValueError("designated block must be sorted")
+        elif self.bbar is not None:
             if frozenset(self.bbar) not in comp_blocks:
                 raise ValueError(f"{self.bbar} is not a complement cycle")
+            if tuple(sorted(self.bbar)) != self.bbar:
+                raise ValueError("collecting cycle must be sorted")
             bbar = set(self.bbar)
             initials = []
             for block in self.opens:
@@ -162,24 +178,10 @@ class CircularHalfPerm:
                 raise ValueError("open blocks must be sorted by initial point")
             if len(set(map(frozenset, self.opens))) != len(self.opens):
                 raise ValueError("open blocks must be distinct")
-        else:
-            if self.bbar is not None:
-                raise ValueError("a collecting cycle needs open blocks")
-            if self.n == 0:
-                if self.designated is not None or self.designated_in is not None:
-                    raise ValueError("the empty diagram carries no designated block")
-                return
-            if self.designated is None or self.designated_in not in ("perm", "complement"):
-                raise ValueError(
-                    "zero open blocks need a designated block in 'perm' or 'complement'"
-                )
-            where = blocks if self.designated_in == "perm" else comp_blocks
-            if frozenset(self.designated) not in where:
-                raise ValueError(
-                    f"{self.designated} is not a block of the {self.designated_in}"
-                )
-            if tuple(sorted(self.designated)) != self.designated:
-                raise ValueError("designated block must be sorted")
+        elif self.n or self.opens:
+            raise ValueError(
+                "only the empty half has neither a collecting cycle nor a designated block"
+            )
 
     @property
     def k(self) -> int:
@@ -201,28 +203,16 @@ class CircularHalfPerm:
         return tuple(b[0] for b in self.opens)
 
     def closed_weight_exponent(self) -> int:
-        """Exponent of c under the closed-blocks rule.
-
-        With open blocks present this is simply the number of closed
-        blocks.  With zero open blocks the designated block's location
-        decides between c^(#blocks) (designated in the complement) and
-        c^(#blocks - 1) (designated in the permutation).
-        """
-        if self.opens:
-            return self.num_closed
-        if self.designated is None:
-            return 0
-        if self.designated_in == "complement":
-            return self.perm.num_cycles()
-        return self.perm.num_cycles() - 1
+        """Exponent of c under the closed-blocks rule: the number of closed
+        blocks, less one for a designated block."""
+        return self.perm.num_cycles() - self.k - (self.designated is not None)
 
     def sort_key(self):
         return (
             self.perm.image,
             self.opens,
-            self.bbar or (),
-            self.designated or (),
-            self.designated_in or "",
+            self.designated or self.bbar or (),
+            self.designated is not None,
         )
 
     def __str__(self) -> str:
@@ -231,23 +221,28 @@ class CircularHalfPerm:
         closed = "".join(
             "(" + ",".join(map(str, b)) + ")" for b in self.closed_blocks()
         )
-        opened = "".join("[" + ",".join(map(str, b)) + "]" for b in self.opens)
-        if self.designated is not None:
-            mark = "c" if self.designated_in == "complement" else ""
-            return closed + "*" + mark + "(" + ",".join(map(str, self.designated)) + ")"
-        return opened + closed
+        if self.opens:
+            return "".join("[" + ",".join(map(str, b)) + "]" for b in self.opens) + closed
+        mark, block = ("c", self.bbar) if self.designated is None else ("", self.designated)
+        return closed + "*" + mark + "(" + ",".join(map(str, block)) + ")"
 
 
-def _normal_opens(perm: Perm, open_sets, bbar_t) -> tuple[tuple[int, ...], ...]:
-    """Raw open block sets in normal form: each rotated to start at its
-    initial point, the tuple sorted by those points."""
-    opens = []
-    for b in open_sets:
-        b_sorted = tuple(sorted(b))
-        x = initial_point(perm, b_sorted, bbar_t)
-        opens.append(_rotate_to(b_sorted, x))
-    opens.sort(key=lambda blk: blk[0])
-    return tuple(opens)
+def _normal_opens(blocks, bbar) -> tuple[tuple[int, ...], ...]:
+    """Blocks in open-block normal form against the sorted complement
+    cycle `bbar`: each rotated to start at the one point it shares with
+    bbar, the tuple sorted by those points.  Raises ValueError for a
+    block that meets bbar in any other number of points."""
+    members = set(bbar)
+    out = []
+    for b in blocks:
+        common = members.intersection(b)
+        if len(common) != 1:
+            raise ValueError(
+                f"open block {tuple(sorted(b))} meets {bbar} in {len(common)} points"
+            )
+        out.append(_rotate_to(tuple(sorted(b)), *common))
+    out.sort()
+    return tuple(out)
 
 
 def make_circular(n: int, perm: Perm, open_sets, bbar) -> CircularHalfPerm:
@@ -255,33 +250,13 @@ def make_circular(n: int, perm: Perm, open_sets, bbar) -> CircularHalfPerm:
     open block sets and collecting cycle, recomputing all normal forms."""
     bbar_t = tuple(sorted(bbar))
     return CircularHalfPerm(
-        n=n, perm=perm, opens=_normal_opens(perm, open_sets, bbar_t), bbar=bbar_t
+        n=n, perm=perm, opens=_normal_opens(open_sets, bbar_t), bbar=bbar_t
     )
 
 
-def _circular(n, perm, opens=(), bbar=None, designated=None, designated_in=None,
-              cls=CircularHalfPerm):
+def _circular(n, perm, opens=(), bbar=None, designated=None, cls=CircularHalfPerm):
     """A half of class `cls` from fields already in normal form, unchecked."""
-    return _unchecked(
-        cls, n=n, perm=perm, opens=opens, bbar=bbar,
-        designated=designated, designated_in=designated_in,
-    )
-
-
-def _exit_rotations(blocks, bbar) -> list[tuple[int, ...]]:
-    """The blocks of a non-crossing partition that meet its complement
-    cycle `bbar`, each rotated to start at the one point it shares with
-    bbar, in order of that point: every choice of open blocks collected
-    by bbar, in normal form."""
-    members = set(bbar)
-    out = []
-    for b in blocks:
-        common = members.intersection(b)
-        if common:
-            (x,) = common
-            out.append(_rotate_to(b, x))
-    out.sort()
-    return out
+    return _unchecked(cls, n=n, perm=perm, opens=opens, bbar=bbar, designated=designated)
 
 
 @dataclass(frozen=True)
@@ -289,22 +264,14 @@ class LinearHalfPerm(CircularHalfPerm):
     """A circular half-permutation whose collecting cycle contains 1.
 
     Cutting the circle open just before 1 turns it into a line; with no
-    open blocks this is simply a non-crossing partition (represented
-    here with the complement block through 1 designated, which gives the
-    weight c^(#blocks) the plain partition should carry).
+    open blocks this is simply a non-crossing partition (its collecting
+    cycle gives the weight c^(#blocks) the plain partition should carry).
     """
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.opens:
-            if 1 not in self.bbar:
-                raise ValueError("the collecting cycle must contain 1")
-        elif self.n > 0:
-            if self.designated_in != "complement" or 1 not in self.designated:
-                raise ValueError(
-                    "with no open blocks the designated block must be the "
-                    "complement block through 1"
-                )
+        if self.n and 1 not in (self.bbar or ()):
+            raise ValueError("the collecting cycle must contain 1")
 
 
 def make_linear(n: int, blocks, open_sets) -> LinearHalfPerm:
@@ -317,13 +284,7 @@ def make_linear(n: int, blocks, open_sets) -> LinearHalfPerm:
     if n == 0:
         return LinearHalfPerm(n=0, perm=perm)
     bbar = tuple(sorted(complement(perm).cycle_containing(1)))
-    if not open_sets:
-        return LinearHalfPerm(
-            n=n, perm=perm, designated=bbar, designated_in="complement"
-        )
-    return LinearHalfPerm(
-        n=n, perm=perm, opens=_normal_opens(perm, open_sets, bbar), bbar=bbar
-    )
+    return LinearHalfPerm(n=n, perm=perm, opens=_normal_opens(open_sets, bbar), bbar=bbar)
 
 
 # ---------------------------------------------------------------------------
@@ -346,17 +307,16 @@ def enum_ncc(n: int, k: int) -> tuple[CircularHalfPerm, ...]:
     out: list[CircularHalfPerm] = []
     for perm in enum_nc(n):
         blocks = perm.cycles()
-        comp_cycles = complement(perm).cycles()
-        if k == 0:
-            for where, cycles in (("perm", blocks), ("complement", comp_cycles)):
-                for b in cycles:
-                    out.append(_circular(n, perm, designated=tuple(sorted(b)),
-                                         designated_in=where))
-            continue
-        for bbar in comp_cycles:
+        block_of = {x: b for b in blocks for x in b}
+        for bbar in complement(perm).cycles():
             bbar_t = tuple(sorted(bbar))
-            for opens in combinations(_exit_rotations(blocks, bbar), k):
+            # the blocks bbar can collect: one through each of its points
+            exits = _normal_opens([block_of[x] for x in bbar_t], bbar_t)
+            for opens in combinations(exits, k):
                 out.append(_circular(n, perm, opens, bbar_t))
+        if k == 0:
+            for b in blocks:
+                out.append(_circular(n, perm, designated=tuple(sorted(b))))
     out.sort(key=lambda h: h.sort_key())
     return tuple(out)
 
@@ -369,11 +329,8 @@ def enum_ncl(n: int, k: int) -> tuple[LinearHalfPerm, ...]:
     out: list[LinearHalfPerm] = []
     for perm in enum_nc(n):
         bbar_t = tuple(sorted(complement(perm).cycle_containing(1)))
-        if k == 0:
-            out.append(_circular(n, perm, designated=bbar_t,
-                                 designated_in="complement", cls=LinearHalfPerm))
-            continue
-        for opens in combinations(_exit_rotations(perm.cycles(), bbar_t), k):
+        exits = _normal_opens(map(perm.cycle_containing, bbar_t), bbar_t)
+        for opens in combinations(exits, k):
             out.append(_circular(n, perm, opens, bbar_t, cls=LinearHalfPerm))
     out.sort(key=lambda h: h.sort_key())
     return tuple(out)
@@ -424,7 +381,7 @@ def cut(a: AnnularPerm) -> tuple[CircularHalfPerm, CircularHalfPerm]:
             frozenset(x - offset for x in t & pset) for t in through
         ]
         bbar = tuple(sorted(x - offset for x in exits & pset))
-        opens = _normal_opens(induced, open_sets, bbar)
+        opens = _normal_opens(open_sets, bbar)
         halves.append(_circular(len(points), induced, opens, bbar))
     return halves[0], halves[1]
 
@@ -589,8 +546,6 @@ def lineardecomp_check(n: int) -> tuple[PolyC, PolyC]:
     """Two routes to the same polynomial: odd columns of the centered
     second-kind inverse table, against block-count-weighted non-crossing
     partitions.  Returns both; they agree when the identity holds."""
-    from .families import Family, inverse_table
-
     if n > DISC_CAP:
         raise ValueError(f"n={n} exceeds the enumeration cap {DISC_CAP}")
     inv = inverse_table(Family.PI, n + 1)

@@ -350,6 +350,21 @@ def test_mc_samples_only_the_pairs_it_reads(capsys, monkeypatch):
     assert keys.count("tr pi[1](X3) pi[1](X2)") == 1
 
 
+def test_a_rotated_two_letter_word_reports_the_suite_word_once(capsys):
+    def report(word):
+        main(["mc", "diagonalize", "--mixed", word, "--N", "6", "--samples", "40",
+              "--seed", "3", "--format", "json"])
+        out = json.loads(capsys.readouterr()[0])
+        del out["config"], out["elapsed_s"]
+        return out
+
+    rotated = report("1,1:2,1")
+    assert rotated == report("1,1:1,2")
+    keys = [rec["key_a"] for rec in rotated["covariance"]]
+    assert keys.count("tr pi[1](X1) pi[1](X2)") == 1
+    assert "tr pi[1](X2) pi[1](X1)" not in keys
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -47,11 +47,10 @@ def reference_dot_encode(h):
     primed = [WHITE] * n
     perm = h.perm
     inv = perm.inverse()
-    if h.k >= 1 or h.designated_in == "complement":
-        ref = h.bbar if h.k >= 1 else h.designated
+    if h.designated is None:
         open_sets = set(h.open_sets())
         for block in perm.cycles():
-            init = initial_point(perm, block, ref)
+            init = initial_point(perm, block, h.bbar)
             unprimed[init - 1] = WHITE
             if frozenset(block) not in open_sets:
                 primed[inv(init) - 1] = BLACK
@@ -80,10 +79,10 @@ class TestFrozenStructures:
         assert enum_dots(0, 0, 0) == (d,)
 
     def test_single_point_cells(self):
-        comp, perm = sorted(enum_ncc(1, 0), key=lambda h: h.designated_in)
-        assert comp.designated_in == "complement"
+        comp, perm = enum_ncc(1, 0)
+        assert (comp.bbar, comp.designated) == ((1,), None)
         assert dot_encode(comp) == DotStructure(1, (WHITE,), (BLACK,))
-        assert perm.designated_in == "perm"
+        assert (perm.bbar, perm.designated) == (None, (1,))
         assert dot_encode(perm) == DotStructure(1, (BLACK,), (WHITE,))
         (open_one,) = enum_ncc(1, 1)
         assert dot_encode(open_one) == DotStructure(1, (WHITE,), (WHITE,))
@@ -101,7 +100,6 @@ class TestFrozenStructures:
             n=3,
             perm=Perm((2, 1, 3)),
             designated=(1, 2),
-            designated_in="perm",
         )
         d = dot_encode(h)
         # the lone undesignated block {3} is initial at 3 and closed there

@@ -2,6 +2,7 @@
 weighted-count bridge to the transition-matrix inverses."""
 
 import dataclasses
+import hashlib
 import itertools
 from collections import Counter
 
@@ -87,10 +88,23 @@ class TestFrozenCells:
 
     def test_designated_variants_of_a_point(self):
         both = enum_ncc(1, 0)
-        kinds = sorted(h.designated_in for h in both)
-        assert kinds == ["complement", "perm"]
-        exps = sorted(h.closed_weight_exponent() for h in both)
-        assert exps == [0, 1]
+        # the two halves tie on perm and block; the collecting cycle sorts first
+        assert [(h.bbar, h.designated) for h in both] == [((1,), None), (None, (1,))]
+        assert [str(h) for h in both] == ["(1)*c(1)", "(1)*(1)"]
+        exps = [h.closed_weight_exponent() for h in both]
+        assert exps == [1, 0]
+
+    # sha256 of the zero-open cells' text, one line per n = 0..7, as
+    # printed before the k = 0 collecting cycle moved into `bbar`
+    K0_DIGESTS = {
+        "enum_ncc": "0c8e528e9efb5e1cba66c9a74279f8a922f9af0ff824b38b99ac99da2b114485",
+        "enum_ncl": "7bae8adceffd9bade3b0699ecfae7eb77e3795b122c2d0755bb6e59c40bfcfe7",
+    }
+
+    @pytest.mark.parametrize("enum", [enum_ncc, enum_ncl], ids=lambda f: f.__name__)
+    def test_zero_open_cells_keep_their_order_and_text(self, enum):
+        text = "\n".join(" ".join(map(str, enum(n, 0))) for n in range(8))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.K0_DIGESTS[enum.__name__]
 
 
 class TestInverseTableBridge:
@@ -118,8 +132,10 @@ class TestElementInvariants:
                 assert h.k == k
                 assert h.sort_key() not in seen
                 seen.add(h.sort_key())
-                if k == 0:
-                    assert h.designated is not None
+                if h.designated is not None:
+                    assert k == 0 and h.bbar is None
+                    assert h.designated in h.perm.cycles()
+                    assert h.closed_weight_exponent() == len(h.closed_blocks()) - 1
                     continue
                 comp_cycles = {frozenset(c) for c in complement(h.perm).cycles()}
                 assert frozenset(h.bbar) in comp_cycles
@@ -135,12 +151,9 @@ class TestElementInvariants:
     def test_linear_collects_through_one(self, n):
         for k in range(n + 1):
             for h in enum_ncl(n, k):
+                assert h.designated is None and 1 in h.bbar
                 if k == 0:
-                    assert h.designated_in == "complement"
-                    assert 1 in h.designated
                     assert h.closed_weight_exponent() == h.perm.num_cycles()
-                else:
-                    assert 1 in h.bbar
 
     def test_linear_zero_open_is_plain_noncrossing(self):
         for n in range(7):
@@ -171,10 +184,7 @@ class TestValidation:
         with pytest.raises(ValueError, match="designated"):
             CircularHalfPerm(n=2, perm=p)
         with pytest.raises(ValueError, match="exclusive"):
-            CircularHalfPerm(
-                n=2, perm=p, opens=((1, 2),), bbar=(1,), designated=(1, 2),
-                designated_in="perm",
-            )
+            CircularHalfPerm(n=2, perm=p, opens=((1, 2),), bbar=(1,), designated=(1, 2))
         split = Perm.identity(2)
         with pytest.raises(ValueError, match="sorted"):
             CircularHalfPerm(
@@ -182,7 +192,16 @@ class TestValidation:
             )
         crossing = Perm.from_cycles(4, ((1, 3), (2, 4)))
         with pytest.raises(ValueError, match="non-crossing"):
-            CircularHalfPerm(n=4, perm=crossing, designated=(1, 3), designated_in="perm")
+            CircularHalfPerm(n=4, perm=crossing, designated=(1, 3))
+
+    def test_make_rejects_an_open_block_off_its_collecting_cycle(self):
+        split = Perm.from_cycles(3, ((1, 3),))
+        with pytest.raises(ValueError, match=r"meets \(1,\) in 0 points"):
+            make_linear(3, split.cycles(), [{2}])
+        with pytest.raises(ValueError, match=r"meets \(1,\) in 0 points"):
+            make_circular(3, split, [{2}], (1,))
+        with pytest.raises(ValueError, match="in 2 points"):
+            make_circular(3, Perm.identity(3), [{1, 2}], (1, 2, 3))
 
     def test_linear_requires_one_in_collector(self):
         h = enum_ncc(2, 1)[-1]
@@ -192,11 +211,11 @@ class TestValidation:
 
     def test_linear_with_no_open_block_designates_the_complement_block_through_1(self):
         for h in enum_ncc(3, 0):
-            linear = h.designated_in == "complement" and 1 in h.designated
+            linear = h.designated is None and 1 in h.bbar
             if linear:
                 assert LinearHalfPerm(**fields_of(h)) in enum_ncl(3, 0)
             else:
-                with pytest.raises(ValueError, match="through 1"):
+                with pytest.raises(ValueError, match="contain 1"):
                     LinearHalfPerm(**fields_of(h))
 
 
@@ -209,9 +228,7 @@ class TestLinearIsCircular:
 
     @staticmethod
     def collected_through_1(h):
-        if h.opens:
-            return 1 in h.bbar
-        return h.n == 0 or (h.designated_in == "complement" and 1 in h.designated)
+        return h.n == 0 or 1 in (h.bbar or ())
 
     @pytest.mark.parametrize("n", range(6))
     def test_linear_halves_are_the_circular_halves_collected_through_1(self, n):
@@ -256,8 +273,8 @@ def on4(*cycles):
 # its permutation's data would let the bad half through.
 MEMO_LEAK_CASES = {
     "crossing": (
-        dict(perm=on4((1, 3)), designated=(1, 3), designated_in="perm"),
-        dict(perm=on4((1, 3), (2, 4)), designated=(1, 3), designated_in="perm"),
+        dict(perm=on4((1, 3)), designated=(1, 3)),
+        dict(perm=on4((1, 3), (2, 4)), designated=(1, 3)),
         "non-crossing",
     ),
     "bbar not a complement cycle": (
@@ -265,21 +282,25 @@ MEMO_LEAK_CASES = {
         dict(perm=on4((1, 2), (3, 4)), opens=((1, 2),), bbar=(1, 3, 4)),
         "complement cycle",
     ),
+    "bbar unsorted": (
+        dict(perm=on4((1, 2)), opens=((1, 2),), bbar=(1, 3, 4)),
+        dict(perm=on4((2, 3)), opens=((2, 3),), bbar=(4, 2, 1)),
+        "collecting cycle must be sorted",
+    ),
     "open block mis-rotated": (
         dict(perm=on4((1, 2)), opens=((1, 2),), bbar=(1, 3, 4)),
         dict(perm=on4((1, 2, 3)), opens=((1, 2, 3),), bbar=(2,)),
         "rotated to start at 2",
     ),
     "designated not a block": (
-        dict(perm=on4((1, 2, 3, 4)), designated=(1, 2, 3, 4), designated_in="perm"),
-        dict(perm=on4((1, 2), (3, 4)), designated=(1, 2, 3, 4), designated_in="perm"),
+        dict(perm=on4((1, 2, 3, 4)), designated=(1, 2, 3, 4)),
+        dict(perm=on4((1, 2), (3, 4)), designated=(1, 2, 3, 4)),
         "not a block of the perm",
     ),
-    "designated not a complement block": (
-        dict(perm=Perm.identity(4), designated=(1, 2, 3, 4), designated_in="complement"),
-        dict(perm=on4((1, 2), (3, 4)), designated=(1, 2, 3, 4),
-             designated_in="complement"),
-        "not a block of the complement",
+    "bbar without open blocks not a complement cycle": (
+        dict(perm=Perm.identity(4), bbar=(1, 2, 3, 4)),
+        dict(perm=on4((1, 2), (3, 4)), bbar=(1, 2, 3, 4)),
+        "not a complement cycle",
     ),
 }
 
