@@ -17,6 +17,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import time
 from collections import Counter
@@ -474,19 +475,17 @@ def cmd_enumerate(args: argparse.Namespace) -> tuple[dict | None, int]:
         print(f"command: enumerate\nconfig: {_config_line(config)}")
     diagrams: list[str] = []
     exponents: list[int] = []
-    count = 0
+    # a stream holds only the count of each exponent, not one entry per diagram
     weight_counter: Counter[int] = Counter()
     for text, exponent in stream:
-        count += 1
         weight_counter[exponent] += 1
         if streaming:
             print(text)
         else:
             diagrams.append(text)
             exponents.append(exponent)
-    weight = PolyC.zero()
-    for exponent, multiplicity in sorted(weight_counter.items()):
-        weight = weight + PolyC.const(multiplicity) * PolyC.monomial(exponent)
+    count = weight_counter.total()
+    weight = PolyC.census(weight_counter.elements())
     if streaming:
         print(f"count: {count}\nweight: {weight}\nstatus: pass")
         return None, 0
@@ -994,6 +993,8 @@ def _resolve_ensemble(args: argparse.Namespace, max_degree: int,
         ratio = Fraction(args.c) if args.c is not None else None
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"--c {args.c} is not an exact fraction such as 1, 1/2 or 0.5") from exc
+    if ratio is not None and ratio <= 0:
+        raise UsageError(f"--c {args.c} must be positive")
     if args.M is not None:
         rows = args.M
     elif ratio is not None:
@@ -1225,6 +1226,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--c", default=None,
                       help="ratio limit as an exact fraction, e.g. 1, 1/2, 0.5 "
                            "(default: 1 when --M is absent)")
+    # argparse takes -1 or -0.5 for a value but -1/2 for an option; read
+    # a negative fraction as a value too, so that --c can reject it
+    p_mc._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
     p_mc.add_argument("--p", type=_positive_int, default=None,
                       help="independent matrices (diagonalize: default 2; "
                            "raw-cov reads X1 only and takes only 1)")

@@ -216,13 +216,6 @@ def colored_nc_partitions(point_colors) -> tuple[tuple[tuple[int, ...], ...], ..
     )
 
 
-def _partition_weight(partitions) -> PolyC:
-    total = PolyC.zero()
-    for blocks in partitions:
-        total = total + PolyC.monomial(len(blocks))
-    return total
-
-
 def connector_weight(lengths) -> PolyC:
     """Weighted count of non-crossing partitions of the concatenated
     intervals that connect all of them (single color)."""
@@ -233,9 +226,8 @@ def connector_weight(lengths) -> PolyC:
         for p in iv:
             index_of[p] = r
     q = len(lengths)
-    total = PolyC.zero()
-    for p in enum_nc(n):
-        blocks = p.cycles()
+
+    def connects(blocks) -> bool:
         parent = list(range(q))
 
         def find(a):
@@ -250,9 +242,10 @@ def connector_weight(lengths) -> PolyC:
                 other = find(index_of[p])
                 if other != root:
                     parent[other] = root
-        if len({find(r) for r in range(q)}) == 1:
-            total = total + PolyC.monomial(len(blocks))
-    return total
+        return len({find(r) for r in range(q)}) == 1
+
+    partitions = (p.cycles() for p in enum_nc(n))
+    return PolyC.census(len(blocks) for blocks in partitions if connects(blocks))
 
 
 def connection_pattern_expansion(lengths, colors) -> tuple[PolyC, PolyC]:
@@ -262,7 +255,7 @@ def connection_pattern_expansion(lengths, colors) -> tuple[PolyC, PolyC]:
     each pattern contributing the product of its connector weights."""
     if len(lengths) != len(colors):
         raise ValueError("need one color per interval")
-    direct = _partition_weight(colored_nc_partitions(_point_colors(lengths, colors)))
+    direct = PolyC.census(map(len, colored_nc_partitions(_point_colors(lengths, colors))))
 
     patterns = colored_nc_partitions(tuple(colors))
     by_pattern = PolyC.zero()

@@ -3,15 +3,15 @@
 Two measures drive everything here: the Marchenko-Pastur law with ratio
 parameter ``c`` and the arc-sine law rescaled onto the same support.  Each
 has a monic orthogonal family whose x-coefficients form a unitriangular
-matrix over Q[c]; the inverses of those matrices are the combinatorial
+matrix over Z[c]; the inverses of those matrices are the combinatorial
 objects the rest of the package enumerates diagrammatically.
 
 Each family but the centered `gamma` is fixed by its three-term recurrence
 (`RECURRENCES`), which grows its forward rows and, by the band recursion of
 weighted Motzkin paths, its inverse rows; every size reads a prefix of the
 one table.  The inverse of `gamma` comes from inverting its forward table.
-All computations are exact: no square roots appear, and every coefficient
-lands in Z[c], which is itself one of the checked properties.
+All computations are exact and stay in Z[c]: no square roots appear, and
+`PolyC` refuses any coefficient that is not an integer.
 """
 
 from __future__ import annotations
@@ -174,7 +174,7 @@ def gamma(n: int) -> PolyXC:
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Lower-triangular matrix over Q[c]; row n has entries for columns 0..n."""
+    """Lower-triangular matrix over Z[c]; row n has entries for columns 0..n."""
 
     rows: tuple[tuple[PolyC, ...], ...]
 

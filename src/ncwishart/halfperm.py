@@ -339,21 +339,19 @@ def enum_ncl(n: int, k: int) -> tuple[LinearHalfPerm, ...]:
 def weighted_count(diagrams, weight=WeightRule.ALL_BLOCKS) -> PolyC:
     """Sum of c^(statistic) over the diagrams, the statistic picked by the
     WeightRule `weight`."""
-    total = PolyC.zero()
-    for d in diagrams:
-        if weight is WeightRule.ALL_BLOCKS:
-            e = d.num_cycles() if hasattr(d, "num_cycles") else d.perm.num_cycles()
-        elif weight is WeightRule.CLOSED_BLOCKS:
+    if weight is WeightRule.ALL_BLOCKS:
+        def exponent(d) -> int:
+            return d.num_cycles() if hasattr(d, "num_cycles") else d.perm.num_cycles()
+    elif weight is WeightRule.CLOSED_BLOCKS:
+        def exponent(d) -> int:
             if isinstance(d, CircularHalfPerm):
-                e = d.closed_weight_exponent()
-            elif isinstance(d, AnnularPerm):
-                e = d.num_cycles() - len(d.through_cycles())
-            else:
-                e = d.num_cycles()
-        else:
-            raise TypeError(f"unsupported weight {weight!r}")
-        total = total + PolyC.monomial(e)
-    return total
+                return d.closed_weight_exponent()
+            if isinstance(d, AnnularPerm):
+                return d.num_cycles() - len(d.through_cycles())
+            return d.num_cycles()
+    else:
+        raise TypeError(f"unsupported weight {weight!r}")
+    return PolyC.census(map(exponent, diagrams))
 
 
 # ---------------------------------------------------------------------------

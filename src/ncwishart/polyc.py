@@ -1,61 +1,46 @@
-"""Exact polynomial and series arithmetic over the rationals.
+"""Exact polynomial and series arithmetic over the integers.
 
-Everything combinatorial in this package lives in the ring Q[c] of
+Everything combinatorial in this package lives in the ring Z[c] of
 polynomials in a single weight parameter ``c``.  Three small dense types
 cover all of it:
 
-* :class:`PolyC` -- a polynomial in ``c`` with exact rational coefficients,
-  each stored as an ``int`` when it is integral and as a ``Fraction`` only
-  when it is not,
+* :class:`PolyC` -- a polynomial in ``c`` with ``int`` coefficients,
 * :class:`PolyXC` -- a polynomial in ``x`` whose coefficients are PolyC,
 * :class:`SeriesZ` -- a formal power series in ``z`` over PolyC, truncated
   at a fixed order.
 
-Every table in the package lies in Z[c], so its arithmetic runs on plain
-``int``; division goes through ``Fraction``.  All arithmetic is exact;
-nothing in this module ever touches floats.
+All arithmetic runs on plain ``int`` and is exact; a division whose
+quotient leaves Z[c] raises.  Only `PolyC.evaluate` leaves the ring: it
+returns the exact rational value at a rational point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
-
-Scalar = Union[int, Fraction]
-
-
-def _normal(a) -> Scalar:
-    """The exact value of ``a`` as an int when integral, else a Fraction."""
-    if type(a) is int:
-        return a
-    f = a if isinstance(a, Fraction) else Fraction(a)
-    return f.numerator if f.denominator == 1 else f
+from operator import index
+from typing import Iterable
 
 
-def _trim(coeffs: tuple[Scalar, ...]) -> tuple[Scalar, ...]:
+def _trim(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     end = len(coeffs)
     while end > 0 and coeffs[end - 1] == 0:
         end -= 1
     return coeffs[:end]
 
 
-def _exact_quotient(a: Scalar, b: Scalar) -> Scalar:
-    """a / b, exactly: never a float, even for two ints."""
-    if b == 1:
-        return a
-    if b == -1:
-        return -a
-    return _normal(Fraction(a) / b)
+def _check_exponent(k: int) -> None:
+    if k < 0:
+        raise ValueError(f"negative exponent {k} of c")
 
 
 @dataclass(frozen=True)
 class PolyC:
-    """Dense univariate polynomial in the parameter ``c``.
+    """Dense univariate polynomial in the parameter ``c`` over Z.
 
-    Coefficients are stored ascending with trailing zeros trimmed; the zero
-    polynomial is the empty tuple.  Integral coefficients are ``int``, the
-    others ``Fraction``, so equal polynomials have equal tuples.
+    Coefficients are ``int``, stored ascending with trailing zeros trimmed;
+    the zero polynomial is the empty tuple, so equal polynomials have equal
+    tuples.  Anything that is not an integer is refused.
 
     >>> p = PolyC.of(1, 4, 1)
     >>> str(p)
@@ -64,78 +49,88 @@ class PolyC:
     '1 + 2*c + c^2'
     >>> p == PolyC.parse("1 + 4*c + c^2")
     True
-    >>> p.evaluate(Fraction(1))
-    Fraction(6, 1)
-    >>> PolyC.of(Fraction(4, 2), Fraction(1, 2)).coeffs
-    (2, Fraction(1, 2))
+    >>> PolyC.of(0.5)
+    Traceback (most recent call last):
+    ...
+    TypeError: 'float' object cannot be interpreted as an integer
     """
 
-    coeffs: tuple[Scalar, ...]
+    coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        fixed = _trim(tuple(_normal(a) for a in self.coeffs))
-        object.__setattr__(self, "coeffs", fixed)
-        object.__setattr__(self, "_integral", all(type(a) is int for a in fixed))
+        object.__setattr__(self, "coeffs", _trim(tuple(map(index, self.coeffs))))
 
     @classmethod
-    def _integral_poly(cls, coeffs: tuple[int, ...]) -> "PolyC":
-        """Wrap int coefficients that are already trimmed, skipping
-        normalization."""
+    def _wrap(cls, coeffs: tuple[int, ...]) -> "PolyC":
+        """Wrap int coefficients that are already trimmed, unchecked."""
         p = object.__new__(cls)
-        p.__dict__.update(coeffs=coeffs, _integral=True)
+        p.__dict__["coeffs"] = coeffs
         return p
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def of(cls, *coeffs: Scalar) -> "PolyC":
+    def of(cls, *coeffs: int) -> "PolyC":
         return cls(coeffs)
 
     @classmethod
     def zero(cls) -> "PolyC":
-        return cls._integral_poly(())
+        return cls._wrap(())
 
     @classmethod
     def one(cls) -> "PolyC":
-        return cls._integral_poly((1,))
+        return cls._wrap((1,))
 
     @classmethod
     def c(cls) -> "PolyC":
         """The monomial c."""
-        return cls._integral_poly((0, 1))
+        return cls._wrap((0, 1))
 
     @classmethod
-    def monomial(cls, k: int, coef: Scalar = 1) -> "PolyC":
+    def monomial(cls, k: int, coef: int = 1) -> "PolyC":
+        _check_exponent(k)
         return cls((0,) * k + (coef,))
 
     @classmethod
-    def const(cls, value: Scalar) -> "PolyC":
+    def const(cls, value: int) -> "PolyC":
         return cls((value,))
+
+    @classmethod
+    def census(cls, exponents: Iterable[int]) -> "PolyC":
+        """The weighted count of a diagram census: the sum of c^e over the
+        exponents e, one per diagram, so that c^e counts the diagrams of
+        exponent e.
+
+        >>> str(PolyC.census([2, 0, 2, 1]))
+        '1 + c + 2*c^2'
+        >>> PolyC.census(()) == PolyC.zero()
+        True
+        """
+        counts: list[int] = []
+        for e in exponents:
+            _check_exponent(e)
+            if e >= len(counts):
+                counts.extend([0] * (e + 1 - len(counts)))
+            counts[e] += 1
+        # the top count belongs to the largest exponent seen: no trim
+        return cls._wrap(tuple(counts))
 
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def degree(self) -> int:
-        """Degree, with the convention deg 0 = -1."""
-        return len(self.coeffs) - 1
-
-    def coeff(self, k: int) -> Scalar:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
     # -- arithmetic --------------------------------------------------------
 
     @staticmethod
-    def _coerce(value: "PolyC | Scalar") -> "PolyC":
+    def _coerce(value: "PolyC | int") -> "PolyC":
         if isinstance(value, PolyC):
             return value
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, int):
             return PolyC.const(value)
         return NotImplemented  # type: ignore[return-value]
 
-    def __add__(self, other: "PolyC | Scalar") -> "PolyC":
+    def __add__(self, other: "PolyC | int") -> "PolyC":
         other = PolyC._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -149,28 +144,20 @@ class PolyC:
         merged = list(a)
         for i, v in enumerate(b):
             merged[i] += v
-        if self._integral and other._integral:
-            return PolyC._integral_poly(_trim(tuple(merged)))
-        return PolyC(tuple(merged))
+        return PolyC._wrap(_trim(tuple(merged)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "PolyC":
-        negated = tuple(-a for a in self.coeffs)
-        if self._integral:
-            return PolyC._integral_poly(negated)
-        return PolyC(negated)
+        return PolyC._wrap(tuple(-a for a in self.coeffs))
 
-    def __sub__(self, other: "PolyC | Scalar") -> "PolyC":
+    def __sub__(self, other: "PolyC | int") -> "PolyC":
         other = PolyC._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other: Scalar) -> "PolyC":
-        return (-self) + other
-
-    def __mul__(self, other: "PolyC | Scalar") -> "PolyC":
+    def __mul__(self, other: "PolyC | int") -> "PolyC":
         other = PolyC._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -188,20 +175,21 @@ class PolyC:
             if a:
                 for j, b in enumerate(long):
                     out[i + j] += a * b
-        if self._integral and other._integral:
-            # the leading product of two nonzero ints is nonzero: no trim
-            return PolyC._integral_poly(tuple(out))
-        return PolyC(tuple(out))
+        # the leading product of two nonzero ints is nonzero: no trim
+        return PolyC._wrap(tuple(out))
 
     __rmul__ = __mul__
 
     def div_exact(self, divisor: "PolyC") -> "PolyC":
-        """Exact polynomial division; raises if the remainder is nonzero.
+        """Exact division in Z[c]; raises ValueError if the remainder is
+        nonzero or a quotient coefficient is not an integer.
 
-        >>> PolyC.of(0, 1, 1).div_exact(PolyC.c())
+        >>> PolyC.of(0, 2, 2).div_exact(PolyC.of(0, 2))
         PolyC(coeffs=(1, 1))
         >>> PolyC.of(1, 1).div_exact(PolyC.const(2))
-        PolyC(coeffs=(Fraction(1, 2), Fraction(1, 2)))
+        Traceback (most recent call last):
+        ...
+        ValueError: 1 + c is not divisible by 2 in Z[c]
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
@@ -210,17 +198,24 @@ class PolyC:
         lead = d[-1]
         q = [0] * max(len(rem) - len(d) + 1, 0)
         for i in range(len(rem) - len(d), -1, -1):
-            factor = _exact_quotient(rem[i + len(d) - 1], lead)
+            factor, left = divmod(rem[i + len(d) - 1], lead)
+            if left:
+                break  # the quotient leaves Z[c]; rem stays nonzero
             q[i] = factor
             if factor:
                 for j, dv in enumerate(d):
                     rem[i + j] -= factor * dv
-        if any(rem[: len(d) - 1] if q else rem):
-            raise ValueError(f"{self} is not divisible by {divisor}")
-        return PolyC(tuple(q))
+        if any(rem):
+            raise ValueError(f"{self} is not divisible by {divisor} in Z[c]")
+        # an exact top quotient coefficient is nonzero: no trim
+        return PolyC._wrap(tuple(q))
 
-    def evaluate(self, value: Scalar) -> Fraction:
-        """Horner evaluation at an exact rational point."""
+    def evaluate(self, value: int | Fraction) -> Fraction:
+        """Horner evaluation at an exact rational point.
+
+        >>> PolyC.of(1, 4, 1).evaluate(Fraction(1, 2))
+        Fraction(13, 4)
+        """
         value = Fraction(value)
         acc = Fraction(0)
         for a in reversed(self.coeffs):
@@ -252,8 +247,8 @@ class PolyC:
     def parse(cls, text: str) -> "PolyC":
         """Parse the textual form produced by ``str``.
 
-        Accepts ascending or any order, optional ``*``, and rational
-        coefficients like ``3/2``.
+        Accepts terms in any order, an optional ``*`` and integer
+        coefficients.
 
         >>> PolyC.parse("c^2 - 2*c") == PolyC.of(0, -2, 1)
         True
@@ -264,7 +259,7 @@ class PolyC:
         s = s.replace("-", "+-")
         if s.startswith("+"):
             s = s[1:]
-        terms: dict[int, Fraction] = {}
+        terms: dict[int, int] = {}
         for raw in s.split("+"):
             if raw in ("", "-"):
                 raise ValueError(f"malformed polynomial text: {text!r}")
@@ -274,7 +269,7 @@ class PolyC:
             if "c" in raw:
                 head, _, tail = raw.partition("c")
                 head = head.rstrip("*")
-                coef = Fraction(head) if head else Fraction(1)
+                coef = int(head) if head else 1
                 if tail == "":
                     k = 1
                 elif tail.startswith("^"):
@@ -282,7 +277,7 @@ class PolyC:
                 else:
                     raise ValueError(f"malformed term {raw!r} in {text!r}")
             else:
-                coef = Fraction(raw)
+                coef = int(raw)
                 k = 0
             terms[k] = terms.get(k, 0) + sign * coef
         size = max(terms) + 1 if terms else 0
@@ -294,7 +289,7 @@ class PolyC:
 
 @dataclass(frozen=True)
 class PolyXC:
-    """Polynomial in ``x`` whose coefficients live in Q[c].
+    """Polynomial in ``x`` whose coefficients live in Z[c].
 
     >>> x = PolyXC.x()
     >>> str(x * x - 2)
@@ -311,7 +306,7 @@ class PolyXC:
         object.__setattr__(self, "coeffs", conv[:end])
 
     @classmethod
-    def of(cls, *coeffs: "PolyC | Scalar") -> "PolyXC":
+    def of(cls, *coeffs: "PolyC | int") -> "PolyXC":
         return cls(tuple(coeffs))  # type: ignore[arg-type]
 
     @classmethod
@@ -337,14 +332,14 @@ class PolyXC:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else PolyC.zero()
 
     @staticmethod
-    def _coerce(value: "PolyXC | PolyC | Scalar") -> "PolyXC":
+    def _coerce(value: "PolyXC | PolyC | int") -> "PolyXC":
         if isinstance(value, PolyXC):
             return value
-        if isinstance(value, (PolyC, int, Fraction)):
+        if isinstance(value, (PolyC, int)):
             return PolyXC((PolyC._coerce(value),))
         return NotImplemented  # type: ignore[return-value]
 
-    def __add__(self, other: "PolyXC | PolyC | Scalar") -> "PolyXC":
+    def __add__(self, other: "PolyXC | PolyC | int") -> "PolyXC":
         other = PolyXC._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -361,16 +356,13 @@ class PolyXC:
     def __neg__(self) -> "PolyXC":
         return PolyXC(tuple(-a for a in self.coeffs))
 
-    def __sub__(self, other: "PolyXC | PolyC | Scalar") -> "PolyXC":
+    def __sub__(self, other: "PolyXC | PolyC | int") -> "PolyXC":
         other = PolyXC._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other: "PolyC | Scalar") -> "PolyXC":
-        return (-self) + other
-
-    def __mul__(self, other: "PolyXC | PolyC | Scalar") -> "PolyXC":
+    def __mul__(self, other: "PolyXC | PolyC | int") -> "PolyXC":
         other = PolyXC._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -403,7 +395,7 @@ class PolyXC:
 
 @dataclass(frozen=True)
 class SeriesZ:
-    """Power series in ``z`` over Q[c], truncated beyond ``z^order``.
+    """Power series in ``z`` over Z[c], truncated beyond ``z^order``.
 
     The coefficient tuple always has length ``order + 1``.
 
@@ -446,14 +438,14 @@ class SeriesZ:
         return self.coeffs[k] if 0 <= k <= self.order else PolyC.zero()
 
     @staticmethod
-    def _coerce(value: "SeriesZ | PolyC | Scalar", order: int) -> "SeriesZ":
+    def _coerce(value: "SeriesZ | PolyC | int", order: int) -> "SeriesZ":
         if isinstance(value, SeriesZ):
             return value
-        if isinstance(value, (PolyC, int, Fraction)):
+        if isinstance(value, (PolyC, int)):
             return SeriesZ(order, (PolyC._coerce(value),))
         return NotImplemented  # type: ignore[return-value]
 
-    def __add__(self, other: "SeriesZ | PolyC | Scalar") -> "SeriesZ":
+    def __add__(self, other: "SeriesZ | PolyC | int") -> "SeriesZ":
         other = SeriesZ._coerce(other, self.order)
         if other is NotImplemented:
             return NotImplemented
@@ -465,16 +457,13 @@ class SeriesZ:
     def __neg__(self) -> "SeriesZ":
         return SeriesZ(self.order, tuple(-a for a in self.coeffs))
 
-    def __sub__(self, other: "SeriesZ | PolyC | Scalar") -> "SeriesZ":
+    def __sub__(self, other: "SeriesZ | PolyC | int") -> "SeriesZ":
         other = SeriesZ._coerce(other, self.order)
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other: "PolyC | Scalar") -> "SeriesZ":
-        return (-self) + other
-
-    def __mul__(self, other: "SeriesZ | PolyC | Scalar") -> "SeriesZ":
+    def __mul__(self, other: "SeriesZ | PolyC | int") -> "SeriesZ":
         other = SeriesZ._coerce(other, self.order)
         if other is NotImplemented:
             return NotImplemented

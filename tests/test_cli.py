@@ -138,7 +138,7 @@ def test_a_suite_with_nothing_to_check_is_a_usage_error(capsys):
     assert err.startswith("error: ") and "minimum 2" in err
 
 
-BAD_RATIOS = ("abc", "nan", "inf", "1/0")
+BAD_RATIOS = ("abc", "nan", "inf", "1/0", "0", "-1", "-1/2")
 
 
 @pytest.mark.parametrize("ratio", BAD_RATIOS)
