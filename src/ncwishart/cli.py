@@ -6,6 +6,11 @@ emits, renders to text, JSON, or CSV, and uses the exit-code contract
 0 = pass, 1 = a check failed, 2 = usage error.  Reports are deterministic
 given the full flag set (including --seed); the one exception is the
 wall-clock `elapsed_s` field of Monte Carlo reports.
+
+Each variant of `enumerate`, `verify` and `mc` (a diagram kind, a suite,
+an experiment) is a sub-parser that declares only the flags it reads.  A
+new verify suite is one `VERIFY_SUITES` entry, its record builder and its
+flags, plus its name in the `suite` enum of verify.schema.json.
 """
 
 from __future__ import annotations
@@ -24,13 +29,14 @@ from collections import Counter
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .colored import enum_colored_ncc, open_profile
 from .dots import dot_decode, dot_encode, enum_dots
 from .families import (
     MAX_BATCH_ENTRIES,
     MAX_DEGREE,
+    MAX_MATRICES,
     MAX_STORED_TRACES,
     Family,
     TransitionMatrix,
@@ -214,12 +220,7 @@ def _record(identity: str, instance: str, ok: bool, detail: str | None = None,
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
-    cfg = {}
-    for key, value in sorted(vars(args).items()):
-        if key == "handler":
-            continue
-        cfg[key] = value
-    return cfg
+    return {key: value for key, value in sorted(vars(args).items()) if key != "handler"}
 
 
 def _config_line(cfg: dict) -> str:
@@ -240,12 +241,13 @@ def schema_path(command: str) -> Path:
 
 
 def _check_output(path: str | None) -> None:
-    """Reject an --output target that cannot be written before any work."""
+    """Reject an --output target that cannot be written before any work; the
+    report replaces it, so it must be a regular file if it exists."""
     if path is None or path == "-":
         return
     target = Path(path)
-    if target.is_dir():
-        raise UsageError(f"--output {path} is a directory")
+    if target.exists() and not target.is_file():
+        raise UsageError(f"--output {path} is not a regular file")
     if not target.parent.is_dir():
         raise UsageError(f"--output {path}: no directory {target.parent}")
 
@@ -435,8 +437,6 @@ def _enumerate_stream(args: argparse.Namespace) -> tuple[dict, Iterator[tuple[st
     """Validate the requested cell and return (params, stream of
     (diagram text, weight exponent)) in canonical order."""
     if args.kind in ("ncc", "ncl"):
-        if args.n is None or args.k is None:
-            raise UsageError(f"enumerate {args.kind} needs --n and --k")
         n, k = args.n, args.k
         if n < 1 or not 0 <= k <= n:
             raise UsageError(f"need n >= 1 and 0 <= k <= n, got n={n}, k={k}")
@@ -451,8 +451,6 @@ def _enumerate_stream(args: argparse.Namespace) -> tuple[dict, Iterator[tuple[st
 
         return {"n": n, "k": k}, gen()
 
-    if args.m is None or args.n is None:
-        raise UsageError("enumerate snc needs --m and --n")
     m, n = args.m, args.n
     if m < 1 or n < 1:
         raise UsageError(f"both circle sizes must be >= 1, got m={m}, n={n}")
@@ -900,54 +898,59 @@ def _wick_records(depth: int, seed: int, algebra: str) -> list[dict]:
     ]
 
 
+class SuiteFlag(NamedTuple):
+    """A verify suite's flag, named as its record builder's keyword: its
+    default, and its least value and cap (None: no cap) or its choices."""
+
+    default: int | str
+    help: str
+    minimum: int | None = None
+    cap: int | None = None
+    choices: tuple[str, ...] | None = None
+
+
+# Each suite's record builder and flags.  The `verify` parser, its range
+# checks and its dispatch are all read from this table.
+VERIFY_SUITES = {
+    "recursions": (_recursion_records,
+                   {"max_n": SuiteFlag(10, "largest n of the recurrences", 1, MAX_RECURSIONS_N)}),
+    "bijections": (_bijection_records,
+                   {"max_n": SuiteFlag(8, "largest circle size", 1, DISC_CAP)}),
+    "cut-reassemble": (_cut_reassemble_records,
+                       {"max_total": SuiteFlag(8, "largest m+n of an annulus", 2, ANNULAR_CAP)}),
+    "lineardecomp": (_lineardecomp_records,
+                     {"max_n": SuiteFlag(10, "largest point count n", 1, DISC_CAP)}),
+    "series": (_series_records, {
+        "order": SuiteFlag(12, "truncation order", 1, MAX_SERIES_ORDER),
+        "max_k": SuiteFlag(8, "largest column", 1, MAX_SERIES_ORDER),
+    }),
+    "wick": (_wick_records, {
+        "depth": SuiteFlag(4, "tensor-degree cap", MIN_REPORT_DEPTH, MAX_REPORT_DEPTH),
+        "seed": SuiteFlag(0, "letter seed", 0),
+        "algebra": SuiteFlag("all", "coefficient algebra(s) to drive",
+                             choices=("scalar", "matrix", "function", "all")),
+    }),
+}
+
+
+def _option(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     suite = args.suite
-    # reject sizes the suites cannot run before any work is done
-    if suite in ("bijections", "lineardecomp") and (args.max_n or 0) > DISC_CAP:
-        raise UsageError(
-            f"--max-n {args.max_n} exceeds the enumeration cap {DISC_CAP}"
-        )
-    if suite == "recursions" and (args.max_n or 0) > MAX_RECURSIONS_N:
-        raise UsageError(
-            f"--max-n {args.max_n} exceeds the cap {MAX_RECURSIONS_N} of the recursions suite"
-        )
-    if suite == "series" and args.order > MAX_SERIES_ORDER:
-        raise UsageError(
-            f"--order {args.order} exceeds the cap {MAX_SERIES_ORDER} of the series suite"
-        )
-    if suite == "series" and args.max_k > MAX_SERIES_ORDER:
-        raise UsageError(
-            f"--max-k {args.max_k} exceeds the cap {MAX_SERIES_ORDER} of the series suite"
-        )
-    if suite == "cut-reassemble" and args.max_total > ANNULAR_CAP:
-        raise UsageError(
-            f"--max-total {args.max_total} exceeds the enumeration cap {ANNULAR_CAP}"
-        )
-    if suite == "cut-reassemble" and args.max_total < 2:
-        raise UsageError(
-            f"--max-total {args.max_total} is below the minimum 2: no annulus to check"
-        )
-    if suite == "wick" and args.depth < MIN_REPORT_DEPTH:
-        raise UsageError(
-            f"--depth {args.depth} is below the minimum {MIN_REPORT_DEPTH} "
-            "of the wick suite"
-        )
-    if suite == "wick" and args.depth > MAX_REPORT_DEPTH:
-        raise UsageError(
-            f"--depth {args.depth} exceeds the cap {MAX_REPORT_DEPTH} of the wick suite"
-        )
-    if suite == "recursions":
-        records = _recursion_records(args.max_n if args.max_n is not None else 10)
-    elif suite == "bijections":
-        records = _bijection_records(args.max_n if args.max_n is not None else 8)
-    elif suite == "cut-reassemble":
-        records = _cut_reassemble_records(args.max_total)
-    elif suite == "lineardecomp":
-        records = _lineardecomp_records(args.max_n if args.max_n is not None else 10)
-    elif suite == "series":
-        records = _series_records(args.order, args.max_k)
-    else:
-        records = _wick_records(args.depth, args.seed, args.algebra)
+    builder, flags = VERIFY_SUITES[suite]
+    values = {name: getattr(args, name) for name in flags}
+    # reject sizes the suite cannot run before any work is done
+    for name, flag in flags.items():
+        value = values[name]
+        if flag.minimum is not None and value < flag.minimum:
+            raise UsageError(f"{_option(name)} {value} is below the minimum "
+                             f"{flag.minimum} of the {suite} suite")
+        if flag.cap is not None and value > flag.cap:
+            raise UsageError(f"{_option(name)} {value} exceeds the cap "
+                             f"{flag.cap} of the {suite} suite")
+    records = builder(**values)
     failures = sum(1 for rec in records if not rec["pass"])
     report = {
         "command": "verify",
@@ -1059,10 +1062,9 @@ def cmd_mc(args: argparse.Namespace) -> tuple[dict, int]:
     start = time.perf_counter()
     if args.experiment == "diagonalize":
         word = _parse_word(args.mixed) if args.mixed is not None else None
-        num_matrices = args.p if args.p is not None else 2
-        if word is not None and max(word[1]) > num_matrices:
+        if word is not None and max(word[1]) > args.p:
             raise UsageError(
-                f"word letters go up to {max(word[1])} but only {num_matrices} "
+                f"word letters go up to {max(word[1])} but only {args.p} "
                 "matrices are sampled; raise --p"
             )
         if word is not None and word[0] != (1, 1):
@@ -1071,7 +1073,7 @@ def cmd_mc(args: argparse.Namespace) -> tuple[dict, int]:
                 f"got degrees {word[0]}"
             )
         pair = tuple(i - 1 for i in word[1]) if word is not None else None
-        config = _resolve_ensemble(args, args.max_degree, num_matrices, pair)
+        config = _resolve_ensemble(args, args.max_degree, args.p, pair)
         samples = sample_traces(config)
         checks = evaluate_statistics(samples)
         # the suite already holds the word 1,1:1,2, and a two-letter word
@@ -1079,9 +1081,7 @@ def cmd_mc(args: argparse.Namespace) -> tuple[dict, int]:
         if pair is not None and set(pair) != {0, 1}:
             checks.append(pair_variance_check(samples, *pair))
     else:
-        if args.m is None or args.n is None:
-            raise UsageError("mc raw-cov needs --m and --n")
-        if args.p not in (None, 1):
+        if args.p != 1:
             raise UsageError(f"mc raw-cov samples X1 only; got --p {args.p}, expected 1")
         config = _resolve_ensemble(args, max(args.m, args.n), 1)
         checks = [power_covariance_check(sample_traces(config), args.m, args.n)]
@@ -1123,6 +1123,14 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _suite_flag_help(flag: SuiteFlag) -> str:
+    if flag.choices is not None:
+        return f"{flag.help} (default {flag.default})"
+    if flag.cap is None:
+        return f"{flag.help} (default {flag.default}, at least {flag.minimum})"
+    return f"{flag.help} (default {flag.default}, from {flag.minimum} to {flag.cap})"
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -1142,6 +1150,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
+    def variants(command: str, dest: str, handler, **kwargs) -> argparse._SubParsersAction:
+        """A command whose variants are sub-parsers with their own flags."""
+        p_command = sub.add_parser(command, **kwargs)
+        p_command.set_defaults(handler=handler)
+        return p_command.add_subparsers(dest=dest, required=True)
+
     p_tables = sub.add_parser(
         "tables", parents=[common],
         help="print a family coefficient table or its inverse",
@@ -1155,57 +1169,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_tables.set_defaults(handler=cmd_tables)
 
-    p_enum = sub.add_parser(
-        "enumerate", parents=[common],
+    kinds = variants(
+        "enumerate", "kind", cmd_enumerate,
         help="stream a diagram cell in canonical order with its weighted count",
     )
-    p_enum.add_argument("kind", choices=("ncc", "ncl", "snc"))
-    p_enum.add_argument("--n", type=_nonnegative_int, default=None)
-    p_enum.add_argument("--k", type=_nonnegative_int, default=None)
-    p_enum.add_argument("--m", type=_nonnegative_int, default=None)
-    p_enum.set_defaults(handler=cmd_enumerate)
+    for kind, sizes in (("ncc", "nk"), ("ncl", "nk"), ("snc", "mn")):
+        p_kind = kinds.add_parser(kind, parents=[common])
+        for size in sizes:
+            p_kind.add_argument(f"--{size}", type=_nonnegative_int, required=True)
 
-    p_verify = sub.add_parser(
-        "verify", parents=[common],
+    suites = variants(
+        "verify", "suite", cmd_verify,
         help="run a property suite and list every identity instance checked",
     )
-    p_verify.add_argument(
-        "suite",
-        choices=("recursions", "bijections", "cut-reassemble", "lineardecomp",
-                 "series", "wick"),
-    )
-    p_verify.add_argument(
-        "--max-n", type=_positive_int, default=None,
-        help="size cap (default: 10 for recursions/lineardecomp, 8 for bijections; "
-             f"at most {MAX_RECURSIONS_N} for recursions, {DISC_CAP} for the others)",
-    )
-    p_verify.add_argument(
-        "--max-total", type=_positive_int, default=8,
-        help=f"cut-reassemble: largest m+n (default 8, from 2 to {ANNULAR_CAP})",
-    )
-    p_verify.add_argument(
-        "--order", type=_positive_int, default=12,
-        help=f"series: truncation order (default 12, at most {MAX_SERIES_ORDER})",
-    )
-    p_verify.add_argument(
-        "--max-k", type=_positive_int, default=8,
-        help=f"series: largest column (default 8, at most {MAX_SERIES_ORDER})",
-    )
-    p_verify.add_argument(
-        "--depth", type=_positive_int, default=4,
-        help=f"wick: tensor-degree cap (default 4, from {MIN_REPORT_DEPTH} "
-             f"to {MAX_REPORT_DEPTH})",
-    )
-    p_verify.add_argument("--seed", type=_nonnegative_int, default=0,
-                          help="wick: letter seed")
-    p_verify.add_argument(
-        "--algebra", choices=("scalar", "matrix", "function", "all"), default="all",
-        help="wick: which coefficient algebra(s) to drive",
-    )
-    p_verify.set_defaults(handler=cmd_verify)
+    for suite, (_, flags) in VERIFY_SUITES.items():
+        p_suite = suites.add_parser(suite, parents=[common])
+        for name, flag in flags.items():
+            p_suite.add_argument(
+                _option(name), type=type(flag.default), choices=flag.choices,
+                default=flag.default, help=_suite_flag_help(flag),
+            )
 
-    p_mc = sub.add_parser(
-        "mc", parents=[common],
+    sampler = argparse.ArgumentParser(add_help=False, parents=[common])
+    sampler.add_argument("--N", type=_positive_int, default=200,
+                         help="matrix dimension (default 200); a batch of draws, p "
+                              "M-by-N matrices per sample, holds at most "
+                              f"{MAX_BATCH_ENTRIES} entries")
+    sampler.add_argument("--M", type=_positive_int, default=None,
+                         help="row count (default: c*N)")
+    sampler.add_argument("--c", default=None,
+                         help="ratio limit as an exact fraction, e.g. 1, 1/2, 0.5 "
+                              "(default: 1 when --M is absent)")
+    sampler.add_argument("--samples", type=_positive_int, default=20000,
+                         help="samples (default 20000); the power and cross traces "
+                              f"stored for them number at most {MAX_STORED_TRACES}")
+    sampler.add_argument("--seed", type=_nonnegative_int, default=0)
+    experiments = variants(
+        "mc", "experiment", cmd_mc,
         help="sample Wishart ensembles and hold trace statistics against "
              "their exact limits",
         description="Sample Wishart ensembles and hold trace statistics against "
@@ -1216,38 +1216,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "(OPENBLAS_NUM_THREADS=1) unless one of "
                     f"{', '.join(BLAS_THREAD_VARIABLES)} is set.",
     )
-    p_mc.add_argument("experiment", choices=("diagonalize", "raw-cov"))
-    p_mc.add_argument("--N", type=_positive_int, default=200,
-                      help="matrix dimension (default 200); a batch of draws, p "
-                           "M-by-N matrices per sample, holds at most "
-                           f"{MAX_BATCH_ENTRIES} entries")
-    p_mc.add_argument("--M", type=_positive_int, default=None,
-                      help="row count (default: c*N)")
-    p_mc.add_argument("--c", default=None,
-                      help="ratio limit as an exact fraction, e.g. 1, 1/2, 0.5 "
-                           "(default: 1 when --M is absent)")
-    # argparse takes -1 or -0.5 for a value but -1/2 for an option; read
-    # a negative fraction as a value too, so that --c can reject it
-    p_mc._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
-    p_mc.add_argument("--p", type=_positive_int, default=None,
-                      help="independent matrices (diagonalize: default 2; "
-                           "raw-cov reads X1 only and takes only 1)")
-    p_mc.add_argument("--samples", type=_positive_int, default=20000,
-                      help="samples (default 20000); each stores p*max-degree power "
-                           "traces and the cross traces of matrices 1,2 and of the "
-                           f"--mixed pair, at most {MAX_STORED_TRACES} in all")
-    p_mc.add_argument("--seed", type=_nonnegative_int, default=0)
-    p_mc.add_argument("--max-degree", type=_positive_int, default=3,
-                      help=f"diagonalize: largest degree (default 3, at most {MAX_DEGREE})")
-    p_mc.add_argument("--m", type=_positive_int, default=None,
-                      help="raw-cov: first power")
-    p_mc.add_argument("--n", type=_positive_int, default=None,
-                      help="raw-cov: second power")
-    p_mc.add_argument("--mixed", default=None, metavar="WORD",
-                      help="diagonalize: the word '1,1:i,j' (degrees 1,1 on "
-                           "matrices i != j) whose product variance is held "
-                           "against its exact limit c^2")
-    p_mc.set_defaults(handler=cmd_mc)
+    p_diag = experiments.add_parser("diagonalize", parents=[sampler])
+    p_diag.add_argument("--p", type=_positive_int, default=2,
+                        help=f"independent matrices (default 2, at most {MAX_MATRICES}: "
+                             "the report holds the covariance of every pair of the "
+                             "p*max-degree traces)")
+    p_diag.add_argument("--max-degree", type=_positive_int, default=3,
+                        help=f"largest degree (default 3, at most {MAX_DEGREE})")
+    p_diag.add_argument("--mixed", default=None, metavar="WORD",
+                        help="the word '1,1:i,j' (degrees 1,1 on matrices i != j) "
+                             "whose product variance is held against its exact "
+                             "limit c^2")
+    p_raw = experiments.add_parser("raw-cov", parents=[sampler])
+    p_raw.add_argument("--m", type=_positive_int, required=True, help="first power")
+    p_raw.add_argument("--n", type=_positive_int, required=True, help="second power")
+    p_raw.add_argument("--p", type=_positive_int, default=1,
+                       help="independent matrices: X1 only, so only 1")
+    for p_experiment in (p_diag, p_raw):
+        # argparse takes -1 or -0.5 for a value but -1/2 for an option; read
+        # a negative fraction as a value too, so that --c can reject it
+        p_experiment._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
     return parser
 
 

@@ -262,6 +262,12 @@ def inverse_table(family: Family, size: int) -> TransitionMatrix:
 # --max-degree 30 --N 4 --samples 4` takes about 0.6 s end to end on a
 # 2-core Xeon VM
 MAX_DEGREE = 30
+# the matrices the Monte Carlo samples: `mc diagonalize` reports the
+# covariance of every pair of its p*d traces, whatever N and the samples;
+# `--p 8 --max-degree 30 --N 4 --samples 4` takes 2.6 s and 101 MB peak
+# RSS for 7.8 MB of JSON (p = 10: 3.2 s, 135 MB; 16: 8.8 s, 283 MB) on a
+# 2-core Xeon VM
+MAX_MATRICES = 8
 # the Monte Carlo's memory: a batch of draws of p M-by-N matrices, with
 # the next batch drawn meanwhile, peaks at about 80 bytes per complex
 # entry (`mc diagonalize --p 1 --N 600 --samples 64`, 11.5M entries a

@@ -50,6 +50,7 @@ import numpy as np
 from .families import (
     MAX_BATCH_ENTRIES,
     MAX_DEGREE,
+    MAX_MATRICES,
     MAX_STORED_TRACES,
     Family,
     predict_covariance,
@@ -89,8 +90,8 @@ class EnsembleConfig:
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
             raise ValueError("matrix dimensions must be positive")
-        if self.num_matrices < 1:
-            raise ValueError("need at least one matrix")
+        if not 1 <= self.num_matrices <= MAX_MATRICES:
+            raise ValueError(f"num_matrices {self.num_matrices} is out of range (cap {MAX_MATRICES})")
         if self.num_samples < 2:
             raise ValueError("need at least two samples")
         if not 1 <= self.max_degree <= MAX_DEGREE:

@@ -5,6 +5,8 @@ errors that exit 2 without a traceback."""
 
 import csv
 import json
+import os
+import stat
 
 import jsonschema
 import pytest
@@ -19,7 +21,7 @@ from ncwishart.cli import (
     main,
     schema_path,
 )
-from ncwishart.families import MAX_DEGREE
+from ncwishart.families import MAX_DEGREE, MAX_MATRICES
 from ncwishart.halfperm import WeightRule, enum_ncc, enum_ncl, weighted_count
 from ncwishart.perms import enum_snc
 from ncwishart.polyc import PolyC
@@ -40,9 +42,37 @@ def run(capsys, *argv):
     return code, out, err
 
 
+def schema(command):
+    return json.loads(schema_path(command).read_text(encoding="utf-8"))
+
+
 def validate(report, command):
-    schema = json.loads(schema_path(command).read_text(encoding="utf-8"))
-    jsonschema.validate(report, schema)
+    jsonschema.validate(report, schema(command))
+
+
+SAMPLER_FLAGS = {"N", "M", "c", "samples", "seed"}
+# the flags each variant reads; its config echo holds these, the output
+# flags and the subcommand keys, and nothing else
+VARIANT_FLAGS = {
+    "ncc": {"n", "k"},
+    "ncl": {"n", "k"},
+    "snc": {"m", "n"},
+    "recursions": {"max_n"},
+    "bijections": {"max_n"},
+    "cut-reassemble": {"max_total"},
+    "lineardecomp": {"max_n"},
+    "series": {"order", "max_k"},
+    "wick": {"depth", "seed", "algebra"},
+    "diagonalize": SAMPLER_FLAGS | {"p", "max_degree", "mixed"},
+    "raw-cov": SAMPLER_FLAGS | {"m", "n", "p"},
+}
+VARIANT_KEYS = {"enumerate": "kind", "verify": "suite", "mc": "experiment"}
+
+
+def assert_own_flags(report):
+    key = VARIANT_KEYS[report["command"]]
+    own = VARIANT_FLAGS[report["config"][key]]
+    assert set(report["config"]) == own | {"format", "output", "subcommand", key}
 
 
 def text_summary(out):
@@ -71,6 +101,7 @@ def test_json_matches_schema_and_library(capsys, cell):
     assert code == 0
     report = json.loads(out)
     validate(report, "enumerate")
+    assert_own_flags(report)
     kind, *flags = cell
     params = {flags[i].lstrip("-"): int(flags[i + 1]) for i in range(0, len(flags), 2)}
     assert report["kind"] == kind and report["params"] == params
@@ -99,6 +130,7 @@ OVERSIZED_MC = (
         ("enumerate", "ncl", "--n", "13", "--k", "0"),
         ("enumerate", "snc", "--m", "7", "--n", "6"),
         ("mc", "diagonalize", "--max-degree", str(MAX_DEGREE + 1), "--N", "4", "--samples", "4"),
+        ("mc", "diagonalize", "--p", str(MAX_MATRICES + 1), "--N", "1", "--samples", "2"),
         ("mc", "raw-cov", "--m", str(MAX_DEGREE + 1), "--n", "1", "--N", "4", "--samples", "4"),
         *OVERSIZED_MC,
         ("verify", "lineardecomp", "--max-n", "13"),
@@ -178,27 +210,46 @@ def _failed_replace(src, dst):
     raise OSError("replace failed")
 
 
-@pytest.mark.parametrize("case", ["missing directory", "directory", "failed write"])
+@pytest.mark.parametrize("case", ["missing directory", "directory", "FIFO", "failed write"])
 def test_an_unwritable_output_exits_2_and_leaves_no_temp_file(
     capsys, monkeypatch, tmp_path, case
 ):
     target = {
         "missing directory": tmp_path / "missing" / "report.out",
         "directory": tmp_path,
+        "FIFO": tmp_path / "fifo",
         "failed write": tmp_path / "report.out",
     }[case]
+    if case == "FIFO":
+        os.mkfifo(target)
     if case == "failed write":
         monkeypatch.setattr(cli.os, "replace", _failed_replace)
     assert main(["tables", "pi-inverse", "--rows", "3", "--output", str(target)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")
+    # a FIFO target is left in place, not replaced by a regular file
+    if case == "FIFO":
+        assert stat.S_ISFIFO(target.lstat().st_mode)
+        target.unlink()
     assert list(tmp_path.iterdir()) == []
     assert list(tmp_path.parent.glob(f".{tmp_path.name}.tmp*")) == []
 
 
-# Each argv must end in exit 0, 1 or 2 without a traceback; {tmp} stands
-# for a fresh directory.
+# a flag of another variant, or one placed before the variant name
+REJECTED_FLAGS = [
+    ("verify", "recursions", "--depth", "5"),
+    ("verify", "wick", "--max-n", "3"),
+    ("mc", "raw-cov", "--m", "1", "--n", "1", "--mixed", "1,1:1,2", "--N", "2", "--samples", "2"),
+    ("mc", "diagonalize", "--m", "2", "--N", "2", "--samples", "2"),
+    ("enumerate", "snc", "--m", "2", "--n", "3", "--k", "1"),
+    ("enumerate", "ncc", "--n", "3", "--k", "1", "--m", "2"),
+    ("verify", "--format", "json", "recursions"),
+]
+
+# Each argv must end in exit 0, 1 or 2 without a traceback, and each of
+# REJECTED_FLAGS in exit 2; {tmp} stands for a fresh directory.
 CONTRACT_ARGVS = [
+    *REJECTED_FLAGS,
     ("mc", "diagonalize", "--mixed", "2,1:1,2", "--N", "4", "--samples", "4"),
     *(("mc", "diagonalize", "--c", ratio, "--N", "4", "--samples", "4") for ratio in BAD_RATIOS),
     ("tables", "pi-inverse", "--output", "{tmp}/missing/report.out"),
@@ -226,8 +277,8 @@ def test_every_exit_keeps_the_contract(capsys, tmp_path, argv):
         code = exc.code
     out, err = capsys.readouterr()
     assert code in (0, 1, 2) and "Traceback" not in err
-    if code == 2:
-        assert out == ""
+    if code == 2 or argv in REJECTED_FLAGS:
+        assert code == 2 and out == ""
 
 
 # -- verify, tables and mc reports against their schemas ----------------------
@@ -257,6 +308,7 @@ def verify(capsys, *argv):
 def test_verify_text_and_json_agree(capsys, suite):
     text, report = verify(capsys, *suite)
     validate(report, "verify")
+    assert_own_flags(report)
     assert report["suite"] == suite[0]
     assert report["status"] == "pass" and report["failures"] == 0
     assert report["instances"] == len(report["checks"]) > 0
@@ -272,6 +324,20 @@ def test_lineardecomp_mismatch_is_a_failed_record(capsys, monkeypatch):
     validate(report, "verify")
     assert report["status"] == "fail" and report["failures"] == report["instances"] == 3
     assert "[FAIL] block-weighted linear decomposition: n=1 (0)" in text.splitlines()
+
+
+@pytest.mark.parametrize(
+    "command,field",
+    [("verify", "suite"), ("mc", "experiment"), ("enumerate", "kind"), ("tables", "family")],
+)
+def test_the_schema_enums_name_what_the_parser_takes(command, field):
+    # so that a new suite, experiment, kind or family cannot ship without
+    # its schema entry
+    def choices(parser, dest):
+        return next(action.choices for action in parser._actions if action.dest == dest)
+
+    parser = choices(cli.build_parser(), "subcommand")[command]
+    assert sorted(schema(command)["properties"][field]["enum"]) == sorted(choices(parser, field))
 
 
 INVERSE_FAMILIES = sorted(GOLDEN_ROWS)
@@ -311,6 +377,7 @@ def test_mc_matches_schema(capsys, argv):
     code = main(["mc", *argv, "--N", "8", "--samples", "16", "--format", "json"])
     report = json.loads(capsys.readouterr()[0])
     validate(report, "mc")
+    assert_own_flags(report)
     assert report["experiment"] == argv[0]
     assert code == (0 if report["status"] == "pass" else 1)
     assert report["statistics"] or report["covariance"]

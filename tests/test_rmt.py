@@ -34,6 +34,7 @@ from ncwishart.rmt import (
 from ncwishart.families import (
     MAX_BATCH_ENTRIES,
     MAX_DEGREE,
+    MAX_MATRICES,
     MAX_STORED_TRACES,
     Family,
     predict_covariance,
@@ -58,6 +59,12 @@ class TestConfig:
         EnsembleConfig(rows=2, cols=2, max_degree=MAX_DEGREE)
         with pytest.raises(ValueError, match=f"cap {MAX_DEGREE}"):
             EnsembleConfig(rows=2, cols=2, max_degree=degree)
+
+    @pytest.mark.parametrize("p", [0, MAX_MATRICES + 1])
+    def test_matrix_count_range(self, p):
+        EnsembleConfig(rows=2, cols=2, num_matrices=MAX_MATRICES)
+        with pytest.raises(ValueError, match=f"cap {MAX_MATRICES}"):
+            EnsembleConfig(rows=2, cols=2, num_matrices=p)
 
     def test_a_batch_of_draws_is_capped(self):
         # two samples of two 2048x2048 matrices fill the cap
