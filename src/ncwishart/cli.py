@@ -240,12 +240,18 @@ def schema_path(command: str) -> Path:
     return Path(str(resources.files("ncwishart").joinpath("schemas", f"{command}.schema.json")))
 
 
+def _output_target(path: str) -> Path:
+    """The file an --output path names: a symlink's target, which the
+    report replaces while the link stays."""
+    return Path(os.path.realpath(path))
+
+
 def _check_output(path: str | None) -> None:
     """Reject an --output target that cannot be written before any work; the
     report replaces it, so it must be a regular file if it exists."""
     if path is None or path == "-":
         return
-    target = Path(path)
+    target = _output_target(path)
     if target.exists() and not target.is_file():
         raise UsageError(f"--output {path} is not a regular file")
     if not target.parent.is_dir():
@@ -256,7 +262,7 @@ def _write_output(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    target = Path(path)
+    target = _output_target(path)
     tmp = target.with_name(f".{target.name}.tmp{os.getpid()}")
     try:
         tmp.write_text(text, encoding="utf-8")
@@ -1055,7 +1061,7 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THR
 
 def cmd_mc(args: argparse.Namespace) -> tuple[dict, int]:
     # the sampler's products are too small for a second BLAS thread to
-    # help, and its draws run on the other cores
+    # help, and its draw worker runs on the other core
     if "numpy" not in sys.modules and not any(v in os.environ for v in BLAS_THREAD_VARIABLES):
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
     _load_numeric("rmt")
@@ -1209,10 +1215,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="sample Wishart ensembles and hold trace statistics against "
              "their exact limits",
         description="Sample Wishart ensembles and hold trace statistics against "
-                    "their exact limits.  Each matrix's next batch of draws is "
-                    "made on a worker thread (one per matrix, up to the core "
-                    "count) while the current batch is multiplied; the draws "
-                    "are those of a serial run.  BLAS runs on one thread "
+                    "their exact limits.  One worker thread makes the next "
+                    "batch of draws while the current one is multiplied in "
+                    "real arithmetic; the draws are those of a serial run.  "
+                    "BLAS runs on one thread "
                     "(OPENBLAS_NUM_THREADS=1) unless one of "
                     f"{', '.join(BLAS_THREAD_VARIABLES)} is set.",
     )

@@ -268,13 +268,16 @@ MAX_DEGREE = 30
 # RSS for 7.8 MB of JSON (p = 10: 3.2 s, 135 MB; 16: 8.8 s, 283 MB) on a
 # 2-core Xeon VM
 MAX_MATRICES = 8
-# the Monte Carlo's memory: a batch of draws of p M-by-N matrices, with
-# the next batch drawn meanwhile, peaks at about 80 bytes per complex
-# entry (`mc diagonalize --p 1 --N 600 --samples 64`, 11.5M entries a
-# batch: 917 MB peak RSS on a 2-core Xeon VM, whatever the degree), and
-# the traces stored for the whole run at about 16 bytes each once the
-# statistics are read (`--p 2 --max-degree 6 --N 2 --samples 1000000`,
-# 13M traces: 250 MB); at the caps the two take about 1.3 and 0.5 GB
+# the Monte Carlo's memory: a batch of draws, p M-by-N complex matrices
+# per sample, bounds what the sampler holds, which is two batches of one
+# matrix's real and imaginary parts (one being drawn, one multiplied)
+# plus, for the cross traces, a batch of the draws or the Gram of at most
+# two matrices: at most 4 floats, 32 bytes, per entry of the batch
+# (`mc diagonalize --p 1 --N 600 --samples 64`, 11.5M entries a batch:
+# 401 MB peak RSS on a 2-core Xeon VM, whatever the degree); the traces
+# stored for the whole run take about 16 bytes each once the statistics
+# are read (`--p 2 --max-degree 6 --N 2 --samples 1000000`, 13M traces:
+# 250 MB); at the caps the two take about 0.55 and 0.5 GB
 MAX_BATCH_ENTRIES = 2**24
 MAX_STORED_TRACES = 2**25
 

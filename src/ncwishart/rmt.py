@@ -12,34 +12,45 @@ two-letter product is centered with variance c^2.
 
 Sampling is deterministic for a fixed config: each matrix slot gets its
 own child of one seed sequence, so statistics are reproducible bit for
-bit on a given platform.  Per batch and matrix the real parts of G are
-drawn first, then the imaginary parts, both with unit variance; the
-trace code below does not change these draws, which the benchmark's
-recorded `mc` results depend on.  The
-sampler forms the smaller Gram matrix, W = G G* (M-by-M) when M < N and
-W = G*G (N-by-N) otherwise; the two share their nonzero spectrum, so
-Tr X^k = Tr W^k / (2N)^k.  It forms W^j only up to j = ceil(k/2) and reads
+bit on a given platform.  Per batch and matrix the real parts A of
+G = A + iB are drawn first, then the imaginary parts B, both with unit
+variance; the trace code below does not change these draws, which the
+benchmark's recorded `mc` results depend on.
 
-    Tr W^2j = |W^j|_F^2,    Tr W^(2j+1) = Re <W^j, W^(j+1)>_F,
+The sampler forms the smaller Gram matrix, W = G G* (M-by-M) when M < N
+and W = G*G (N-by-N) otherwise; the two share their nonzero spectrum, so
+Tr X^k = Tr W^k / (2N)^k.  It never forms a complex array.  W = R + iS
+with R symmetric and S = X - X^T antisymmetric:
 
-scaling by (2N)^-k once at the end.  The cross traces (2N)^2 Tr(X_i X_j)
-are <W_i, W_j>_F from the N-by-N Grams, or |G_i G_j*|_F^2 when M < N,
-for the pairs the config names only.
+    R = A A^T + B B^T,  X = B A^T   when M < N,
+    R = A^T A + B^T B,  X = A^T B   otherwise.
 
-The draws run on worker threads, min(p, cores) of them: while this
-thread runs the Gram, power and Frobenius products of a batch, each
-matrix slot's next batch is drawn into two float buffers allocated once,
-one batch in flight per slot.  Each slot keeps its own generator, so the
-draws, and the traces, are those of drawing in turn.  For Grams of up
-to a few hundred rows a second BLAS thread only competes with the draws,
-so `mc` sets OPENBLAS_NUM_THREADS=1 before numpy loads unless a BLAS
-thread variable is already set.
+Its powers W^j = R_j + i S_j follow from W^(j+1) = (R_j R - S_j S) +
+i (R_j S + S_j R), where S_j R = -(R S_j)^T, up to j = ceil(k/2), and
+
+    Tr W^2j = |R_j|^2 + |S_j|^2,   Tr W^(2j+1) = <R_j, R_(j+1)> + <S_j, S_(j+1)>,
+
+with Frobenius products throughout; Tr W^3 = <R, R^2> + 3 <S, RS> needs
+no S^2.  The traces are scaled by (2N)^-k once at the end.  The cross
+traces (2N)^2 Tr(X_i X_j) are <R_i, R_j> + <S_i, S_j> from the N-by-N
+Grams, or |G_i G_j*|^2 from four real products when M < N, for the pairs
+the config names only.
+
+One worker thread draws, batch by batch and matrix by matrix, into two
+rotating buffers allocated once, while this thread multiplies the draws
+in the other; each slot keeps its own generator, so the draws, and the
+traces, are those of drawing in turn.  The products run on sub-batches
+of about 2^15 Gram entries (8 samples at 64x64, one at 200x200), in
+workspaces allocated once and written in place; nothing is allocated
+per batch.  For Grams of up to a
+few hundred rows a second BLAS thread only competes with the draws, so
+`mc` sets OPENBLAS_NUM_THREADS=1 before numpy loads unless a BLAS thread
+variable is already set.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -61,6 +72,9 @@ from .halfperm import weighted_count  # noqa: F401
 from .perms import enum_snc  # noqa: F401
 
 _BATCH = 32
+# the entries of one product workspace: the whole batch of Grams up to
+# 32x32, 8 samples at 64x64, one sample past 128x128
+_WORKSPACE_ENTRIES = 2**15
 
 
 @dataclass(frozen=True)
@@ -100,8 +114,9 @@ class EnsembleConfig:
         batch = p * min(_BATCH, self.num_samples) * self.rows * self.cols
         if batch > MAX_BATCH_ENTRIES:
             raise ValueError(
-                f"a batch of {p} matrices of {self.rows}x{self.cols} draws holds {batch} "
-                f"entries (cap {MAX_BATCH_ENTRIES}); lower --N, --M or --p"
+                f"a batch of {p} matrices of {self.rows}x{self.cols} draws has {batch} "
+                f"entries (cap {MAX_BATCH_ENTRIES}; the sampler holds up to 4 floats an "
+                "entry); lower --N, --M or --p"
             )
         if self.mixed is not None:
             i, j = self.mixed
@@ -138,104 +153,159 @@ class TraceSamples:
     """Per-sample traces: powers[i, k-1, s] = Tr(X_i^k) for sample s, and
     pair_traces[(i, j)][s] = Tr(X_i X_j) for each (i, j) in config.pairs.
 
-    `sample_traces` reads them off the smaller Gram W of each draw G (G G*
-    when rows < cols, else G*G), as Tr W^2j = |W^j|_F^2 and Tr W^(2j+1) =
-    Re <W^j, W^(j+1)>_F, scaled by (2N)^-k; the draws are those of forming
-    X = G*G / 2N in full, and so are the traces, to rounding.  The next
-    batch of draws is made on a worker thread while the current one is
-    multiplied; the values are bit for bit those of drawing in turn."""
+    `sample_traces` reads them off the smaller Gram W = R + iS of each
+    draw G in real arithmetic (see the module docstring), in sub-batches
+    sized from the Gram, while one worker thread makes the next draws.
+    The draws are those of forming X = G*G / 2N in full, and so are the
+    traces, to rounding; they are bit for bit those of drawing in turn."""
 
     config: EnsembleConfig
     powers: np.ndarray
     pair_traces: dict
 
 
-def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re<a, b> = Re Tr(a* b) for each matrix of two batches: Tr(a b) when
-    a and b are Hermitian, and the squared Frobenius norm when a is b.
-    Read as the dot product of the real views of the entries."""
-    shape = (a.shape[0], -1)
-    return np.einsum(
-        "bi,bi->b", a.reshape(shape).view(np.float64), b.reshape(shape).view(np.float64)
-    )
+def _inner(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """<a, b> = Tr(a^T b) for each matrix of two batches of real matrices:
+    Tr(a b) when a is symmetric, and the squared Frobenius norm when a is
+    b."""
+    return np.einsum("bij,bij->b", a, b, out=out)
 
 
-def _draw(gen: np.random.Generator, re: np.ndarray, im: np.ndarray) -> None:
-    """One batch of a slot's draws: the real parts, then the imaginary ones."""
-    gen.standard_normal(out=re)
-    gen.standard_normal(out=im)
+def _draw(jobs: list) -> None:
+    """A run of draws, each one batch of one matrix's: the real parts,
+    then the imaginary ones."""
+    for gen, block in jobs:
+        gen.standard_normal(out=block[0])
+        gen.standard_normal(out=block[1])
 
 
-def _power_traces(g: np.ndarray, wide: bool, out: np.ndarray) -> np.ndarray:
-    """Fill out[k-1] with Tr W^k for each draw of the batch g, W its
-    smaller Gram, and return W.  Only the last two powers are held."""
-    g_star = g.conj().transpose(0, 2, 1)
-    w = np.matmul(g, g_star) if wide else np.matmul(g_star, g)
-    out[0] = np.einsum("bii->b", w).real
-    high = w  # W^j
+def _gram(a, b, wide: bool, r, s, t) -> None:
+    """Write W = r + i s, the smaller Gram of G = a + i b: r = a a^T + b b^T
+    and x = b a^T when wide, else r = a^T a + b^T b and x = a^T b; then
+    s = x - x^T.  t is scratch."""
+    at, bt = a.transpose(0, 2, 1), b.transpose(0, 2, 1)
+    if wide:
+        np.matmul(a, at, out=r)
+        r += np.matmul(b, bt, out=t)
+        x = np.matmul(b, at, out=t)
+    else:
+        np.matmul(at, a, out=r)
+        r += np.matmul(bt, b, out=t)
+        x = np.matmul(at, b, out=t)
+    np.subtract(x, x.transpose(0, 2, 1), out=s)
+
+
+def _powers(r, s, out: np.ndarray, scratch: list) -> None:
+    """Fill out[k-1] with Tr W^k for W = r + i s (r symmetric, s
+    antisymmetric) and k up to len(out), building W^j = R_j + i S_j in
+    the scratch arrays up to j = ceil(len(out) / 2)."""
+    np.einsum("bii->b", r, out=out[0])
+    rj, sj = r, s
     for k in range(2, len(out) + 1):
-        if k % 2:  # Tr W^(2j+1) = Re<W^j, W^(j+1)>
-            low, high = high, np.matmul(high, w)
-            out[k - 1] = _inner(low, high)
-        else:  # Tr W^2j = |W^j|^2
-            out[k - 1] = _inner(high, high)
-    return w
+        if k % 2 == 0:  # Tr W^2j = |R_j|^2 + |S_j|^2
+            _inner(rj, rj, out=out[k - 1])
+            out[k - 1] += _inner(sj, sj)
+            continue
+        # k = 2j + 1: W^(j+1) = (R_j R - S_j S) + i (R_j S + S_j R)
+        free = [w for w in scratch if w is not rj and w is not sj]
+        rr = np.matmul(rj, r, out=free[0])
+        rs = np.matmul(rj, s, out=free[1])
+        if rj is r:  # Tr W^3 = <R, R^2> + 3 <S, RS>, as SR = -(RS)^T
+            _inner(r, rr, out=out[2])
+            out[2] += 3 * _inner(s, rs)
+            if len(out) == 3:
+                return
+        ss = np.matmul(sj, s, out=free[2])
+        rr -= ss
+        # S_j R = -(R S_j)^T, which is -(RS)^T when j = 1
+        sr = rs if rj is r else np.matmul(r, sj, out=ss)
+        s_next = np.subtract(rs, sr.transpose(0, 2, 1), out=ss if sr is rs else rs)
+        if rj is not r:
+            _inner(rj, rr, out=out[k - 1])
+            out[k - 1] += _inner(sj, s_next)
+        rj, sj = rr, s_next
 
 
-def _cross_trace(a: np.ndarray, b: np.ndarray, wide: bool) -> np.ndarray:
-    """(2N)^2 Tr(X_i X_j) for each draw: |G_i G_j*|^2 from the draws when
-    wide, else <W_i, W_j> from the N-by-N Grams."""
-    if wide:  # Tr(G_i* G_i G_j* G_j) = |G_i G_j*|^2
-        cross = np.matmul(a, b.conj().transpose(0, 2, 1))
-        return _inner(cross, cross)
-    return _inner(a, b)
+def _wide_cross(ai, bi, aj, bj, out: np.ndarray, c, d, t) -> None:
+    """out = |G_i G_j*|^2 = (2N)^2 Tr(X_i X_j) for G = a + i b, with
+    G_i G_j* = C + iD, C = A_i A_j^T + B_i B_j^T and D = B_i A_j^T - A_i B_j^T,
+    formed in c and d; t is scratch."""
+    aj_t, bj_t = aj.transpose(0, 2, 1), bj.transpose(0, 2, 1)
+    np.matmul(ai, aj_t, out=c)
+    c += np.matmul(bi, bj_t, out=t)
+    np.matmul(bi, aj_t, out=d)
+    d -= np.matmul(ai, bj_t, out=t)
+    _inner(c, c, out=out)
+    out += _inner(d, d)
 
 
 def sample_traces(config: EnsembleConfig) -> TraceSamples:
     """Run the Monte Carlo and collect trace statistics.
 
-    Each slot's next batch is drawn on a worker thread (numpy's draws
-    release the GIL) while this thread runs the products of the current
-    one; the worker fills the slot's two float buffers, which are copied
-    out before its next draw is submitted."""
+    One worker thread (numpy's draws release the GIL) fills the two draw
+    buffers in turn.  A buffer takes a run of batches of about 2^15
+    entries when batches are smaller, so that tiny matrices pay a thread
+    handoff per run, not per batch.  The cross trace of a pair i < j is
+    taken at j from what i kept of the batch: its draws when wide, else
+    T_i = R_i + S_i, as <R_i, R_j> + <S_i, S_j> = <T_i, R_j> + <T_i, S_j>
+    (a symmetric and an antisymmetric matrix are orthogonal)."""
     m, n, p = config.rows, config.cols, config.num_matrices
     total = config.num_samples
     root = np.random.SeedSequence(config.seed)
     gens = [np.random.default_rng(child) for child in root.spawn(p)]
     wide = m < n  # the Gram G G* is the smaller one
+    d = min(m, n)
 
     powers = np.empty((p, config.max_degree, total))
     pairs = {pair: np.empty(total) for pair in config.pairs}
-    needed = {i for pair in pairs for i in pair}
     size = min(_BATCH, total)
-    parts = [(np.empty((size, m, n)), np.empty((size, m, n))) for _ in range(p)]
-    pool = ThreadPoolExecutor(max(1, min(p, os.cpu_count() or 1)))
+    sub = max(1, min(size, _WORKSPACE_ENTRIES // (d * d)))
+    run = max(1, _WORKSPACE_ENTRIES // (2 * size * m * n))
+    draws = np.empty((2, run, 2, size, m, n))  # [buffer, step, real | imaginary]
+    kept = {i: np.empty((2, size, m, n) if wide else (size, d, d)) for i, _ in pairs}
+    partners = [[(h, out) for (h, j), out in pairs.items() if j == i] for i in range(p)]
+    # W = R + iS and the scratch of _gram (one), then of _powers (two at
+    # degree 3, three at 4, five from 5 on); _wide_cross reuses R, S and one
+    scratch = 5 if config.max_degree >= 5 else max(1, config.max_degree - 1)
+    work = np.empty((2 + scratch, sub, d, d))
+    steps = -(-total // _BATCH) * p
+    pool = ThreadPoolExecutor(1)
 
-    def submit(i: int, b: int) -> Future:
-        re, im = parts[i]
-        return pool.submit(_draw, gens[i], re[:b], im[:b])
+    def block(step: int) -> np.ndarray:
+        """The buffer slot of a step: batch step // p of matrix step % p."""
+        return draws[step // run % 2, step % run, :, :min(_BATCH, total - step // p * _BATCH)]
+
+    def submit(first: int) -> Future:
+        return pool.submit(_draw, [(gens[k % p], block(k))
+                                   for k in range(first, min(first + run, steps))])
 
     try:
-        pending = [submit(i, size) for i in range(p)]
-        for done in range(0, total, _BATCH):
-            b = min(_BATCH, total - done)
-            after = min(_BATCH, total - done - b)
-            sl = slice(done, done + b)
-            kept = {}  # what the cross traces read: the draws when wide, else the Grams
-            for i in range(p):
-                pending[i].result()
-                g = np.empty((b, m, n), dtype=np.complex128)
-                g.real, g.imag = parts[i][0][:b], parts[i][1][:b]
-                if after:
-                    pending[i] = submit(i, after)
-                else:  # the last batch: free the buffers before the products
-                    parts[i] = None
-                w = _power_traces(g, wide, powers[i, :, sl])
-                if i in needed:
-                    kept[i] = g if wide else w
-                del g, w  # so that the next slot's batch is not allocated beside them
-            for (i, j), out in pairs.items():
-                out[sl] = _cross_trace(kept[i], kept[j], wide)
+        pending = submit(0)
+        for step in range(steps):
+            if step % run == 0:  # this run's draws are in: start the next run
+                pending.result()
+                if step + run < steps:
+                    pending = submit(step + run)
+            i, done = step % p, step // p * _BATCH
+            g = block(step)
+            b = g.shape[1]
+            if wide and i in kept:
+                np.copyto(kept[i][:, :b], g)
+            for lo in range(0, b, sub):
+                hi = min(lo + sub, b)
+                r, s, *spare = work[:, :hi - lo]
+                re, im = g[:, lo:hi]
+                _gram(re, im, wide, r, s, spare[0])
+                if not wide and i in kept:
+                    np.add(r, s, out=kept[i][lo:hi])
+                _powers(r, s, powers[i, :, done + lo:done + hi], spare)
+                for h, out in partners[i]:
+                    dst = out[done + lo:done + hi]
+                    if wide:
+                        _wide_cross(*kept[h][:, lo:hi], re, im, dst, r, s, spare[0])
+                    else:  # <W_h, W_i> = <T_h, R_i> + <T_h, S_i>
+                        _inner(kept[h][lo:hi], r, out=dst)
+                        dst += _inner(kept[h][lo:hi], s)
     finally:
         pool.shutdown(cancel_futures=True)
     # X = G*G / 2N: undo the unit-variance draws in one pass per power

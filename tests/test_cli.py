@@ -235,6 +235,21 @@ def test_an_unwritable_output_exits_2_and_leaves_no_temp_file(
     assert list(tmp_path.parent.glob(f".{tmp_path.name}.tmp*")) == []
 
 
+def test_an_output_symlink_keeps_its_link_and_the_report_replaces_its_target(
+    capsys, tmp_path
+):
+    real = tmp_path / "real" / "report.txt"
+    real.parent.mkdir()
+    real.write_text("old\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(real)
+    assert main(["tables", "pi", "--rows", "2", "--output", str(link)]) == 0
+    assert capsys.readouterr().out == ""
+    assert link.is_symlink() and link.resolve() == real
+    assert real.read_text().startswith("command: tables")
+    assert sorted(p.name for p in real.parent.iterdir()) == ["report.txt"]
+
+
 # a flag of another variant, or one placed before the variant name
 REJECTED_FLAGS = [
     ("verify", "recursions", "--depth", "5"),

@@ -3,7 +3,9 @@ acceptance-scale run lives in the acceptance suite)."""
 
 import math
 import threading
+import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from ncwishart.perms import enum_snc
 from ncwishart.polyc import PolyC
 from ncwishart.rmt import (
     _BATCH,
+    _WORKSPACE_ENTRIES,
     EnsembleConfig,
     StatCheck,
     _inner,
@@ -212,11 +215,28 @@ def mixed_pair(p):
     return (p - 1, p - 2) if p >= 3 else None
 
 
+def cases(*grid):
+    """pytest params over the product of the grids, with the ids that
+    stacked parametrize marks give them (the last grid first)."""
+    return [pytest.param(*case, id="-".join(map(str, reversed(case))))
+            for case in product(*grid)]
+
+
+# rows < cols forms G G*, rows >= cols forms G*G; 2 batches and a part.
+# The caps: every power up to MAX_DEGREE, and MAX_MATRICES with a mixed
+# pair.  A 40-row Gram takes its batch in sub-batches of 20 and 12, a
+# 130-row one one sample at a time.
+DENSE_CASES = [
+    *cases([(3, 5), (4, 4), (5, 3)], range(1, 7), range(1, 4)),
+    *cases([(3, 5), (5, 3)], [MAX_DEGREE], [1, 2]),
+    *cases([(3, 5), (5, 3)], [4], [MAX_MATRICES]),
+    *cases([(40, 48), (48, 40)], [5], [3]),
+    *cases([(130, 132), (132, 130)], [4], [2]),
+]
+
+
 class TestAgainstTheDenseSampler:
-    # rows < cols forms G G*, rows >= cols forms G*G; 2 batches and a part
-    @pytest.mark.parametrize("shape", [(3, 5), (4, 4), (5, 3)], ids=str)
-    @pytest.mark.parametrize("degree", range(1, 7))
-    @pytest.mark.parametrize("p", range(1, 4))
+    @pytest.mark.parametrize("shape,degree,p", DENSE_CASES)
     def test_traces_match(self, shape, degree, p):
         rows, cols = shape
         cfg = EnsembleConfig(rows=rows, cols=cols, num_matrices=p,
@@ -231,53 +251,85 @@ class TestAgainstTheDenseSampler:
 
 
 def serial_sample_traces(config):
-    """The sampler with its draws made in turn on one thread, kept as the
-    oracle of the pipelined sample_traces: same draws, same products."""
+    """The sampler with its draws made in turn into new arrays, and the
+    same real products on the same sub-batches, kept as the oracle of the
+    draw order and the buffer rotation of sample_traces: same draws, same
+    products, so the same bits.  (einsum sums a one-sample batch of more
+    than 8192 entries in another order, so a sub-batch of one sample
+    differs in the last bits from the same sample in a larger batch.)"""
     m, n, p = config.rows, config.cols, config.num_matrices
     total, deg = config.num_samples, config.max_degree
     gens = [np.random.default_rng(child)
             for child in np.random.SeedSequence(config.seed).spawn(p)]
     wide = m < n
-    top = (deg + 1) // 2
+    sub = max(1, min(_BATCH, total, _WORKSPACE_ENTRIES // min(m, n) ** 2))
+
+    def t(x):
+        return x.transpose(0, 2, 1)
+
+    def side(x, y):  # the side of G G* when wide, else of G*G
+        return x @ t(y) if wide else t(x) @ y
+
+    def gram_traces(re, im, out):
+        """Fill out with the power traces of G = re + i im; return W = r + i s."""
+        r = side(re, re) + side(im, im)
+        x = side(im, re) if wide else side(re, im)
+        s = x - t(x)
+        out[0] = np.einsum("bii->b", r)
+        rj, sj = r, s  # W^j
+        for k in range(2, deg + 1):
+            if k % 2 == 0:
+                out[k - 1] = _inner(rj, rj) + _inner(sj, sj)
+                continue
+            rr, rs = rj @ r, rj @ s
+            if k == 3:
+                out[2] = _inner(r, rr) + 3 * _inner(s, rs)
+            r_next = rr - sj @ s
+            s_next = rs - t(rs if k == 3 else r @ sj)
+            if k > 3:
+                out[k - 1] = _inner(rj, r_next) + _inner(sj, s_next)
+            rj, sj = r_next, s_next
+        return r, s
+
     powers = np.empty((p, deg, total))
     pairs = {pair: np.empty(total) for pair in config.pairs}
-    done = 0
-    while done < total:
+    for done in range(0, total, _BATCH):
         b = min(_BATCH, total - done)
-        sl = slice(done, done + b)
-        draws, grams = [], []
-        for i in range(p):
-            g = np.empty((b, m, n), dtype=np.complex128)
-            g.real = gens[i].standard_normal((b, m, n))
-            g.imag = gens[i].standard_normal((b, m, n))
-            g_star = g.conj().transpose(0, 2, 1)
-            w = np.matmul(g, g_star) if wide else np.matmul(g_star, g)
-            w_powers = [w]
-            for _ in range(1, top):
-                w_powers.append(np.matmul(w_powers[-1], w))
-            powers[i, 0, sl] = np.einsum("bii->b", w).real
-            for k in range(2, deg + 1):
-                powers[i, k - 1, sl] = _inner(w_powers[k // 2 - 1], w_powers[(k - 1) // 2])
-            draws.append(g)
-            grams.append(w)
-        for (i, j), out in pairs.items():
-            if wide:
-                cross = np.matmul(draws[i], draws[j].conj().transpose(0, 2, 1))
-                out[sl] = _inner(cross, cross)
-            else:
-                out[sl] = _inner(grams[i], grams[j])
-        done += b
+        draws = [(gen.standard_normal((b, m, n)), gen.standard_normal((b, m, n)))
+                 for gen in gens]
+        for lo in range(0, b, sub):
+            sl = slice(done + lo, done + min(lo + sub, b))
+            part = [(re[lo:lo + sub], im[lo:lo + sub]) for re, im in draws]
+            grams = [gram_traces(re, im, powers[i, :, sl]) for i, (re, im) in enumerate(part)]
+            for (i, j), out in pairs.items():
+                if wide:
+                    (ai, bi), (aj, bj) = part[i], part[j]
+                    c = ai @ t(aj) + bi @ t(bj)
+                    d = bi @ t(aj) - ai @ t(bj)
+                    out[sl] = _inner(c, c) + _inner(d, d)
+                else:
+                    (ri, si), (rj, sj) = grams[i], grams[j]
+                    out[sl] = _inner(ri + si, rj) + _inner(ri + si, sj)
     powers *= (2.0 * n) ** -np.arange(1, deg + 1)[:, None]
     for out in pairs.values():
         out /= (2.0 * n) ** 2
     return powers, pairs
 
 
+# A draw run takes 56 batches of one 3x3 matrix and 1 of a 40x48 one; a
+# 40-row Gram takes its batch in sub-batches of 20 and 12, a 130-row one
+# one sample at a time.
+SERIAL_CASES = [
+    *cases([(4, 6), (5, 5), (6, 4)], range(1, 5), [2, _BATCH - 1, _BATCH, _BATCH + 1, 71],
+           range(1, 7)),
+    *cases([(3, 3)], [1, 3], [57 * _BATCH + 5], [2, 5]),
+    *cases([(40, 48), (48, 40)], [1, 3], [71], [3, 6]),
+    *cases([(130, 132), (132, 130)], [2], [_BATCH + 1], [4]),
+]
+
+
 class TestAgainstTheSerialSampler:
-    @pytest.mark.parametrize("shape", [(4, 6), (5, 5), (6, 4)], ids=str)
-    @pytest.mark.parametrize("p", range(1, 5))
-    @pytest.mark.parametrize("samples", [2, _BATCH - 1, _BATCH, _BATCH + 1, 71])
-    @pytest.mark.parametrize("degree", range(1, 7))
+    @pytest.mark.parametrize("shape,p,samples,degree", SERIAL_CASES)
     def test_traces_are_bit_identical(self, shape, p, samples, degree):
         rows, cols = shape
         cfg = EnsembleConfig(rows=rows, cols=cols, num_matrices=p, num_samples=samples,
@@ -290,7 +342,7 @@ class TestAgainstTheSerialSampler:
             assert np.array_equal(s.pair_traces[key], want)
 
     def test_a_failed_draw_is_raised_at_once_and_stops_the_workers(self, monkeypatch):
-        calls = []
+        calls, drawers = [], set()
 
         class FailingGenerator:
             def __init__(self, seed):
@@ -298,6 +350,7 @@ class TestAgainstTheSerialSampler:
 
             def standard_normal(self, *args, **kwargs):
                 calls.append(self)
+                drawers.add(threading.get_ident())
                 if calls.count(self) == 3:
                     raise RuntimeError("draw failed")
                 return self._gen.standard_normal(*args, **kwargs)
@@ -312,6 +365,25 @@ class TestAgainstTheSerialSampler:
         # the third call is the first of the second batch; the sampler
         # stops there instead of drawing on
         assert max(calls.count(gen) for gen in set(calls)) == 3
+        # one worker makes every draw
+        assert len(drawers) == 1 and threading.get_ident() not in drawers
+
+    def test_the_sampler_holds_its_buffers_and_nothing_per_batch(self):
+        # at 64x64 with two matrices the sampler holds 6 blocks, a block
+        # being one batch of one matrix's real parts: two draw buffers of
+        # a matrix's real and imaginary parts (4), R + S of matrix 0's
+        # Gram R + iS kept for the cross trace (1), and R, S and two
+        # scratch workspaces of 8 samples each (1)
+        block = _BATCH * 64 * 64 * 8
+        cfg = EnsembleConfig(rows=64, cols=64, num_matrices=2, num_samples=8 * _BATCH,
+                             max_degree=3, seed=1)
+        tracemalloc.start()
+        try:
+            sample_traces(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.25 * block
 
 
 def exact_moment(k, rows, cols):
