@@ -20,56 +20,57 @@ The package has five parts:
 * :mod:`ncwishart.cli` -- the ``ncwishart`` command line tool.
 
 Only :mod:`ncwishart.rmt` and :mod:`ncwishart.wick` compute in floating
-point, and only they import numpy.  ``import ncwishart`` loads the exact
-modules; the names exported from ``rmt`` and ``wick`` are bound on first
-access, so numpy is imported the first time one of them is used.  On the
-command line that is ``mc`` and ``verify wick``; every other command runs
-without numpy.
+point, and only they import numpy.  ``import ncwishart`` loads no
+submodule: each name of ``__all__`` is bound on first access, by loading
+the module that defines it (and the modules that module imports).  So
+``from ncwishart import PolyC`` loads :mod:`ncwishart.polyc` alone, and
+numpy is imported the first time a name from ``rmt`` or ``wick`` is used.
+On the command line that is ``mc`` and ``verify wick``; every other
+command runs without numpy.
 """
 
 from importlib import import_module
 
-from .polyc import PolyC, PolyXC, SeriesZ
-from .perms import AnnularPerm, Perm, enum_nc, enum_snc, iter_snc_images
-from .halfperm import (
-    CircularHalfPerm,
-    LinearHalfPerm,
-    WeightRule,
-    cut,
-    enum_ncc,
-    enum_ncl,
-    reassemble,
-    weighted_count,
-)
-from .colored import (
-    ColoredAnnularSpec,
-    enum_colored_ncc,
-    enum_colored_snc,
-    restrict_to_intervals,
-    spoke_spec,
-    through_profile,
-)
-from .dots import DotStructure, dot_decode, dot_encode, enum_dots
-from .families import (
-    Family,
-    TransitionMatrix,
-    chebyshev_C,
-    chebyshev_S,
-    gamma,
-    gamma_tilde,
-    integrate_against_reference,
-    inverse_table,
-    moments,
-    pi_poly,
-    predict_covariance,
-    series_G,
-    series_P,
-    shift_constant,
-    transition_matrix,
-)
-
-# the names of the two numeric modules, bound here on first access
-_NUMERIC = {
+# every public name by its defining module, bound here on first access
+_LAZY = {
+    "polyc": ("PolyC", "PolyXC", "SeriesZ"),
+    "perms": ("AnnularPerm", "Perm", "enum_nc", "enum_snc", "iter_snc_images"),
+    "halfperm": (
+        "CircularHalfPerm",
+        "LinearHalfPerm",
+        "WeightRule",
+        "cut",
+        "enum_ncc",
+        "enum_ncl",
+        "reassemble",
+        "weighted_count",
+    ),
+    "colored": (
+        "ColoredAnnularSpec",
+        "enum_colored_ncc",
+        "enum_colored_snc",
+        "restrict_to_intervals",
+        "spoke_spec",
+        "through_profile",
+    ),
+    "dots": ("DotStructure", "dot_decode", "dot_encode", "enum_dots"),
+    "families": (
+        "Family",
+        "TransitionMatrix",
+        "chebyshev_C",
+        "chebyshev_S",
+        "gamma",
+        "gamma_tilde",
+        "integrate_against_reference",
+        "inverse_table",
+        "moments",
+        "pi_poly",
+        "predict_covariance",
+        "series_G",
+        "series_P",
+        "shift_constant",
+        "transition_matrix",
+    ),
     "rmt": ("EnsembleConfig", "StatCheck", "evaluate_statistics", "sample_traces"),
     "wick": (
         "FockOperator",
@@ -84,7 +85,7 @@ _NUMERIC = {
 
 
 def __getattr__(name: str):
-    for module, names in _NUMERIC.items():
+    for module, names in _LAZY.items():
         if name == module or name in names:
             loaded = import_module(f".{module}", __name__)
             globals().update((n, getattr(loaded, n)) for n in names)
@@ -94,58 +95,4 @@ def __getattr__(name: str):
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "PolyC",
-    "PolyXC",
-    "SeriesZ",
-    "AnnularPerm",
-    "Perm",
-    "enum_nc",
-    "enum_snc",
-    "iter_snc_images",
-    "CircularHalfPerm",
-    "ColoredAnnularSpec",
-    "enum_colored_ncc",
-    "enum_colored_snc",
-    "restrict_to_intervals",
-    "spoke_spec",
-    "through_profile",
-    "LinearHalfPerm",
-    "WeightRule",
-    "cut",
-    "enum_ncc",
-    "enum_ncl",
-    "reassemble",
-    "weighted_count",
-    "DotStructure",
-    "dot_decode",
-    "dot_encode",
-    "enum_dots",
-    "EnsembleConfig",
-    "StatCheck",
-    "evaluate_statistics",
-    "predict_covariance",
-    "sample_traces",
-    "FockOperator",
-    "OperatorCheck",
-    "TracialAlgebra",
-    "convolution",
-    "p_operator",
-    "w_pi",
-    "wick_report",
-    "Family",
-    "shift_constant",
-    "TransitionMatrix",
-    "chebyshev_C",
-    "chebyshev_S",
-    "gamma",
-    "gamma_tilde",
-    "integrate_against_reference",
-    "inverse_table",
-    "moments",
-    "pi_poly",
-    "series_G",
-    "series_P",
-    "transition_matrix",
-    "__version__",
-]
+__all__ = [name for names in _LAZY.values() for name in names] + ["__version__"]

@@ -10,69 +10,84 @@ wall-clock `elapsed_s` field of Monte Carlo reports.
 Each variant of `enumerate`, `verify` and `mc` (a diagram kind, a suite,
 an experiment) is a sub-parser that declares only the flags it reads.  A
 new verify suite is one `VERIFY_SUITES` entry, its record builder and its
-flags, plus its name in the `suite` enum of verify.schema.json.
+flags, plus its name in the `suite` enum of verify.schema.json; the
+builder starts by loading the modules it computes with, `_load(...)`.
+
+Arguments are parsed and range-checked before any module that computes
+is loaded: the parser reads only the caps of `ncwishart.limits`, and each
+handler or record builder checks its sizes, then loads the modules it
+runs and no other.  So `--help` and a usage error load none of them,
+`tables` and `verify series` leave the diagram modules out, and only `mc`
+and `verify wick` import numpy.  Only `perms` is imported with this
+module.  The sampler's memory caps, which depend on its batch size, are
+checked by `rmt.EnsembleConfig` once `rmt` is loaded.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib
 import io
-import json
 import math
 import os
 import re
 import sys
 import time
 from collections import Counter
-from fractions import Fraction
 from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
-from .colored import enum_colored_ncc, open_profile
-from .dots import dot_decode, dot_encode, enum_dots
-from .families import (
+from .limits import (
+    ANNULAR_CAP,
+    DISC_CAP,
     MAX_BATCH_ENTRIES,
     MAX_DEGREE,
     MAX_MATRICES,
     MAX_STORED_TRACES,
-    Family,
-    TransitionMatrix,
-    chebyshev_C,
-    chebyshev_S,
-    gamma,
-    gamma_tilde,
-    integrate_against_reference,
-    inverse_table,
-    moments,
-    pi_poly,
-    predict_covariance,
-    series_G,
-    series_G0,
-    series_P,
-    series_P0,
-    transition_matrix,
+    check_sampler_sizes,
 )
-from .halfperm import (
-    DISC_CAP,
-    WeightRule,
-    cut,
-    enum_ncc,
-    enum_ncl,
-    lineardecomp_check,
-    reassemble,
-    weighted_count,
-)
-from .perms import ANNULAR_CAP, Perm, enum_snc, format_cycles, iter_snc_images
-from .polyc import PolyC, PolyXC, SeriesZ
+# `perms` is imported with this module, not on demand like the others: the
+# benchmark's tracer test deletes `enum_snc` here right after the import
+# and expects the tracer to find it missing
+from .perms import Perm, enum_snc, format_cycles, iter_snc_images
 
-# Only `mc` and `verify wick` compute in floating point.  The names they
-# use from the numpy modules are bound by _load_numeric on first use, so
-# that every other command starts without importing numpy.
-_NUMERIC = {
+# The names this module reads from each module that computes, bound by
+# _load when a command first needs them: by the handler or record builder,
+# after its range checks.  So the parser, --help and a usage error load
+# none of these modules, and each command loads only those it runs.
+_LAZY = {
+    "polyc": ("PolyC", "PolyXC", "SeriesZ"),
+    "families": (
+        "Family",
+        "TransitionMatrix",
+        "chebyshev_C",
+        "chebyshev_S",
+        "gamma",
+        "gamma_tilde",
+        "integrate_against_reference",
+        "inverse_table",
+        "moments",
+        "pi_poly",
+        "predict_covariance",
+        "series_G",
+        "series_G0",
+        "series_P",
+        "series_P0",
+        "transition_matrix",
+    ),
+    "halfperm": (
+        "WeightRule",
+        "cut",
+        "enum_ncc",
+        "enum_ncl",
+        "lineardecomp_check",
+        "reassemble",
+        "weighted_count",
+    ),
+    "dots": ("dot_decode", "dot_encode", "enum_dots"),
+    "colored": ("enum_colored_ncc", "open_profile"),
     "rmt": (
         "EnsembleConfig",
         "evaluate_statistics",
@@ -82,20 +97,36 @@ _NUMERIC = {
     ),
     "wick": ("function_algebra", "matrix_algebra", "scalar_algebra", "wick_report"),
 }
+# the modules that import numpy, and the variables the BLAS library reads
+# for its thread count when numpy first loads
+_FLOATING_POINT = ("rmt", "wick")
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# stated by the help of the two commands that load numpy
+_BLAS_RULE = ("BLAS runs on one thread (OPENBLAS_NUM_THREADS=1) unless one of "
+              f"{', '.join(BLAS_THREAD_VARIABLES)} is set.")
 
 
-def _load_numeric(module: str) -> None:
-    """Bind this module's names from `module`; a name already set here (a
-    test double, say) is kept."""
-    loaded = importlib.import_module(f".{module}", __package__)
-    for name in _NUMERIC[module]:
-        globals().setdefault(name, getattr(loaded, name))
+def _load(*modules: str) -> None:
+    """Bind this module's names from each of `modules`; a name already set
+    here (a wrapper or a test double, say) is kept.
+
+    Before numpy first loads, BLAS is set to one thread unless one of
+    BLAS_THREAD_VARIABLES is set: the sampler's products and the Fock
+    operators are too small for a second thread to help, and the
+    sampler's draw worker runs on the other core."""
+    for module in modules:
+        if (module in _FLOATING_POINT and "numpy" not in sys.modules
+                and not any(v in os.environ for v in BLAS_THREAD_VARIABLES)):
+            os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        loaded = importlib.import_module(f".{module}", __package__)
+        for name in _LAZY[module]:
+            globals().setdefault(name, getattr(loaded, name))
 
 
 def __getattr__(name: str):
-    for module, names in _NUMERIC.items():
+    for module, names in _LAZY.items():
         if name in names:
-            _load_numeric(module)
+            _load(module)
             return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
@@ -121,11 +152,6 @@ MAX_TABLE_ROWS = 80
 
 class UsageError(Exception):
     """A semantic command-line problem; reported on stderr with exit 2."""
-
-
-# the band (1, 1+c, c) of the recursions the verify suites check
-_C = PolyC.c()
-_ONE_PLUS_C = PolyC.of(1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +221,15 @@ PRODUCT_DECOMPOSITION_FIXTURE = {
     "pictured_diagrams": 4,
 }
 
+# each `tables` family: its `Family` member's name, and whether the table
+# is the inverse
 FAMILY_CHOICES = {
-    "gamma-tilde": (Family.GAMMA_TILDE, False),
-    "gamma": (Family.GAMMA, False),
-    "pi": (Family.PI, False),
-    "gamma-tilde-inverse": (Family.GAMMA_TILDE, True),
-    "gamma-inverse": (Family.GAMMA, True),
-    "pi-inverse": (Family.PI, True),
+    "gamma-tilde": ("GAMMA_TILDE", False),
+    "gamma": ("GAMMA", False),
+    "pi": ("PI", False),
+    "gamma-tilde-inverse": ("GAMMA_TILDE", True),
+    "gamma-inverse": ("GAMMA", True),
+    "pi-inverse": ("PI", True),
 }
 
 
@@ -274,6 +302,8 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _render_json(report: dict) -> str:
+    import json
+
     return json.dumps(report, indent=2) + "\n"
 
 
@@ -283,6 +313,8 @@ def _csv_preamble(buf: io.StringIO, report: dict) -> None:
 
 
 def _render_csv(report: dict) -> str:
+    import csv
+
     buf = io.StringIO()
     _csv_preamble(buf, report)
     writer = csv.writer(buf, lineterminator="\n")
@@ -396,21 +428,23 @@ def _render(report: dict, fmt: str) -> str:
 
 
 def cmd_tables(args: argparse.Namespace) -> tuple[dict, int]:
-    family, inverse = FAMILY_CHOICES[args.family]
+    member, inverse = FAMILY_CHOICES[args.family]
     size = args.rows
     if size > MAX_TABLE_ROWS:
         raise UsageError(f"--rows {size} exceeds the table cap {MAX_TABLE_ROWS}")
+    fixture = GOLDEN_ROWS.get(args.family)
+    if args.check and fixture is None:
+        raise UsageError(
+            f"no built-in fixture for family '{args.family}'; "
+            f"fixtures cover: {', '.join(sorted(GOLDEN_ROWS))}"
+        )
+    _load("polyc", "families")
+    family = Family[member]
     table = inverse_table(family, size) if inverse else transition_matrix(family, size)
     rows = [[str(table.entry(n, k)) for k in range(n + 1)] for n in range(size)]
     check = None
     status = "pass"
     if args.check:
-        fixture = GOLDEN_ROWS.get(args.family)
-        if fixture is None:
-            raise UsageError(
-                f"no built-in fixture for family '{args.family}'; "
-                f"fixtures cover: {', '.join(sorted(GOLDEN_ROWS))}"
-            )
         depth = min(size, len(fixture))
         mismatches = []
         for n in range(depth):
@@ -449,6 +483,7 @@ def _enumerate_stream(args: argparse.Namespace) -> tuple[dict, Iterator[tuple[st
             raise UsageError(f"need n >= 1 and 0 <= k <= n, got n={n}, k={k}")
         if n > DISC_CAP:
             raise UsageError(f"n={n} exceeds the enumeration cap {DISC_CAP}")
+        _load("halfperm")
         enum = enum_ncc if args.kind == "ncc" else enum_ncl
         diagrams = enum(n, k)
 
@@ -474,6 +509,7 @@ def _enumerate_stream(args: argparse.Namespace) -> tuple[dict, Iterator[tuple[st
 
 def cmd_enumerate(args: argparse.Namespace) -> tuple[dict | None, int]:
     params, stream = _enumerate_stream(args)
+    _load("polyc")
     streaming = args.format == "text" and args.output in (None, "-")
     config = _config_dict(args)
     if streaming:
@@ -516,6 +552,7 @@ def cmd_enumerate(args: argparse.Namespace) -> tuple[dict | None, int]:
 def check_square_decomposition_fixture() -> list[dict]:
     """Hold the embedded square-decomposition fixture against the inverse
     table and the circular enumeration."""
+    _load("polyc", "families", "halfperm")
     records = []
     inv = inverse_table(Family.GAMMA, 3)
     computed = tuple(str(inv.entry(2, k)) for k in range(3))
@@ -552,6 +589,7 @@ def check_square_decomposition_fixture() -> list[dict]:
 def check_product_decomposition_fixture() -> list[dict]:
     """Hold the embedded two-letter product fixture against the colored
     circular enumeration and the second-kind inverse table."""
+    _load("polyc", "families", "halfperm", "colored")
     records = []
     fixture = PRODUCT_DECOMPOSITION_FIXTURE
     inv = inverse_table(Family.PI, 3)
@@ -615,24 +653,26 @@ def _band(entry, n: int, k: int, a0: PolyC, b1: PolyC) -> bool:
     off column 0, and as a0*E[n,0] + b1*E[n,1] in it."""
     if k == 0:
         return entry(n + 1, 0) == a0 * entry(n, 0) + b1 * entry(n, 1)
-    return entry(n + 1, k) == (entry(n, k - 1) + _ONE_PLUS_C * entry(n, k)
-                               + _C * entry(n, k + 1))
+    return entry(n + 1, k) == (entry(n, k - 1) + PolyC.of(1, 1) * entry(n, k)
+                               + PolyC.c() * entry(n, k + 1))
 
 
 def _recursion_records(max_n: int) -> list[dict]:
+    _load("polyc", "families", "halfperm")
     # Each family's constants are written here, not read from
     # families.RECURRENCES, which builds the tables under test.
+    c, one_plus_c = PolyC.c(), PolyC.of(1, 1)
     records = []
     for n in range(max_n):
-        lhs, rhs = _three_term(gamma_tilde, n, _ONE_PLUS_C, 2 * _C if n == 1 else _C)
+        lhs, rhs = _three_term(gamma_tilde, n, one_plus_c, 2 * c if n == 1 else c)
         for k in range(n + 2):
             records.append(_record("arc-sine forward row recurrence", f"n={n},k={k}",
                                    lhs.coeff(k) == rhs.coeff(k)))
     # (identity, member, first n, a, b_1, b)
     for identity, f, first, a, b1, b in (
-        ("second-kind three-term recurrence", pi_poly, 2, _ONE_PLUS_C, _C, _C),
-        ("first-kind Chebyshev recurrence", chebyshev_C, 1, 0, 2, 1),
-        ("second-kind Chebyshev recurrence", chebyshev_S, 1, 0, 1, 1),
+        ("second-kind three-term recurrence", pi_poly, 2, one_plus_c, c, c),
+        ("first-kind Chebyshev recurrence", chebyshev_C, 0, 0, 2, 1),
+        ("second-kind Chebyshev recurrence", chebyshev_S, 0, 0, 1, 1),
     ):
         for n in range(first, max_n):
             lhs, rhs = _three_term(f, n, a, b1 if n == 1 else b)
@@ -649,8 +689,8 @@ def _recursion_records(max_n: int) -> list[dict]:
     # (name, inverse entries, a_0, b_1)
     inverses = (
         ("arc-sine", partial(_entry, inverse_table(Family.GAMMA_TILDE, size)),
-         _ONE_PLUS_C, 2 * _C),
-        ("second-kind", partial(_entry, inverse_table(Family.PI, size)), _C, _C),
+         one_plus_c, 2 * c),
+        ("second-kind", partial(_entry, inverse_table(Family.PI, size)), c, c),
     )
     for n in range(max_n):
         for name, entry, a0, b1 in inverses:
@@ -662,7 +702,7 @@ def _recursion_records(max_n: int) -> list[dict]:
 
     for name, member, first in (("uncentered", gamma_tilde, 2), ("centered", gamma, 3)):
         for n in range(first, max_n + 1):
-            ok = member(n) + member(n - 1) == pi_poly(n) - _C * pi_poly(n - 2)
+            ok = member(n) + member(n - 1) == pi_poly(n) - c * pi_poly(n - 2)
             records.append(_record(f"first/second-kind bridge ({name})", f"n={n}", ok))
 
     for n in range(1, max_n + 1):
@@ -691,11 +731,12 @@ def _recursion_records(max_n: int) -> list[dict]:
     for n in range(1, min(max_n, 6)):
         for k in range(n + 2):
             records.append(_record("circular census recursion (enumerated)", f"n={n + 1},k={k}",
-                                   _band(cell, n, k, _ONE_PLUS_C, 2 * _C)))
+                                   _band(cell, n, k, one_plus_c, 2 * c)))
     return records
 
 
 def _bijection_records(max_n: int) -> list[dict]:
+    _load("halfperm", "dots")
     records = []
     for n in range(1, max_n + 1):
         for k in range(1, n + 1):
@@ -745,6 +786,7 @@ def _bijection_records(max_n: int) -> list[dict]:
 
 
 def _cut_reassemble_records(max_total: int) -> list[dict]:
+    _load("families", "halfperm")
     records = []
     for total in range(2, max_total + 1):
         for m in range((total + 1) // 2, total):
@@ -795,6 +837,7 @@ def _cut_reassemble_records(max_total: int) -> list[dict]:
 
 
 def _lineardecomp_records(max_n: int) -> list[dict]:
+    _load("halfperm")
     records = []
     for n in range(1, max_n + 1):
         lhs, rhs = lineardecomp_check(n)
@@ -806,15 +849,17 @@ def _lineardecomp_records(max_n: int) -> list[dict]:
 
 
 def _series_records(order: int, max_k: int) -> list[dict]:
+    _load("polyc", "families")
+    c, one_plus_c = PolyC.c(), PolyC.of(1, 1)
     records = []
     p0 = series_P0(order)
     q = p0 - 1
-    ok = q == (q * q + _ONE_PLUS_C * q + _C).times_z()
+    ok = q == (q * q + one_plus_c * q + c).times_z()
     records.append(_record("moment series functional equation", f"order={order}", ok))
 
-    one_minus = SeriesZ.one(order) - _ONE_PLUS_C * SeriesZ.z(order)
+    one_minus = SeriesZ.one(order) - one_plus_c * SeriesZ.z(order)
     for k in range(1, max_k + 1):
-        lhs = (_C * series_P(k + 1, order)).times_z()
+        lhs = (c * series_P(k + 1, order)).times_z()
         rhs = one_minus * series_P(k, order) - series_P(k - 1, order).times_z()
         records.append(_record("second-kind column ladder", f"k={k}", lhs == rhs))
 
@@ -852,7 +897,7 @@ def _series_records(order: int, max_k: int) -> list[dict]:
 
 
 def _wick_records(depth: int, seed: int, algebra: str) -> list[dict]:
-    _load_numeric("wick")
+    _load("wick")
     makers = {"scalar": scalar_algebra, "matrix": matrix_algebra, "function": function_algebra}
     # None: wick_report builds all three
     algebras = None if algebra == "all" else [makers[algebra]()]
@@ -956,6 +1001,10 @@ def _parse_word(spec: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def _resolve_ensemble(args: argparse.Namespace, max_degree: int,
                       num_matrices: int,
                       mixed: tuple[int, int] | None = None) -> EnsembleConfig:
+    """The sampling run the flags ask for; its sizes are checked before
+    `rmt`, and with it numpy, is loaded."""
+    from fractions import Fraction
+
     cols = args.N
     try:
         ratio = Fraction(args.c) if args.c is not None else None
@@ -976,6 +1025,8 @@ def _resolve_ensemble(args: argparse.Namespace, max_degree: int,
     else:
         rows = cols
     try:
+        check_sampler_sizes(num_matrices, args.samples, max_degree)
+        _load("rmt")
         return EnsembleConfig(
             rows=rows,
             cols=cols,
@@ -1014,17 +1065,7 @@ def _mc_record(chk) -> dict:
     }
 
 
-# read by the BLAS library when numpy first loads
-BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
 def cmd_mc(args: argparse.Namespace) -> tuple[dict, int]:
-    # the sampler's products are too small for a second BLAS thread to
-    # help, and its draw worker runs on the other core
-    if "numpy" not in sys.modules and not any(v in os.environ for v in BLAS_THREAD_VARIABLES):
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    _load_numeric("rmt")
-    start = time.perf_counter()
     if args.experiment == "diagonalize":
         word = _parse_word(args.mixed) if args.mixed is not None else None
         if word is not None and max(word[1]) > args.p:
@@ -1039,17 +1080,21 @@ def cmd_mc(args: argparse.Namespace) -> tuple[dict, int]:
             )
         pair = tuple(i - 1 for i in word[1]) if word is not None else None
         config = _resolve_ensemble(args, args.max_degree, args.p, pair)
-        samples = sample_traces(config)
+    else:
+        if args.p != 1:
+            raise UsageError(f"mc raw-cov samples X1 only; got --p {args.p}, expected 1")
+        config = _resolve_ensemble(args, max(args.m, args.n), 1)
+    # every module the sampler uses is loaded: the clock times the run only
+    start = time.perf_counter()
+    samples = sample_traces(config)
+    if args.experiment == "diagonalize":
         checks = evaluate_statistics(samples)
         # the suite already holds the word 1,1:1,2, and a two-letter word
         # is the same trace as its rotation 1,1:2,1
         if pair is not None and set(pair) != {0, 1}:
             checks.append(pair_variance_check(samples, *pair))
     else:
-        if args.p != 1:
-            raise UsageError(f"mc raw-cov samples X1 only; got --p {args.p}, expected 1")
-        config = _resolve_ensemble(args, max(args.m, args.n), 1)
-        checks = [power_covariance_check(sample_traces(config), args.m, args.n)]
+        checks = [power_covariance_check(samples, args.m, args.n)]
     elapsed = time.perf_counter() - start
     failures = sum(1 for chk in checks if not chk.passed)
     report = {
@@ -1148,7 +1193,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a property suite and list every identity instance checked",
     )
     for suite, (_, flags) in VERIFY_SUITES.items():
-        p_suite = suites.add_parser(suite, parents=[common])
+        # wick, the one suite in floating point, states how BLAS runs
+        description = ("Apply the Fock model's operators in floating point.  " + _BLAS_RULE
+                       if suite == "wick" else None)
+        p_suite = suites.add_parser(suite, parents=[common], description=description)
         for name, flag in flags.items():
             p_suite.add_argument(
                 _option(name), type=type(flag.default), choices=flag.choices,
@@ -1177,9 +1225,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "their exact limits.  One worker thread makes the next "
                     "batch of draws while the current one is multiplied in "
                     "real arithmetic; the draws are those of a serial run.  "
-                    "BLAS runs on one thread "
-                    "(OPENBLAS_NUM_THREADS=1) unless one of "
-                    f"{', '.join(BLAS_THREAD_VARIABLES)} is set.",
+                    + _BLAS_RULE,
     )
     p_diag = experiments.add_parser("diagonalize", parents=[sampler])
     p_diag.add_argument("--p", type=_positive_int, default=2,

@@ -257,31 +257,6 @@ def inverse_table(family: Family, size: int) -> TransitionMatrix:
     return TransitionMatrix(RECURRENCES[family.value].rows(size, inverse=True))
 
 
-# the largest degree the Monte Carlo samples; the covariance limits of all
-# pairs up to degree d cost O(d^3) polynomial operations: `mc diagonalize
-# --max-degree 30 --N 4 --samples 4` takes about 0.6 s end to end on a
-# 2-core Xeon VM
-MAX_DEGREE = 30
-# the matrices the Monte Carlo samples: `mc diagonalize` reports the
-# covariance of every pair of its p*d traces, whatever N and the samples;
-# `--p 8 --max-degree 30 --N 4 --samples 4` takes 2.6 s and 101 MB peak
-# RSS for 7.8 MB of JSON (p = 10: 3.2 s, 135 MB; 16: 8.8 s, 283 MB) on a
-# 2-core Xeon VM
-MAX_MATRICES = 8
-# the Monte Carlo's memory: a batch of draws, p M-by-N complex matrices
-# per sample, bounds what the sampler holds, which is two batches of one
-# matrix's real and imaginary parts (one being drawn, one multiplied)
-# plus, for the cross traces, a batch of the draws or the Gram of at most
-# two matrices: at most 4 floats, 32 bytes, per entry of the batch
-# (`mc diagonalize --p 1 --N 600 --samples 64`, 11.5M entries a batch:
-# 401 MB peak RSS on a 2-core Xeon VM, whatever the degree); the traces
-# stored for the whole run take about 16 bytes each once the statistics
-# are read (`--p 2 --max-degree 6 --N 2 --samples 1000000`, 13M traces:
-# 250 MB); at the caps the two take about 0.55 and 0.5 GB
-MAX_BATCH_ENTRIES = 2**24
-MAX_STORED_TRACES = 2**25
-
-
 def predict_covariance(m: int, n: int) -> PolyC:
     """Limiting covariance of Tr(X^m) and Tr(X^n) as a polynomial in c:
     the sum over k of k c^k G[m,k] G[n,k], G the inverse arc-sine table.

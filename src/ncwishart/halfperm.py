@@ -42,6 +42,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .families import Family, inverse_table
+from .limits import DISC_CAP
 from .perms import (
     AnnularPerm,
     Perm,
@@ -52,8 +53,6 @@ from .perms import (
     partition_to_perm,
 )
 from .polyc import PolyC
-
-DISC_CAP = 12
 
 
 @lru_cache(maxsize=1)

@@ -34,9 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _product
 
-# Largest m + n the annular enumeration accepts: its sweep visits every
-# set partition of the m + n points.
-ANNULAR_CAP = 12
+from .limits import ANNULAR_CAP
 
 
 def _unchecked(cls, **fields):

@@ -43,9 +43,10 @@ traces, are those of drawing in turn.  The products run on sub-batches
 of about 2^15 Gram entries (8 samples at 64x64, one at 200x200), in
 workspaces allocated once and written in place; nothing is allocated
 per batch.  For Grams of up to a
-few hundred rows a second BLAS thread only competes with the draws, so
-`mc` sets OPENBLAS_NUM_THREADS=1 before numpy loads unless a BLAS thread
-variable is already set.
+few hundred rows a second BLAS thread only competes with the draws.  So
+the command line sets OPENBLAS_NUM_THREADS=1 before numpy first loads,
+unless a BLAS thread variable is already set: `mc` and `verify wick`, the
+two commands that load numpy, run BLAS on one thread.
 """
 
 from __future__ import annotations
@@ -58,17 +59,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .families import (
-    MAX_BATCH_ENTRIES,
-    MAX_DEGREE,
-    MAX_MATRICES,
-    MAX_STORED_TRACES,
-    Family,
-    predict_covariance,
-    transition_matrix,
-)
+from .families import Family, predict_covariance, transition_matrix
 # not used here: the benchmark tracer wraps these two names in this module
 from .halfperm import weighted_count  # noqa: F401
+from .limits import MAX_BATCH_ENTRIES, MAX_STORED_TRACES, check_sampler_sizes
 from .perms import enum_snc  # noqa: F401
 
 _BATCH = 32
@@ -104,12 +98,7 @@ class EnsembleConfig:
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
             raise ValueError("matrix dimensions must be positive")
-        if not 1 <= self.num_matrices <= MAX_MATRICES:
-            raise ValueError(f"num_matrices {self.num_matrices} is out of range (cap {MAX_MATRICES})")
-        if self.num_samples < 2:
-            raise ValueError("need at least two samples")
-        if not 1 <= self.max_degree <= MAX_DEGREE:
-            raise ValueError(f"max_degree {self.max_degree} is out of range (cap {MAX_DEGREE})")
+        check_sampler_sizes(self.num_matrices, self.num_samples, self.max_degree)
         p = self.num_matrices
         batch = p * min(_BATCH, self.num_samples) * self.rows * self.cols
         if batch > MAX_BATCH_ENTRIES:

@@ -22,7 +22,7 @@ from ncwishart.cli import (
     schema_path,
 )
 from ncwishart.dots import dot_decode, dot_encode, enum_dots
-from ncwishart.families import MAX_DEGREE, MAX_MATRICES
+from ncwishart.limits import MAX_DEGREE, MAX_MATRICES
 from ncwishart.halfperm import WeightRule, enum_ncc, enum_ncl, weighted_count
 from ncwishart.perms import enum_snc
 from ncwishart.polyc import PolyC

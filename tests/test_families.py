@@ -181,6 +181,10 @@ WRONG_RECURRENCES = [
     ("pi", "a0", PolyC.of(1, 1), "second-kind inverse column-0 recursion", 25),
     ("gamma-tilde", "b1", C, "arc-sine forward row recurrence", 24),
     ("chebyshev-C", "b1", PolyC.one(), "first-kind Chebyshev recurrence", 1),
+    ("chebyshev-C", "a0", PolyC.one(), "first-kind Chebyshev recurrence", 1),
+    ("chebyshev-C", "a0", C, "first-kind Chebyshev recurrence", 1),
+    ("chebyshev-S", "a0", PolyC.one(), "second-kind Chebyshev recurrence", 1),
+    ("chebyshev-S", "a0", C, "second-kind Chebyshev recurrence", 1),
 ]
 
 
@@ -241,7 +245,7 @@ def test_three_term_recurrences(recursion_records):
     }
     for kind in ("first", "second"):
         assert checked(recursion_records, f"{kind}-kind Chebyshev recurrence") == {
-            f"n={n}" for n in range(1, n_max)
+            f"n={n}" for n in range(n_max)
         }
 
 

@@ -1,7 +1,7 @@
 """Tests for the package surface: the public names, the CLI names that a
-wrapper can replace, numpy loaded only by the commands that compute in
-floating point, and no module importing a name it never reads.  Each
-import check runs in a fresh interpreter."""
+wrapper can replace, the modules each command loads (numpy only for the
+commands that compute in floating point), and no module importing a name
+it never reads.  Each import check runs in a fresh interpreter."""
 
 import ast
 import contextlib
@@ -44,27 +44,40 @@ MAIN = """
         except SystemExit as exc:  # --help
             code = exc.code
     print(json.dumps([code, "numpy" in sys.modules, "concurrent.futures" in sys.modules,
-                      os.environ.get("OPENBLAS_NUM_THREADS")]))
+                      os.environ.get("OPENBLAS_NUM_THREADS"),
+                      sorted(m for m in sys.modules if m.startswith("ncwishart."))]))
 """
 
-# (argv, exit code); the forward family has no fixture, so --check is a
-# usage error there
+# the modules the parser needs: a usage error or --help loads no other
+PARSER = {"cli", "limits", "perms"}
+# and the exact tables: families imports polyc
+TABLES = PARSER | {"polyc", "families"}
+# and the half-permutations, which import both
+CELLS = TABLES | {"halfperm"}
+
+# (argv, exit code, the ncwishart modules it loads); the forward family has
+# no fixture, so --check is a usage error there, and the last three sizes
+# are one past their caps
 EXACT_COMMANDS = [
-    (["tables", "pi", "--rows", "6", "--check"], 2),
-    (["tables", "gamma-inverse", "--rows", "6", "--check"], 0),
-    (["enumerate", "ncc", "--n", "4", "--k", "1"], 0),
-    (["enumerate", "ncl", "--n", "4", "--k", "1"], 0),
-    (["enumerate", "snc", "--m", "2", "--n", "3"], 0),
-    (["verify", "recursions", "--max-n", "4"], 0),
-    (["verify", "series", "--order", "4", "--max-k", "3"], 0),
-    (["verify", "bijections", "--max-n", "3"], 0),
-    (["verify", "lineardecomp", "--max-n", "4"], 0),
-    (["verify", "cut-reassemble", "--max-total", "4"], 0),
-    (["mc", "--help"], 0),
+    (["tables", "pi", "--rows", "6", "--check"], 2, PARSER),
+    (["tables", "gamma-inverse", "--rows", "6", "--check"], 0, TABLES),
+    (["enumerate", "ncc", "--n", "4", "--k", "1"], 0, CELLS),
+    (["enumerate", "ncl", "--n", "4", "--k", "1"], 0, CELLS),
+    (["enumerate", "snc", "--m", "2", "--n", "3"], 0, PARSER | {"polyc"}),
+    (["verify", "recursions", "--max-n", "4"], 0, CELLS),
+    (["verify", "series", "--order", "4", "--max-k", "3"], 0, TABLES),
+    (["verify", "bijections", "--max-n", "3"], 0, CELLS | {"dots", "colored"}),
+    (["verify", "lineardecomp", "--max-n", "4"], 0, CELLS),
+    (["verify", "cut-reassemble", "--max-total", "4"], 0, CELLS),
+    (["mc", "--help"], 0, PARSER),
+    (["--help"], 0, PARSER),
+    (["verify", "recursions", "--max-n", "26"], 2, PARSER),
+    (["enumerate", "ncc", "--n", "13", "--k", "1"], 2, PARSER),
+    (["mc", "diagonalize", "--p", "9"], 2, PARSER),
 ]
 NUMERIC_COMMANDS = [
-    (["verify", "wick", "--depth", "4", "--algebra", "scalar"], 0),
-    (["mc", "diagonalize", "--N", "4", "--samples", "8", "--seed", "11"], 0),
+    (["verify", "wick", "--depth", "4", "--algebra", "scalar"], 0, CELLS | {"wick"}),
+    (["mc", "diagonalize", "--N", "4", "--samples", "8", "--seed", "11"], 0, CELLS | {"rmt"}),
 ]
 
 
@@ -72,24 +85,38 @@ def test_importing_the_package_leaves_numpy_out():
     assert run_fresh("""
         import json, sys
         import ncwishart
-        print(json.dumps("numpy" in sys.modules))
-    """) is False
+        print(json.dumps(["numpy" in sys.modules,
+                          [m for m in sys.modules if m.startswith("ncwishart.")]]))
+    """) == [False, []]
+
+
+def test_building_the_parser_loads_only_the_parser_modules():
+    assert run_fresh("""
+        import json, sys
+        import ncwishart.cli as cli
+        cli.build_parser()
+        print(json.dumps(sorted(m for m in sys.modules if m.startswith("ncwishart."))))
+    """) == sorted(f"ncwishart.{m}" for m in PARSER)
 
 
 @pytest.mark.parametrize(
-    "argv,code,numpy",
-    [(argv, code, False) for argv, code in EXACT_COMMANDS]
-    + [(argv, code, True) for argv, code in NUMERIC_COMMANDS],
-    ids=lambda value: " ".join(value) if isinstance(value, list) else str(value),
+    "argv,code,numpy,modules",
+    [
+        pytest.param(argv, code, numpy, modules, id=f"{' '.join(argv)}-{code}-{numpy}")
+        for numpy, table in ((False, EXACT_COMMANDS), (True, NUMERIC_COMMANDS))
+        for argv, code, modules in table
+    ],
 )
-def test_only_the_floating_point_commands_load_numpy(argv, code, numpy):
+def test_only_the_floating_point_commands_load_numpy(argv, code, numpy, modules):
+    """Each command loads the modules it runs and no other."""
     got = run_fresh(MAIN.format(argv=argv))
     assert got[:2] == [code, numpy]
     if not numpy:  # nor the sampler's thread pool
         assert got[2] is False
+    assert got[4] == sorted(f"ncwishart.{m}" for m in modules)
 
 
-MC = NUMERIC_COMMANDS[1][0]
+WICK, MC = (argv for argv, _, _ in NUMERIC_COMMANDS)
 
 
 @pytest.mark.parametrize(
@@ -98,9 +125,11 @@ MC = NUMERIC_COMMANDS[1][0]
         (MC, {}, "1"),
         (MC, {"OMP_NUM_THREADS": "3"}, None),
         (MC, {"MKL_NUM_THREADS": "2"}, None),
-        (NUMERIC_COMMANDS[0][0], {}, None),
+        (WICK, {}, "1"),
+        (WICK, {"OMP_NUM_THREADS": "3"}, None),
     ],
-    ids=["mc", "mc with OMP_NUM_THREADS", "mc with MKL_NUM_THREADS", "verify wick"],
+    ids=["mc", "mc with OMP_NUM_THREADS", "mc with MKL_NUM_THREADS", "verify wick",
+         "verify wick with OMP_NUM_THREADS"],
 )
 def test_mc_runs_blas_on_one_thread_unless_a_thread_count_is_set(argv, env, pinned):
     base = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARIABLES}
@@ -186,8 +215,17 @@ def test_a_wrapper_set_on_the_cli_before_main_is_called():
     """) == ["wick_report", "sample_traces"]
 
 
+@pytest.mark.parametrize("owner", [ncwishart, cli], ids=lambda module: module.__name__)
+def test_every_lazy_name_is_an_attribute_of_its_module(owner):
+    for module, names in owner._LAZY.items():
+        loaded = importlib.import_module(f"ncwishart.{module}")
+        assert [name for name in names if not hasattr(loaded, name)] == [], module
+
+
 # imported only so that the benchmark's tracer can wrap them in `rmt`
 KEPT_FOR_THE_TRACER = {"rmt": {"enum_snc", "weighted_count"}}
+# the names `cli` binds on first use, which it must read like any import
+LAZY_IMPORTS = {"cli": {name for names in cli._LAZY.values() for name in names}}
 
 
 @pytest.mark.parametrize(
@@ -202,11 +240,7 @@ def test_every_imported_name_is_read(path):
         and getattr(node, "module", None) != "__future__"
         for alias in node.names
     }
+    imported |= LAZY_IMPORTS.get(path.stem, set())
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    for node in tree.body:  # names listed in __all__ count as read
-        if isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
-        ):
-            read |= set(ast.literal_eval(node.value))
     assert imported - read == KEPT_FOR_THE_TRACER.get(path.stem, set())

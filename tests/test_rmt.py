@@ -34,13 +34,12 @@ from ncwishart.rmt import (
     variance_check,
     word_variance_limit,
 )
-from ncwishart.families import (
+from ncwishart.families import Family, predict_covariance
+from ncwishart.limits import (
     MAX_BATCH_ENTRIES,
     MAX_DEGREE,
     MAX_MATRICES,
     MAX_STORED_TRACES,
-    Family,
-    predict_covariance,
 )
 
 
