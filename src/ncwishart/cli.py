@@ -19,8 +19,8 @@ handler or record builder checks its sizes, then loads the modules it
 runs and no other.  So `--help` and a usage error load none of them,
 `tables` and `verify series` leave the diagram modules out, and only `mc`
 and `verify wick` import numpy.  Only `perms` is imported with this
-module.  The sampler's memory caps, which depend on its batch size, are
-checked by `rmt.EnsembleConfig` once `rmt` is loaded.
+module.  The sampler's sizes, its memory caps included, are checked by
+`limits.check_sampler_sizes` before `rmt` is loaded.
 """
 
 from __future__ import annotations
@@ -160,7 +160,8 @@ class UsageError(Exception):
 
 # First five rows of the three inverse coefficient tables.  These are data,
 # not derived values: the exact-arithmetic tables are compared against them
-# by `tables --check` and by the acceptance suite.
+# by `tables --check`, by the two decomposition fixtures of `verify
+# bijections` and by the acceptance suite.
 GOLDEN_ROWS = {
     "gamma-tilde-inverse": (
         ("1",),
@@ -204,19 +205,18 @@ GOLDEN_ROWS = {
 }
 
 # The pictured decomposition of the square monomial into the centered
-# arc-sine family: coefficients of the degree-2 row, and the weight
-# multiset of the pictured circular diagrams per open-block count.
+# arc-sine family: its coefficients are row 2 of GOLDEN_ROWS["gamma-inverse"],
+# and this is the weight multiset of the pictured circular diagrams per
+# open-block count.
 SQUARE_DECOMPOSITION_FIXTURE = {
-    "coefficients": ("c + c^2", "2 + 2*c", "1"),
     "weight_multisets": {1: ("1", "1", "c", "c"), 2: ("1",)},
 }
 
 # The pictured two-letter product decomposition: x^2 expands with the
-# second-kind row-2 coefficients, y with the row-1 coefficients, and the
-# four pictured colored circular diagrams carry both letters' open blocks.
+# second-kind row-2 coefficients, y with the row-1 coefficients (rows 2 and
+# 1 of GOLDEN_ROWS["pi-inverse"]), and the four pictured colored circular
+# diagrams carry both letters' open blocks.
 PRODUCT_DECOMPOSITION_FIXTURE = {
-    "left_coefficients": ("c + c^2", "1 + 2*c", "1"),
-    "right_coefficients": ("c", "1"),
     "cell_weight_multisets": {(1, 1): ("1", "c", "c"), (2, 1): ("1",)},
     "pictured_diagrams": 4,
 }
@@ -560,7 +560,7 @@ def check_square_decomposition_fixture() -> list[dict]:
         _record(
             "square decomposition fixture: coefficients",
             "row 2 of the centered inverse table",
-            computed == SQUARE_DECOMPOSITION_FIXTURE["coefficients"],
+            computed == GOLDEN_ROWS["gamma-inverse"][2],
             detail=" | ".join(computed),
         )
     )
@@ -599,8 +599,7 @@ def check_product_decomposition_fixture() -> list[dict]:
         _record(
             "product decomposition fixture: coefficient vectors",
             "second-kind inverse rows 2 and 1",
-            left == fixture["left_coefficients"]
-            and right == fixture["right_coefficients"],
+            left == GOLDEN_ROWS["pi-inverse"][2] and right == GOLDEN_ROWS["pi-inverse"][1],
             detail=f"({' | '.join(left)}) x ({' | '.join(right)})",
         )
     )
@@ -739,10 +738,11 @@ def _bijection_records(max_n: int) -> list[dict]:
     _load("halfperm", "dots")
     records = []
     for n in range(1, max_n + 1):
-        for k in range(1, n + 1):
+        for k in range(n + 1):
+            # j counts the closed blocks, a designated block not counted
             by_j: dict[int, list] = {}
             for h in enum_ncc(n, k):
-                by_j.setdefault(len(h.closed_blocks()), []).append(h)
+                by_j.setdefault(h.closed_weight_exponent(), []).append(h)
             for j in range(n - k + 1):
                 want = math.comb(n, j) * math.comb(n, j + k)
                 got = len(by_j.get(j, ()))
@@ -764,7 +764,8 @@ def _bijection_records(max_n: int) -> list[dict]:
                         detail=f"unexpected closed-block counts {stray}",
                     )
                 )
-            for j, members in sorted(by_j.items()):
+            for j in range(n - k + 1):
+                members = by_j.get(j, [])
                 # decode(encode(h)) = h for every half makes encode
                 # injective, so its images, as many as the halves and the
                 # structures and as a set equal to the structures, are the
@@ -1025,7 +1026,7 @@ def _resolve_ensemble(args: argparse.Namespace, max_degree: int,
     else:
         rows = cols
     try:
-        check_sampler_sizes(num_matrices, args.samples, max_degree)
+        check_sampler_sizes(num_matrices, args.samples, max_degree, rows, cols, mixed)
         _load("rmt")
         return EnsembleConfig(
             rows=rows,

@@ -115,7 +115,7 @@ def _point_colors(lengths, colors) -> tuple:
 
 
 def _profile(m: int, outer_intervals, inner_intervals, a: AnnularPerm):
-    through = [set(cyc) for cyc in a.cycles() if min(cyc) <= m < max(cyc)]
+    through = [set(cyc) for cyc in a.perm.cycles() if min(cyc) <= m < max(cyc)]
     return tuple(
         tuple(sum(1 for cyc in through if cyc & set(iv)) for iv in intervals)
         for intervals in (outer_intervals, inner_intervals)
@@ -153,7 +153,7 @@ def _select(
     inner_iv = _intervals(inner_lengths, start=m + 1)
     want = (outer_through, inner_through)
     for a in diagrams:
-        if not _monochromatic(colors, a.cycles()):
+        if not _monochromatic(colors, a.perm.cycles()):
             continue
         if want != (None, None):
             got = _profile(m, outer_iv, inner_iv, a)
@@ -196,7 +196,7 @@ def spoke_spec(
 def is_spoke_diagram(a: AnnularPerm) -> bool:
     """Every cycle a two-point block with one point on each circle."""
     return all(
-        len(cyc) == 2 and min(cyc) <= a.m < max(cyc) for cyc in a.cycles()
+        len(cyc) == 2 and min(cyc) <= a.m < max(cyc) for cyc in a.perm.cycles()
     )
 
 

@@ -194,10 +194,6 @@ class CircularHalfPerm:
         open_mins = {min(b) for b in self.opens}
         return tuple(b for b in self.perm.cycles() if b[0] not in open_mins)
 
-    @property
-    def num_closed(self) -> int:
-        return self.perm.num_cycles() - self.k
-
     def initial_points(self) -> tuple[int, ...]:
         return tuple(b[0] for b in self.opens)
 

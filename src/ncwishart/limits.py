@@ -2,8 +2,9 @@
 
 The caps sit in a module that imports nothing, so that the command-line
 parser can state them, and reject a size out of range, without loading
-any module that computes.  Each cap is defined here only; the modules it
-bounds import it from here.
+any module that computes: `check_sampler_sizes` is the one check of a
+Monte Carlo run's sizes, for the parser and `rmt.EnsembleConfig` alike.
+Each cap is defined here only; the modules it bounds import it from here.
 """
 
 # Largest m + n the annular enumeration accepts: its sweep visits every
@@ -35,14 +36,48 @@ MAX_MATRICES = 8
 # 250 MB); at the caps the two take about 0.55 and 0.5 GB
 MAX_BATCH_ENTRIES = 2**24
 MAX_STORED_TRACES = 2**25
+# the samples in one batch of draws
+SAMPLE_BATCH = 32
 
 
-def check_sampler_sizes(num_matrices: int, num_samples: int, max_degree: int) -> None:
-    """Raise ValueError naming the first of the sampler's matrix count,
-    sample count and degree that is out of its range."""
+def sampled_pairs(num_matrices: int, mixed: tuple[int, int] | None) -> tuple[tuple[int, int], ...]:
+    """The pairs i < j whose cross traces Tr(X_i X_j) are sampled: (0, 1)
+    when at least two matrices are, and the `mixed` pair."""
+    pairs = {(0, 1)} if num_matrices >= 2 else set()
+    if mixed is not None:
+        pairs.add((min(mixed), max(mixed)))
+    return tuple(sorted(pairs))
+
+
+def check_sampler_sizes(num_matrices: int, num_samples: int, max_degree: int,
+                        rows: int, cols: int, mixed: tuple[int, int] | None) -> None:
+    """Raise ValueError naming the first of the sampler's sizes that is out
+    of its range: the matrix shape, matrix count, sample count and degree,
+    a batch of draws, the `mixed` pair (numbered from 0), and the traces
+    stored for the run."""
+    if rows < 1 or cols < 1:
+        raise ValueError("matrix dimensions must be positive")
     if not 1 <= num_matrices <= MAX_MATRICES:
         raise ValueError(f"num_matrices {num_matrices} is out of range (cap {MAX_MATRICES})")
     if num_samples < 2:
         raise ValueError("need at least two samples")
     if not 1 <= max_degree <= MAX_DEGREE:
         raise ValueError(f"max_degree {max_degree} is out of range (cap {MAX_DEGREE})")
+    p = num_matrices
+    batch = p * min(SAMPLE_BATCH, num_samples) * rows * cols
+    if batch > MAX_BATCH_ENTRIES:
+        raise ValueError(
+            f"a batch of {p} matrices of {rows}x{cols} draws has {batch} "
+            f"entries (cap {MAX_BATCH_ENTRIES}; the sampler holds up to 4 floats an "
+            "entry); lower --N, --M or --p"
+        )
+    if mixed is not None:
+        i, j = mixed
+        if i == j or not (0 <= i < p and 0 <= j < p):
+            raise ValueError(f"mixed pair {mixed} needs two of the {p} matrices")
+    stored = (p * max_degree + len(sampled_pairs(p, mixed))) * num_samples
+    if stored > MAX_STORED_TRACES:
+        raise ValueError(
+            f"{num_samples} samples store {stored} traces "
+            f"(cap {MAX_STORED_TRACES}); lower --samples"
+        )

@@ -68,13 +68,6 @@ class Perm:
     def size(self) -> int:
         return len(self.image)
 
-    def __call__(self, i: int) -> int:
-        return self.image[i - 1]
-
-    @classmethod
-    def identity(cls, n: int) -> "Perm":
-        return cls(tuple(range(1, n + 1)))
-
     @classmethod
     def from_cycles(cls, n: int, cycles) -> "Perm":
         img = list(range(1, n + 1))
@@ -305,22 +298,8 @@ class AnnularPerm:
                 f"of the ({self.m},{self.n})-annulus"
             )
 
-    def cycles(self):
-        return self.perm.cycles()
-
-    def num_cycles(self) -> int:
-        return self.perm.num_cycles()
-
     def complement_perm(self) -> Perm:
         return _annular_complement(self.m, self.n, self.perm)
-
-    def through_cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Cycles meeting both circles."""
-        return tuple(
-            cyc
-            for cyc in self.perm.cycles()
-            if min(cyc) <= self.m < max(cyc)
-        )
 
     def __str__(self) -> str:
         return format_cycles(self.perm.cycles())

@@ -306,10 +306,6 @@ class PolyXC:
         object.__setattr__(self, "coeffs", conv[:end])
 
     @classmethod
-    def of(cls, *coeffs: "PolyC | int") -> "PolyXC":
-        return cls(tuple(coeffs))  # type: ignore[arg-type]
-
-    @classmethod
     def x(cls) -> "PolyXC":
         return cls((PolyC.zero(), PolyC.one()))
 

@@ -62,10 +62,9 @@ import numpy as np
 from .families import Family, predict_covariance, transition_matrix
 # not used here: the benchmark tracer wraps these two names in this module
 from .halfperm import weighted_count  # noqa: F401
-from .limits import MAX_BATCH_ENTRIES, MAX_STORED_TRACES, check_sampler_sizes
+from .limits import SAMPLE_BATCH, check_sampler_sizes, sampled_pairs
 from .perms import enum_snc  # noqa: F401
 
-_BATCH = 32
 # the entries of one product workspace: the whole batch of Grams up to
 # 32x32, 8 samples at 64x64, one sample past 128x128
 _WORKSPACE_ENTRIES = 2**15
@@ -96,37 +95,15 @@ class EnsembleConfig:
     mixed: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("matrix dimensions must be positive")
-        check_sampler_sizes(self.num_matrices, self.num_samples, self.max_degree)
-        p = self.num_matrices
-        batch = p * min(_BATCH, self.num_samples) * self.rows * self.cols
-        if batch > MAX_BATCH_ENTRIES:
-            raise ValueError(
-                f"a batch of {p} matrices of {self.rows}x{self.cols} draws has {batch} "
-                f"entries (cap {MAX_BATCH_ENTRIES}; the sampler holds up to 4 floats an "
-                "entry); lower --N, --M or --p"
-            )
-        if self.mixed is not None:
-            i, j = self.mixed
-            if i == j or not (0 <= i < p and 0 <= j < p):
-                raise ValueError(f"mixed pair {self.mixed} needs two of the {p} matrices")
-        stored = (p * self.max_degree + len(self.pairs)) * self.num_samples
-        if stored > MAX_STORED_TRACES:
-            raise ValueError(
-                f"{self.num_samples} samples store {stored} traces "
-                f"(cap {MAX_STORED_TRACES}); lower --samples"
-            )
+        check_sampler_sizes(self.num_matrices, self.num_samples, self.max_degree,
+                            self.rows, self.cols, self.mixed)
         if self.ratio is not None and self.ratio <= 0:
             raise ValueError("ratio must be positive")
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """The pairs i < j whose cross traces Tr(X_i X_j) are sampled."""
-        pairs = {(0, 1)} if self.num_matrices >= 2 else set()
-        if self.mixed is not None:
-            pairs.add((min(self.mixed), max(self.mixed)))
-        return tuple(sorted(pairs))
+        return sampled_pairs(self.num_matrices, self.mixed)
 
     @property
     def c(self) -> Fraction:
@@ -247,7 +224,7 @@ def sample_traces(config: EnsembleConfig) -> TraceSamples:
 
     powers = np.empty((p, config.max_degree, total))
     pairs = {pair: np.empty(total) for pair in config.pairs}
-    size = min(_BATCH, total)
+    size = min(SAMPLE_BATCH, total)
     sub = max(1, min(size, _WORKSPACE_ENTRIES // (d * d)))
     run = max(1, _WORKSPACE_ENTRIES // (2 * size * m * n))
     draws = np.empty((2, run, 2, size, m, n))  # [buffer, step, real | imaginary]
@@ -257,12 +234,13 @@ def sample_traces(config: EnsembleConfig) -> TraceSamples:
     # degree 3, three at 4, five from 5 on); _wide_cross reuses R, S and one
     scratch = 5 if config.max_degree >= 5 else max(1, config.max_degree - 1)
     work = np.empty((2 + scratch, sub, d, d))
-    steps = -(-total // _BATCH) * p
+    steps = -(-total // SAMPLE_BATCH) * p
     pool = ThreadPoolExecutor(1)
 
     def block(step: int) -> np.ndarray:
         """The buffer slot of a step: batch step // p of matrix step % p."""
-        return draws[step // run % 2, step % run, :, :min(_BATCH, total - step // p * _BATCH)]
+        rest = total - step // p * SAMPLE_BATCH
+        return draws[step // run % 2, step % run, :, :min(SAMPLE_BATCH, rest)]
 
     def submit(first: int) -> Future:
         return pool.submit(_draw, [(gens[k % p], block(k))
@@ -275,7 +253,7 @@ def sample_traces(config: EnsembleConfig) -> TraceSamples:
                 pending.result()
                 if step + run < steps:
                     pending = submit(step + run)
-            i, done = step % p, step // p * _BATCH
+            i, done = step % p, step // p * SAMPLE_BATCH
             g = block(step)
             b = g.shape[1]
             if wide and i in kept:
@@ -429,18 +407,6 @@ class StatCheck:
     @property
     def passed(self) -> bool:
         return abs(self.estimate - self.limit) <= self.tolerance
-
-    def __str__(self) -> str:
-        verdict = "ok" if self.passed else "FAIL"
-        if self.kind == "covariance":
-            name = f"cov {self.keys[0]}, {self.keys[1]}"
-        else:
-            name = f"{'mean' if self.kind == 'mean' else 'var'} {self.keys[0]}"
-        return (
-            f"{name}: estimate {self.estimate:.6g}, "
-            f"limit {self.limit:.6g}, tolerance {self.tolerance:.3g} "
-            f"[{verdict}]"
-        )
 
 
 def tolerance_band(se: float, limit: float, cols: int) -> float:

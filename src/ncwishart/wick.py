@@ -26,41 +26,6 @@ import numpy as np
 
 from .halfperm import LinearHalfPerm, enum_ncl, make_linear
 
-__all__ = [
-    "RESIDUAL_TOL",
-    "BASIS_BLOCK",
-    "TracialAlgebra",
-    "scalar_algebra",
-    "matrix_algebra",
-    "function_algebra",
-    "vacuum",
-    "tensor_word",
-    "FockOperator",
-    "identity_operator",
-    "creation",
-    "annihilation",
-    "preservation",
-    "p_operator",
-    "wick",
-    "w_pi",
-    "all_ncl",
-    "open_singletons",
-    "split_images",
-    "prepend_split_is_bijection",
-    "convolution",
-    "OperatorCheck",
-    "operator_residual",
-    "adjoint_residual",
-    "verify_vacuum",
-    "verify_p_adjoint",
-    "verify_wick_adjoint",
-    "verify_decomposition",
-    "verify_prepend",
-    "verify_product",
-    "verify_inductive_step",
-    "wick_report",
-]
-
 RESIDUAL_TOL = 1e-9
 
 # Coordinate basis vectors per operator application in the residual checks:
@@ -308,11 +273,6 @@ def gram_apply(alg: TracialAlgebra, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def fock_inner(alg: TracialAlgebra, u: np.ndarray, v: np.ndarray) -> complex:
-    """Inner product of two single-column vectors, linear in the first."""
-    return complex(np.vdot(v, gram_apply(alg, u)))
-
-
 # ---------------------------------------------------------------------------
 # operators
 # ---------------------------------------------------------------------------
@@ -371,9 +331,6 @@ class FockOperator:
         return self._like(self.creation_degree, lambda v: self.fn(v) * scalar)
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "FockOperator":
-        return self * (-1.0)
 
 
 def identity_operator(dim: int, depth: int) -> FockOperator:
@@ -611,13 +568,6 @@ class OperatorCheck:
     @property
     def passed(self) -> bool:
         return self.max_residual <= self.tolerance
-
-    def __str__(self) -> str:
-        mark = "ok" if self.passed else "FAIL"
-        return (
-            f"{self.theorem} [{self.instance}]: "
-            f"residual {self.max_residual:.3e} [{mark}]"
-        )
 
 
 _SCALE_FLOOR = 1e-30

@@ -419,12 +419,12 @@ class TestIntervalDecomposition:
             assert tuple(p.k for p in pieces) == prof
             assert (
                 sum(p.closed_weight_exponent() for p in pieces)
-                == h.num_closed
+                == h.perm.num_cycles() - h.k
             )
             cells[prof] += 1
             cell_weights[prof] = cell_weights.get(
                 prof, ZERO
-            ) + PolyC.monomial(h.num_closed)
+            ) + PolyC.monomial(h.perm.num_cycles() - h.k)
         assert cells, "no cell had an open block in every interval"
         for ks, count in cells.items():
             want_count = 1
@@ -460,7 +460,7 @@ class TestTwoLetterWordCells:
         table = {}
         for h in enum_colored_ncc((2, 1), ("x", "y")):
             prof = open_profile(h, (2, 1))
-            table.setdefault(prof, []).append(PolyC.monomial(h.num_closed))
+            table.setdefault(prof, []).append(PolyC.monomial(h.perm.num_cycles() - h.k))
         return table
 
     def test_cell_census(self):

@@ -53,14 +53,14 @@ def reference_dot_encode(h):
             init = initial_point(perm, block, h.bbar)
             unprimed[init - 1] = WHITE
             if frozenset(block) not in open_sets:
-                primed[inv(init) - 1] = BLACK
+                primed[inv.image[init - 1] - 1] = BLACK
     else:
         for block in perm.cycles():
             if frozenset(block) == frozenset(h.designated):
                 continue
             init = initial_point(perm, block, h.designated)
             unprimed[init - 1] = WHITE
-            primed[inv(init) - 1] = BLACK
+            primed[inv.image[init - 1] - 1] = BLACK
     return DotStructure(n, tuple(unprimed), tuple(primed))
 
 

@@ -274,7 +274,7 @@ def test_bridge_identity_defect_at_two():
     # the centered version genuinely fails at n = 2: the defect is the
     # constant c, because the recentering constants d_2 + d_1 = c do not cancel
     defect = gamma(2) + gamma(1) - (pi_poly(2) - C * pi_poly(0))
-    assert defect == PolyXC.of(C)
+    assert defect == PolyXC((C,))
 
 
 def test_centering_and_norms(recursion_records):

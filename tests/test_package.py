@@ -56,8 +56,9 @@ TABLES = PARSER | {"polyc", "families"}
 CELLS = TABLES | {"halfperm"}
 
 # (argv, exit code, the ncwishart modules it loads); the forward family has
-# no fixture, so --check is a usage error there, and the last three sizes
-# are one past their caps
+# no fixture, so --check is a usage error there, the next three sizes are
+# one past their caps, and the last two overflow a batch of draws and the
+# stored traces
 EXACT_COMMANDS = [
     (["tables", "pi", "--rows", "6", "--check"], 2, PARSER),
     (["tables", "gamma-inverse", "--rows", "6", "--check"], 0, TABLES),
@@ -74,6 +75,9 @@ EXACT_COMMANDS = [
     (["verify", "recursions", "--max-n", "26"], 2, PARSER),
     (["enumerate", "ncc", "--n", "13", "--k", "1"], 2, PARSER),
     (["mc", "diagonalize", "--p", "9"], 2, PARSER),
+    (["mc", "diagonalize", "--N", "3000", "--samples", "64"], 2, PARSER),
+    (["mc", "diagonalize", "--p", "8", "--max-degree", "30", "--N", "4", "--samples", "200000"],
+     2, PARSER),
 ]
 NUMERIC_COMMANDS = [
     (["verify", "wick", "--depth", "4", "--algebra", "scalar"], 0, CELLS | {"wick"}),

@@ -231,7 +231,7 @@ def test_a_coefficient_that_is_no_int_is_refused(coef):
     with pytest.raises(TypeError):
         PolyC.one() + coef
     with pytest.raises(TypeError):
-        PolyXC.of(coef)
+        PolyXC((coef,))
     with pytest.raises(TypeError):
         SeriesZ.from_coeffs(2, [coef])
 
