@@ -51,7 +51,7 @@ from .limits import (
 # `perms` is imported with this module, not on demand like the others: the
 # benchmark's tracer test deletes `enum_snc` here right after the import
 # and expects the tracer to find it missing
-from .perms import Perm, enum_snc, format_cycles, iter_snc_images
+from .perms import Perm, enum_nc, enum_snc, iter_snc_images
 
 # The names this module reads from each module that computes, bound by
 # _load when a command first needs them: by the handler or record builder,
@@ -82,7 +82,10 @@ _LAZY = {
         "cut",
         "enum_ncc",
         "enum_ncl",
+        "linear_case",
+        "linear_remove",
         "lineardecomp_check",
+        "pair_up_odd",
         "reassemble",
         "weighted_count",
     ),
@@ -148,6 +151,12 @@ MAX_SERIES_ORDER = 50
 # O(rows^3) polynomial operations: 60 rows take about 1.4 s and 80 from 4
 # to 7 s on a 2-core Xeon VM
 MAX_TABLE_ROWS = 80
+# the records that enumerate half-permutations cell by cell (the census
+# recursion of `verify recursions`, the linear maps and the odd pairing of
+# `verify bijections`) stop at circles of this size, whatever --max-n: the
+# linear maps and the odd pairing take about 0.09 s up to it, and 1.5 s
+# up to n = 8, on a 2-core Xeon VM
+MAX_ENUMERATED_N = 6
 
 
 class UsageError(Exception):
@@ -502,7 +511,7 @@ def _enumerate_stream(args: argparse.Namespace) -> tuple[dict, Iterator[tuple[st
     def gen() -> Iterator[tuple[str, int]]:
         for img in iter_snc_images(m, n):
             p = Perm(img)
-            yield format_cycles(p.cycles()), p.num_cycles()
+            yield str(p), p.num_cycles()
 
     return {"m": m, "n": n}, gen()
 
@@ -685,10 +694,10 @@ def _recursion_records(max_n: int) -> list[dict]:
         records.append(_record("M @ M^-1 = I", instance, ok))
         records.append(_record("double inversion", instance, inverse.invert() == forward))
 
+    arcsine_entry = partial(_entry, inverse_table(Family.GAMMA_TILDE, size))
     # (name, inverse entries, a_0, b_1)
     inverses = (
-        ("arc-sine", partial(_entry, inverse_table(Family.GAMMA_TILDE, size)),
-         one_plus_c, 2 * c),
+        ("arc-sine", arcsine_entry, one_plus_c, 2 * c),
         ("second-kind", partial(_entry, inverse_table(Family.PI, size)), c, c),
     )
     for n in range(max_n):
@@ -717,7 +726,8 @@ def _recursion_records(max_n: int) -> list[dict]:
 
     # enumeration cross-check of the arc-sine band recursion on small
     # circles; each cell's weight is enumerated once and serves up to four
-    # checks
+    # checks, and is then held to the inverse table itself, which a weight
+    # off by a factor in every cell would not keep
     weights: dict[tuple[int, int], PolyC] = {}
 
     def cell(nn: int, kk: int) -> PolyC:
@@ -727,10 +737,61 @@ def _recursion_records(max_n: int) -> list[dict]:
             weights[nn, kk] = weighted_count(enum_ncc(nn, kk), WeightRule.CLOSED_BLOCKS)
         return weights[nn, kk]
 
-    for n in range(1, min(max_n, 6)):
+    for n in range(1, min(max_n, MAX_ENUMERATED_N)):
         for k in range(n + 2):
             records.append(_record("circular census recursion (enumerated)", f"n={n + 1},k={k}",
                                    _band(cell, n, k, one_plus_c, 2 * c)))
+    for (n, k), weight in sorted(weights.items()):
+        records.append(_record("circular census equals the arc-sine inverse table",
+                               f"n={n},k={k}", weight == arcsine_entry(n, k)))
+    return records
+
+
+# each case of `linear_case`: the change of k and of the closed-block
+# exponent from a linear half to its image under `linear_remove`
+LINEAR_CASES = {1: (-1, 0), 2: (0, 0), 3: (0, -1), 4: (1, -1)}
+
+
+def _linear_map_records(max_n: int) -> list[dict]:
+    """The one-point recursion of the linear halves and the odd pairing,
+    each an injective map with an exact image: so a bijection."""
+    _load("polyc", "families", "halfperm")
+    pi_entry = inverse_table(Family.PI, max_n + 1).entry
+    records = []
+    below = {0: enum_ncl(0, 0)}
+    for n in range(1, max_n + 1):
+        cells = {k: enum_ncl(n, k) for k in range(n + 1)}
+        for k, cell in cells.items():
+            records.append(_record("linear census equals the second-kind inverse table",
+                                   f"n={n},k={k}",
+                                   weighted_count(cell, WeightRule.CLOSED_BLOCKS)
+                                   == pi_entry(n, k)))
+            by_case: dict[int, list] = {}
+            for h in cell:
+                by_case.setdefault(linear_case(h), []).append(h)
+            for case, (dk, dj) in LINEAR_CASES.items():
+                members = by_case.get(case, [])
+                # case 2 grows an open block, so a cell without one is no target
+                target = below.get(k + dk, ()) if k or case != 2 else ()
+                if not members and not target:
+                    continue
+                # the image is the target cell, so it has the case's k
+                images = [linear_remove(h) for h in members]
+                ok = (len(set(images)) == len(images) and set(images) == set(target)
+                      and all(g.closed_weight_exponent() == h.closed_weight_exponent() + dj
+                              for h, g in zip(members, images)))
+                records.append(_record("linear removal is a bijection onto its target cell",
+                                       f"n={n},k={k},case={case}", ok,
+                                       detail=f"{len(members)} halves"))
+        odd = [h for k in range(1, n + 1, 2) for h in cells[k]]
+        pairs = [pair_up_odd(h) for h in odd]
+        ok = (len(set(pairs)) == len(pairs)
+              and set(pairs) == {(p, b) for p in enum_nc(n) for b in p.cycles()}
+              and all(p.num_cycles() - 1 == h.closed_weight_exponent() + (h.k - 1) // 2
+                      for h, (p, _) in zip(odd, pairs)))
+        records.append(_record("odd pairing is a bijection onto marked partitions",
+                               f"n={n}", ok, detail=f"{len(pairs)} halves"))
+        below = cells
     return records
 
 
@@ -781,6 +842,7 @@ def _bijection_records(max_n: int) -> list[dict]:
                 records.append(
                     _record("dot-structure round trip", f"n={n},k={k},j={j}", ok)
                 )
+    records.extend(_linear_map_records(min(max_n, MAX_ENUMERATED_N)))
     records.extend(check_square_decomposition_fixture())
     records.extend(check_product_decomposition_fixture())
     return records
@@ -999,11 +1061,12 @@ def _parse_word(spec: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return degrees, letters
 
 
-def _resolve_ensemble(args: argparse.Namespace, max_degree: int,
+def _resolve_ensemble(args: argparse.Namespace, degree_flag: str,
                       num_matrices: int,
                       mixed: tuple[int, int] | None = None) -> EnsembleConfig:
-    """The sampling run the flags ask for; its sizes are checked before
-    `rmt`, and with it numpy, is loaded."""
+    """The sampling run the flags ask for, its largest degree read from
+    the flag `degree_flag`; its sizes are checked before `rmt`, and with it
+    numpy, is loaded."""
     from fractions import Fraction
 
     cols = args.N
@@ -1025,8 +1088,10 @@ def _resolve_ensemble(args: argparse.Namespace, max_degree: int,
         rows = int(exact)
     else:
         rows = cols
+    max_degree = getattr(args, degree_flag)
     try:
-        check_sampler_sizes(num_matrices, args.samples, max_degree, rows, cols, mixed)
+        check_sampler_sizes(num_matrices, args.samples, max_degree, rows, cols, mixed,
+                            _option(degree_flag))
         _load("rmt")
         return EnsembleConfig(
             rows=rows,
@@ -1080,11 +1145,11 @@ def cmd_mc(args: argparse.Namespace) -> tuple[dict, int]:
                 f"got degrees {word[0]}"
             )
         pair = tuple(i - 1 for i in word[1]) if word is not None else None
-        config = _resolve_ensemble(args, args.max_degree, args.p, pair)
+        config = _resolve_ensemble(args, "max_degree", args.p, pair)
     else:
         if args.p != 1:
             raise UsageError(f"mc raw-cov samples X1 only; got --p {args.p}, expected 1")
-        config = _resolve_ensemble(args, max(args.m, args.n), 1)
+        config = _resolve_ensemble(args, "m" if args.m >= args.n else "n", 1)
     # every module the sampler uses is loaded: the clock times the run only
     start = time.perf_counter()
     samples = sample_traces(config)

@@ -13,9 +13,15 @@ closed-block generating identities that the transition matrices of
 Decoding runs two rounds of cyclic first-available matching (blacks
 consume the nearest available white counter-clockwise, then the leftover
 primed whites consume unprimed whites the same way), squeezes i and i'
-into one point, and reads blocks off the chord components.  Deleting the
-last point's two dots realizes the one-point recursions; the four color
-patterns at (n, n') are the four recursion terms.
+into one point, and reads blocks off the chord components.
+
+The one-point recursion of the circular halves needs no map of its own:
+deleting the last point's two dots, after a color flip in the one case
+that would leave too few whites (both dots white at k = 0), sorts the
+structures by the four color patterns at (n, n') into the four recursion
+terms.  Through the encoding that is only a count of colors, the
+C(n,j)·C(n,j+k) census, which `verify bijections` records together with
+the round trip of the encoding.
 """
 
 from __future__ import annotations
@@ -223,73 +229,3 @@ def dot_decode(d: DotStructure) -> CircularHalfPerm:
     if h.initial_points() != tuple(initials):
         raise AssertionError(f"initial points {h.initial_points()}, expected {initials}")
     return h
-
-
-# ---------------------------------------------------------------------------
-# one-point recursion on the dot side
-# ---------------------------------------------------------------------------
-
-_CLASS_OF_COLORS = {
-    (WHITE, WHITE): 1,
-    (BLACK, WHITE): 2,
-    (WHITE, BLACK): 3,
-    (BLACK, BLACK): 4,
-}
-_COLORS_OF_CLASS = {v: key for key, v in _CLASS_OF_COLORS.items()}
-
-_FLIP = {BLACK: WHITE, WHITE: BLACK}
-
-
-def recursion_class(h: CircularHalfPerm) -> int:
-    """Which of the four recursion terms h's last point belongs to (the
-    color pattern of its two dots)."""
-    if h.n < 1:
-        raise ValueError("the empty diagram has no last point")
-    d = dot_encode(h)
-    return _CLASS_OF_COLORS[(d.unprimed[-1], d.primed[-1])]
-
-
-def circular_remove(h: CircularHalfPerm) -> CircularHalfPerm:
-    """Delete the last point's dots and decode (the recursion maps).
-
-    Classes 1/2 keep the weight exponent, classes 3/4 lower it by one;
-    class 1 lowers the open count, class 4 raises it.  The exception is
-    class 1 at k = 0, where deleting two whites would unbalance the
-    structure: there all remaining colors flip, landing in the k = 1
-    cell with weight exponent n - 1 - j.
-    """
-    k, j = h.k, h.closed_weight_exponent()
-    case = recursion_class(h)
-    d = dot_encode(h)
-    unprimed, primed = d.unprimed[:-1], d.primed[:-1]
-    if case == 1 and k == 0:
-        unprimed = tuple(_FLIP[c] for c in unprimed)
-        primed = tuple(_FLIP[c] for c in primed)
-        want_k, want_j = 1, (h.n - 1) - j
-    else:
-        want_k = {1: k - 1, 2: k, 3: k, 4: k + 1}[case]
-        want_j = j if case in (1, 2) else j - 1
-    out = dot_decode(DotStructure(h.n - 1, unprimed, primed))
-    if out.k != want_k or out.closed_weight_exponent() != want_j:
-        raise AssertionError(f"class {case} removal missed the cell k={want_k}, j={want_j}")
-    return out
-
-
-def circular_insert(
-    case: int, h: CircularHalfPerm, *, zero_target: bool = False
-) -> CircularHalfPerm:
-    """Append a new last point with the class's dot colors (inverse of
-    circular_remove).  zero_target inverts the color-flip route: it takes
-    a k = 1 diagram back to the k = 0 cell's class-1 slot."""
-    if case not in _COLORS_OF_CLASS:
-        raise ValueError(f"class must be 1..4, got {case}")
-    if zero_target:
-        if case != 1 or h.k != 1:
-            raise ValueError("the flip route runs class 1 from a k=1 diagram")
-    d = dot_encode(h)
-    unprimed, primed = d.unprimed, d.primed
-    if zero_target:
-        unprimed = tuple(_FLIP[c] for c in unprimed)
-        primed = tuple(_FLIP[c] for c in primed)
-    cu, cp = _COLORS_OF_CLASS[case]
-    return dot_decode(DotStructure(h.n + 1, unprimed + (cu,), primed + (cp,)))

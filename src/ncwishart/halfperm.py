@@ -23,15 +23,24 @@ contains 1, whatever k (so it designates no block), and `LinearHalfPerm`
 is a `CircularHalfPerm` subclass with no fields of its own: its
 `__post_init__` runs the circular checks and then the linear condition.
 
+Two maps prove identities of the linear halves bijectively, and each is
+kept in one direction only.  `linear_remove` deletes the last point, in
+one of the four cases of `linear_case`, which are the four terms of the
+second-kind band recursion; `pair_up_odd` folds a half with an odd number
+of open blocks into a non-crossing partition with a marked block, which
+is the identity of `lineardecomp_check`.  `verify bijections` records
+that each map is injective on its cells and that its image is exactly
+its target cell, so each is a bijection and no inverse is needed.
+
 Construction checks: `enum_ncc`, `enum_ncl` and `cut` build their halves
 in normal form through `perms._unchecked`, without re-running the
 `__post_init__` checks, since a generator's output, or either half of a
 valid annulus, is valid by construction; the test suite holds every such
 half to the checked constructor.  Everything else validates: the
 `CircularHalfPerm` and `LinearHalfPerm` constructors (a linear build runs
-both classes' checks), `make_circular` and `make_linear` (and so the
-linear recursion's maps and `dots.dot_decode`), and `reassemble`, which
-builds a checked `AnnularPerm`.
+both classes' checks), `make_circular` and `make_linear` (and so
+`linear_remove` and `dots.dot_decode`), and `reassemble`, which builds a
+checked `AnnularPerm`.
 """
 
 from __future__ import annotations
@@ -449,39 +458,6 @@ def linear_remove(h: LinearHalfPerm) -> LinearHalfPerm:
     return make_linear(h.n - 1, blocks, opens)
 
 
-def linear_insert(case: int, h: LinearHalfPerm) -> LinearHalfPerm:
-    """Inverse of `linear_remove` for the given case, one size up.
-
-    Cases 2 and 4 attach the new point to the rightmost open block --
-    the only attachment that keeps the configuration valid.
-    """
-    new = h.n + 1
-    blocks = [set(b) for b in h.perm.cycles()]
-    opens = [set(b) for b in h.opens]
-    if case == 1:
-        blocks.append({new})
-        opens.append({new})
-    elif case == 2:
-        if not opens:
-            raise ValueError("case 2 needs an open block")
-        target = set(h.opens[-1])
-        blocks.remove(target)
-        blocks.append(target | {new})
-        opens = [o | {new} if o == target else o for o in opens]
-    elif case == 3:
-        blocks.append({new})
-    elif case == 4:
-        if not opens:
-            raise ValueError("case 4 needs an open block")
-        target = set(h.opens[-1])
-        blocks.remove(target)
-        blocks.append(target | {new})
-        opens = [o for o in opens if o != target]
-    else:
-        raise ValueError(f"no case {case}")
-    return make_linear(new, blocks, opens)
-
-
 # ---------------------------------------------------------------------------
 # odd-open-block pairing: matching matrix columns to block statistics
 # ---------------------------------------------------------------------------
@@ -509,27 +485,6 @@ def pair_up_odd(h: LinearHalfPerm) -> tuple[Perm, tuple[int, ...]]:
     if not is_noncrossing(perm):
         raise AssertionError("outside-in joining must stay non-crossing")
     return perm, tuple(sorted(middle))
-
-
-def unfold_marked(perm: Perm, marked: tuple[int, ...]) -> LinearHalfPerm:
-    """Inverse of `pair_up_odd`: split every block covering the marked
-    one at the marked block's position and open all the pieces."""
-    lo, hi = min(marked), max(marked)
-    blocks = []
-    opens = [set(marked)]
-    for b in perm.cycles():
-        bs = set(b)
-        if bs == set(marked):
-            continue
-        if min(b) < lo and max(b) > hi:
-            left = {x for x in bs if x < lo}
-            right = {x for x in bs if x > hi}
-            blocks.extend([left, right])
-            opens.extend([left, right])
-        else:
-            blocks.append(bs)
-    blocks.append(set(marked))
-    return make_linear(perm.size, blocks, opens)
 
 
 def lineardecomp_check(n: int) -> tuple[PolyC, PolyC]:

@@ -50,11 +50,12 @@ def sampled_pairs(num_matrices: int, mixed: tuple[int, int] | None) -> tuple[tup
 
 
 def check_sampler_sizes(num_matrices: int, num_samples: int, max_degree: int,
-                        rows: int, cols: int, mixed: tuple[int, int] | None) -> None:
+                        rows: int, cols: int, mixed: tuple[int, int] | None,
+                        degree_name: str = "max_degree") -> None:
     """Raise ValueError naming the first of the sampler's sizes that is out
-    of its range: the matrix shape, matrix count, sample count and degree,
-    a batch of draws, the `mixed` pair (numbered from 0), and the traces
-    stored for the run."""
+    of its range: the matrix shape, matrix count, sample count and degree
+    (called `degree_name` in the message), a batch of draws, the `mixed`
+    pair (numbered from 0), and the traces stored for the run."""
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be positive")
     if not 1 <= num_matrices <= MAX_MATRICES:
@@ -62,7 +63,7 @@ def check_sampler_sizes(num_matrices: int, num_samples: int, max_degree: int,
     if num_samples < 2:
         raise ValueError("need at least two samples")
     if not 1 <= max_degree <= MAX_DEGREE:
-        raise ValueError(f"max_degree {max_degree} is out of range (cap {MAX_DEGREE})")
+        raise ValueError(f"{degree_name} {max_degree} is out of range (cap {MAX_DEGREE})")
     p = num_matrices
     batch = p * min(SAMPLE_BATCH, num_samples) * rows * cols
     if batch > MAX_BATCH_ENTRIES:

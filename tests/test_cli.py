@@ -373,6 +373,56 @@ def test_a_broken_dot_bijection_fails_its_round_trip(capsys, monkeypatch, name, 
     ]
 
 
+# the cells of the linear recursion's terms: case 1 takes an open singleton
+# (k >= 1), case 2 grows an open block (k >= 1), case 3 takes a closed
+# singleton and case 4 opens a closed block, each into a cell of size n - 1
+LINEAR_TERMS = {
+    1: lambda n, k: k >= 1,
+    2: lambda n, k: 1 <= k <= n - 1,
+    3: lambda n, k: k <= n - 1,
+    4: lambda n, k: k <= n - 2,
+}
+
+
+def test_the_linear_maps_and_the_odd_pairing_are_records(capsys):
+    _, report = verify(capsys, "bijections", "--max-n", "6")
+    assert report["status"] == "pass"
+    instances: dict[str, set] = {}
+    for rec in report["checks"]:
+        instances.setdefault(rec["identity"], set()).add(rec["instance"])
+    cells = [(n, k) for n in range(1, 7) for k in range(n + 1)]
+    assert instances["linear census equals the second-kind inverse table"] == {
+        f"n={n},k={k}" for n, k in cells
+    }
+    assert instances["linear removal is a bijection onto its target cell"] == {
+        f"n={n},k={k},case={case}"
+        for n, k in cells for case, holds in LINEAR_TERMS.items() if holds(n, k)
+    }
+    assert instances["odd pairing is a bijection onto marked partitions"] == {
+        f"n={n}" for n in range(1, 7)
+    }
+    # the benchmark's checker reads this prefix as the dot census
+    assert [i for i in instances if i.startswith("closed-block census")] == [
+        "closed-block census C(n,j)C(n,j+k)"
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("diagonalize", "--max-degree", str(MAX_DEGREE + 1)), "--max-degree"),
+        (("raw-cov", "--m", str(MAX_DEGREE + 1), "--n", "1"), "--m"),
+        (("raw-cov", "--m", "1", "--n", str(MAX_DEGREE + 1)), "--n"),
+    ],
+    ids=" ".join,
+)
+def test_the_degree_cap_names_the_flag(capsys, argv, flag):
+    assert main(["mc", *argv, "--N", "4", "--samples", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {flag} {MAX_DEGREE + 1} is out of range (cap {MAX_DEGREE})\n"
+
+
 @pytest.mark.parametrize(
     "command,field",
     [("verify", "suite"), ("mc", "experiment"), ("enumerate", "kind"), ("tables", "family")],

@@ -1,6 +1,6 @@
 """Tests for the two-color dot encoding: binomial cell counts, the
-bijection with circular half-permutations, and the dot-level one-point
-recursion maps."""
+bijection with circular half-permutations, and the one-point recursion
+as the deletion of the last point's dots."""
 
 import os
 import subprocess
@@ -17,12 +17,9 @@ from ncwishart.dots import (
     BLACK,
     WHITE,
     DotStructure,
-    circular_insert,
-    circular_remove,
     dot_decode,
     dot_encode,
     enum_dots,
-    recursion_class,
 )
 from ncwishart.families import Family, inverse_table
 from ncwishart.halfperm import CircularHalfPerm, enum_ncc, initial_point
@@ -132,20 +129,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="j\\+k <= n"):
             enum_dots(2, -1, 1)
 
-    def test_recursion_class_needs_a_point(self):
-        with pytest.raises(ValueError, match="last point"):
-            recursion_class(CircularHalfPerm(n=0, perm=Perm(())))
-
-    def test_zero_target_guards(self):
-        k1 = enum_ncc(2, 1)[0]
-        k2 = enum_ncc(2, 2)[0]
-        with pytest.raises(ValueError, match="class 1 from a k=1"):
-            circular_insert(2, k1, zero_target=True)
-        with pytest.raises(ValueError, match="class 1 from a k=1"):
-            circular_insert(1, k2, zero_target=True)
-        with pytest.raises(ValueError, match="class must be"):
-            circular_insert(5, k1)
-
     def test_decode_invariants_survive_python_O(self):
         # a broken matching must still trip the decoder's invariant checks
         # when `python -O` strips `assert` statements
@@ -213,44 +196,70 @@ class TestBijection:
                 assert poly == gbar(n, k)
 
 
+FLIP = {BLACK: WHITE, WHITE: BLACK}
+# the color pattern (unprimed, primed) of the last point's dots, and the
+# change of (j, k) that deleting them makes: the four recursion terms
+PATTERNS = {
+    (WHITE, WHITE): (0, -1),
+    (BLACK, WHITE): (0, 0),
+    (WHITE, BLACK): (-1, 0),
+    (BLACK, BLACK): (-1, 1),
+}
+
+
+def flips(k, pattern):
+    """Whether deleting `pattern` at k = 0 flips every color: two whites
+    would leave fewer white unprimed dots than black primed ones."""
+    return k == 0 and pattern == (WHITE, WHITE)
+
+
+def target_cell(n, j, k, pattern):
+    """The (j, k) cell of size n - 1 that deleting the last point's dots,
+    colored `pattern`, takes the cell (n, j, k) to."""
+    if flips(k, pattern):
+        return n - 1 - j, 1
+    dj, dk = PATTERNS[pattern]
+    return j + dj, k + dk
+
+
+def delete_last_point(d):
+    """The structure left by deleting the last point's two dots."""
+    unprimed, primed = d.unprimed[:-1], d.primed[:-1]
+    if flips(d.k, (d.unprimed[-1], d.primed[-1])):
+        unprimed, primed = (tuple(FLIP[c] for c in rail) for rail in (unprimed, primed))
+    return DotStructure(d.n - 1, unprimed, primed)
+
+
 class TestRecursionMaps:
+    """Deleting the last point's dots sorts each cell of structures, by the
+    color pattern of those dots, onto whole cells one size down; through the
+    encoding this is the one-point recursion of the circular halves."""
+
     @pytest.mark.parametrize("n1", range(1, 7))
     def test_buckets_biject_onto_target_cells(self, n1):
         n = n1 - 1
-        for k in range(0, n1 + 1):
-            buckets = {1: [], 2: [], 3: [], 4: []}
-            for h in enum_ncc(n1, k):
-                case = recursion_class(h)
-                g = circular_remove(h)
-                buckets[case].append(g)
-                back = circular_insert(
-                    case, g, zero_target=(k == 0 and case == 1)
-                )
-                assert back == h
-            for case, tgt_k in ((1, k - 1), (2, k), (3, k), (4, k + 1)):
-                if k == 0 and case in (1, 4):
-                    tgt_k = 1  # both exceptional routes land one cell up
-                if not 0 <= tgt_k <= n:
-                    assert not buckets[case]
-                    continue
-                got = Counter(g.sort_key() for g in buckets[case])
-                want = Counter(g.sort_key() for g in enum_ncc(n, tgt_k))
-                assert got == want
+        for j in range(n1 + 1):
+            for k in range(n1 - j + 1):
+                buckets = {pattern: Counter() for pattern in PATTERNS}
+                for d in enum_dots(n1, j, k):
+                    buckets[d.unprimed[-1], d.primed[-1]][delete_last_point(d)] += 1
+                for pattern, got in buckets.items():
+                    tj, tk = target_cell(n1, j, k, pattern)
+                    if not (0 <= tj and 0 <= tk and tj + tk <= n):
+                        assert not got
+                        continue
+                    assert got == Counter(enum_dots(n, tj, tk)), (j, k, pattern)
 
     def test_weight_bookkeeping_per_case(self):
+        # the half a truncated structure decodes to lies in the target cell
         for n1 in range(1, 6):
             for k in range(0, n1 + 1):
                 for h in enum_ncc(n1, k):
-                    case = recursion_class(h)
-                    g = circular_remove(h)
-                    j = h.closed_weight_exponent()
-                    if k == 0 and case == 1:
-                        assert g.closed_weight_exponent() == (n1 - 1) - j
-                        assert g.k == 1
-                    else:
-                        drop = 0 if case in (1, 2) else 1
-                        assert g.closed_weight_exponent() == j - drop
-                        assert g.k == k + {1: -1, 2: 0, 3: 0, 4: 1}[case]
+                    d = dot_encode(h)
+                    g = dot_decode(delete_last_point(d))
+                    pattern = d.unprimed[-1], d.primed[-1]
+                    target = target_cell(n1, h.closed_weight_exponent(), k, pattern)
+                    assert (g.closed_weight_exponent(), g.k) == target
 
     def test_one_point_recursion_identities(self):
         two_c = C + C
@@ -263,19 +272,11 @@ class TestRecursionMaps:
                 ) + C * gbar(n, k + 1)
 
     def test_flip_route_reverses_weights(self):
-        # the class-1 exception sends weight exponent j to n-j, matching
-        # the symmetry comb(n, j)*comb(n, j-1) == comb(n, n-j)*comb(n, n-j+1)
+        # the flip sends weight exponent j to n-j, matching the symmetry
+        # comb(n, j)*comb(n, j-1) == comb(n, n-j)*comb(n, n-j+1)
         n1 = 4
-        flipped = [
-            circular_remove(h)
-            for h in enum_ncc(n1, 0)
-            if recursion_class(h) == 1
-        ]
-        got = Counter(g.closed_weight_exponent() for g in flipped)
-        want = Counter(
-            (n1 - 1) - h.closed_weight_exponent()
-            for h in enum_ncc(n1, 0)
-            if recursion_class(h) == 1
-        )
-        assert got == want
-        assert all(g.k == 1 for g in flipped)
+        for j in range(1, n1):
+            flipped = [delete_last_point(d) for d in enum_dots(n1, j, 0)
+                       if flips(0, (d.unprimed[-1], d.primed[-1]))]
+            assert len(flipped) == comb(n1 - 1, j - 1) * comb(n1 - 1, j)
+            assert {(g.j, g.k) for g in flipped} == {(n1 - 1 - j, 1)}

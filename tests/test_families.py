@@ -5,7 +5,6 @@ The five-row inverse tables are the golden fixture `cli.GOLDEN_ROWS`, which
 records of the `verify recursions` and `verify series` suites.
 """
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -19,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 import ncwishart
 from ncwishart.cli import GOLDEN_ROWS, _recursion_records, _series_records
 from ncwishart.families import (
-    RECURRENCES,
     Family,
     TransitionMatrix,
     chebyshev_C,
@@ -173,38 +171,6 @@ def test_inversion_rejects_non_unit_diagonal():
         m.invert()
 
 
-# one wrong constant of one family's recurrence; a record of that family's
-# own identity must fail, and in all that many records of
-# _recursion_records(7) fail
-WRONG_RECURRENCES = [
-    ("pi", "b", C * 2, "second-kind three-term recurrence", 40),
-    ("pi", "a0", PolyC.of(1, 1), "second-kind inverse column-0 recursion", 25),
-    ("gamma-tilde", "b1", C, "arc-sine forward row recurrence", 24),
-    ("chebyshev-C", "b1", PolyC.one(), "first-kind Chebyshev recurrence", 1),
-    ("chebyshev-C", "a0", PolyC.one(), "first-kind Chebyshev recurrence", 1),
-    ("chebyshev-C", "a0", C, "first-kind Chebyshev recurrence", 1),
-    ("chebyshev-S", "a0", PolyC.one(), "second-kind Chebyshev recurrence", 1),
-    ("chebyshev-S", "a0", C, "second-kind Chebyshev recurrence", 1),
-]
-
-
-@pytest.mark.parametrize(
-    "name,constant,value,identity,failures",
-    WRONG_RECURRENCES,
-    ids=[f"{name} {constant}={value}" for name, constant, value, *_ in WRONG_RECURRENCES],
-)
-def test_a_wrong_recurrence_constant_fails_its_family_records(
-    monkeypatch, name, constant, value, identity, failures
-):
-    # a new ThreeTerm, since each one keeps the rows it has grown
-    monkeypatch.setitem(
-        RECURRENCES, name, dataclasses.replace(RECURRENCES[name], **{constant: value})
-    )
-    records = _recursion_records(7)
-    assert any(not r["pass"] for r in records if r["identity"] == identity)
-    assert len(failing(records)) == failures
-
-
 @st.composite
 def unitriangular(draw):
     size = draw(st.integers(min_value=1, max_value=5))
@@ -233,6 +199,13 @@ def test_inversion_properties_on_random_matrices(m):
 
 def test_recursion_suite_passes(recursion_records):
     assert failing(recursion_records) == []
+
+
+def test_enumerated_cells_match_the_inverse_table(recursion_records):
+    # the cells the census recursion enumerates stop at n = 6
+    assert checked(recursion_records, "circular census equals the arc-sine inverse table") == {
+        f"n={n},k={k}" for n in range(1, 7) for k in range(n + 1)
+    }
 
 
 def test_three_term_recurrences(recursion_records):

@@ -20,14 +20,12 @@ from ncwishart.halfperm import (
     enum_ncc,
     enum_ncl,
     linear_case,
-    linear_insert,
     linear_remove,
     lineardecomp_check,
     make_circular,
     make_linear,
     pair_up_odd,
     reassemble,
-    unfold_marked,
     weighted_count,
 )
 from ncwishart.perms import (
@@ -345,7 +343,6 @@ class TestFourWaySplit:
             for h in enum_ncl(n1, k):
                 case = linear_case(h)
                 reduced = linear_remove(h)
-                assert linear_insert(case, reduced) == h
                 drop = 0 if case in (1, 2) else 1
                 closed = reduced.perm.num_cycles() - reduced.k
                 assert closed == h.perm.num_cycles() - h.k - drop
@@ -381,12 +378,14 @@ class TestOddPairing:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_bijection_and_weights(self, n):
         total = PolyC.zero()
+        images = set()
         for k in range(1, n + 1, 2):
             for h in enum_ncl(n, k):
                 merged, marked = pair_up_odd(h)
-                assert unfold_marked(merged, marked) == h
+                images.add((merged, marked))
                 assert (k - 1) // 2 + h.perm.num_cycles() - k == merged.num_cycles() - 1
                 total = total + PolyC.monomial(merged.num_cycles() - 1)
+        assert len(images) == sum(len(enum_ncl(n, k)) for k in range(1, n + 1, 2))
         lhs, rhs = lineardecomp_check(n)
         assert total == rhs == lhs
 

@@ -1,21 +1,23 @@
-"""The mutation matrix: each mutant of an enumerator, a weight rule or an
-exact formula fails at least one record of a `verify` suite at a small
-size.
+"""The mutation matrix: each mutant of an enumerator, a bijection, a weight
+rule, a recurrence constant or an exact formula fails at least one record
+of a `verify` suite at a small size.
 
 A mutant replaces one name where the suite reads it, by `monkeypatch`.
 An enumerator's mutant leaves out, or repeats, the last diagram of one
 cell only.  The `lru_cache`s of the package are cleared around each
 mutant, so no mutated value outlives it.  A mutant that fails no record
-is a gap of the suites: it is listed as an expected failure, strictly,
-so that closing the gap shows.
+is a gap of the suites: it would be listed as an expected failure,
+strictly, so that closing the gap shows.
 """
 
+import dataclasses
 import functools
 import importlib
 
 import pytest
 
-from ncwishart import cli
+from ncwishart import cli, halfperm
+from ncwishart.families import RECURRENCES
 from ncwishart.halfperm import CircularHalfPerm
 from ncwishart.polyc import PolyC
 
@@ -78,7 +80,41 @@ def designating_the_block_of_one(fn):
     return mutant
 
 
-WICK = {"depth": 4, "seed": 0, "algebra": "scalar"}
+def duplicating(key):
+    """A mutant of a map of linear halves that sends the last half of cell
+    (3, 1) where it sends the cell's first half with the same `key`: two
+    halves, one output."""
+    def mutate(fn):
+        @functools.wraps(fn)
+        def mutant(h):
+            cell = halfperm.enum_ncl(3, 1)
+            if h == cell[-1]:
+                h = next(g for g in cell if key(g) == key(h))
+            return fn(h)
+        return mutant
+    return mutate
+
+
+def case_3_as_case_2(fn):
+    """A case rule that puts the case-3 halves of cell (3, 1) in case 2."""
+    @functools.wraps(fn)
+    def mutant(h):
+        case = fn(h)
+        return 2 if case == 3 and (h.n, h.k) == (3, 1) else case
+    return mutant
+
+
+def with_constant(name, constant, term):
+    """A mutant of the recurrence table with `term` added to one constant
+    of one recurrence: a new `ThreeTerm`, since each keeps the rows it has
+    grown."""
+    def mutate(recurrences):
+        old = recurrences[name]
+        return {**recurrences, name: dataclasses.replace(
+            old, **{constant: getattr(old, constant) + term})}
+    return mutate
+
+
 # the name each mutant replaces (module, then attributes), the mutation,
 # the suite and its sizes, and a text that every failed record's instance
 # holds
@@ -93,10 +129,17 @@ MUTANTS = [
                  "n=3,k=1", id="enum_ncc repeats"),
     pytest.param("cli.enum_ncc", in_cell((3, 1), drop), "recursions", {"max_n": 4}, "",
                  id="enum_ncc drops (recursions)"),
-    pytest.param("wick.enum_ncl", in_cell((3, 1), drop), "wick", WICK, "",
+    # the odd pairing's records are per n
+    pytest.param("cli.enum_ncl", in_cell((3, 1), drop), "bijections", {"max_n": 3}, "n=3",
                  id="enum_ncl drops"),
-    pytest.param("wick.enum_ncl", in_cell((3, 1), repeat), "wick", WICK, "",
+    pytest.param("cli.enum_ncl", in_cell((3, 1), repeat), "bijections", {"max_n": 3}, "n=3",
                  id="enum_ncl repeats"),
+    pytest.param("cli.linear_remove", duplicating(halfperm.linear_case), "bijections",
+                 {"max_n": 3}, "n=3,k=1,case=2", id="linear_remove merges two halves"),
+    pytest.param("cli.linear_case", case_3_as_case_2, "bijections", {"max_n": 3}, "n=3,k=1",
+                 id="linear_case calls case 3 case 2"),
+    pytest.param("cli.pair_up_odd", duplicating(lambda h: None), "bijections", {"max_n": 3},
+                 "n=3", id="pair_up_odd repeats an output"),
     pytest.param("cli.enum_dots", in_cell((3, 1, 1), drop), "bijections", {"max_n": 3},
                  "n=3,k=1,j=1", id="enum_dots drops"),
     pytest.param("cli.enum_dots", in_cell((3, 1, 1), repeat), "bijections", {"max_n": 3},
@@ -107,17 +150,20 @@ MUTANTS = [
                  {"max_total": 5}, "m=3,n=2", id="iter_snc_images repeats"),
     pytest.param("halfperm.CircularHalfPerm.closed_weight_exponent", plus(lambda h: 1),
                  "bijections", {"max_n": 3}, "", id="closed_weight_exponent + 1"),
-    # the enumerated census recursion of `verify recursions` is linear, so
-    # a weight exponent one too high in every cell keeps it
     pytest.param("halfperm.CircularHalfPerm.closed_weight_exponent", plus(lambda h: 1),
-                 "recursions", {"max_n": 4}, "", id="closed_weight_exponent + 1 (recursions)",
-                 marks=pytest.mark.xfail(strict=True, reason="the census recursion is linear")),
+                 "recursions", {"max_n": 4}, "", id="closed_weight_exponent + 1 (recursions)"),
     pytest.param("cli.predict_covariance", plus(lambda m, n: PolyC.monomial(min(m, n))),
                  "cut-reassemble", {"max_total": 5}, "", id="predict_covariance + c^k"),
     pytest.param("families.shift_constant", plus(lambda n: PolyC.c()), "recursions",
                  {"max_n": 4}, "", id="shift_constant + c"),
     pytest.param("cli.dot_decode", designating_the_block_of_one, "bijections", {"max_n": 3},
                  "k=0", id="dot_decode designates the block of 1"),
+] + [
+    pytest.param("families.RECURRENCES", with_constant(name, constant, term), "recursions",
+                 {"max_n": 4}, "", id=f"{name} {constant} + {term}")
+    for name in RECURRENCES
+    for constant in ("a0", "a", "b1", "b")
+    for term in (PolyC.one(), PolyC.c())
 ]
 
 

@@ -89,31 +89,16 @@ EXEMPT = {
         "colored.single_interval_variance_check",
         "colored.restrict_to_intervals",
     ),
-    # bijective proofs that `verify bijections` and `verify lineardecomp`
-    # check only as counts today (ROADMAP item 11)
-    "a one-point recursion map or the odd pairing, to become records": (
-        "dots.recursion_class",
-        "dots.circular_remove",
-        "dots.circular_insert",
-        "halfperm.linear_case",
-        "halfperm.linear_remove",
-        "halfperm.linear_insert",
-        "halfperm.pair_up_odd",
-        "halfperm.unfold_marked",
-    ),
     # the tests hold `complement` and `_annular_complement` to the long
-    # cycle and the rotation composed with the inverse, and
-    # `blocks_noncrossing` to the genus bound
+    # cycle and the rotation composed with the inverse
     "a test oracle": (
         "perms.long_cycle",
         "perms.annular_rotation",
         "perms.Perm.inverse",
         "perms.Perm.compose",
-        "perms.is_noncrossing",
     ),
     # the reports format diagrams and polynomials themselves
     "a value type's text form, for library use": (
-        "perms.Perm.__str__",
         "perms.AnnularPerm.__str__",
         "dots.DotStructure.__str__",
         "polyc.PolyXC.__str__",
