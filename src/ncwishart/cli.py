@@ -1091,7 +1091,7 @@ def _resolve_ensemble(args: argparse.Namespace, degree_flag: str,
     max_degree = getattr(args, degree_flag)
     try:
         check_sampler_sizes(num_matrices, args.samples, max_degree, rows, cols, mixed,
-                            _option(degree_flag))
+                            ("--p", "--samples", _option(degree_flag)))
         _load("rmt")
         return EnsembleConfig(
             rows=rows,

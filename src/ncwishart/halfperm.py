@@ -437,22 +437,18 @@ def linear_case(h: LinearHalfPerm) -> int:
 
 
 def linear_remove(h: LinearHalfPerm) -> LinearHalfPerm:
-    """Remove the last point per the four-way split, one size down."""
-    case = linear_case(h)
+    """Remove the last point per the four-way split, one size down.
+
+    The cases of `linear_case` differ only in whether the block of the
+    last point is a singleton: a singleton goes, open (1) or closed (3);
+    a larger block loses the point and is open afterwards, as it was (2)
+    or newly (4).  So no case is needed here.
+    """
     last = h.n
-    blocks = [set(b) for b in h.perm.cycles()]
-    opens = [set(b) for b in h.opens]
-    block = next(b for b in blocks if last in b)
-    blocks.remove(block)
-    reduced = block - {last}
-    if case == 1:
-        opens = [o for o in opens if o != block]
-    elif case == 2:
-        opens = [reduced if o == block else o for o in opens]
-        blocks.append(reduced)
-    elif case == 3:
-        pass
-    else:
+    blocks = [set(b) for b in h.perm.cycles() if last not in b]
+    opens = [set(b) for b in h.opens if last not in b]
+    reduced = set(h.perm.cycle_containing(last)) - {last}
+    if reduced:
         blocks.append(reduced)
         opens.append(reduced)
     return make_linear(h.n - 1, blocks, opens)

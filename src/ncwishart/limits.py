@@ -51,17 +51,19 @@ def sampled_pairs(num_matrices: int, mixed: tuple[int, int] | None) -> tuple[tup
 
 def check_sampler_sizes(num_matrices: int, num_samples: int, max_degree: int,
                         rows: int, cols: int, mixed: tuple[int, int] | None,
-                        degree_name: str = "max_degree") -> None:
+                        names: tuple[str, str, str] = ("num_matrices", "num_samples",
+                                                       "max_degree")) -> None:
     """Raise ValueError naming the first of the sampler's sizes that is out
     of its range: the matrix shape, matrix count, sample count and degree
-    (called `degree_name` in the message), a batch of draws, the `mixed`
-    pair (numbered from 0), and the traces stored for the run."""
+    (the last three called by `names` in the message), a batch of draws,
+    the `mixed` pair (numbered from 0), and the traces stored for the run."""
+    matrices_name, samples_name, degree_name = names
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be positive")
     if not 1 <= num_matrices <= MAX_MATRICES:
-        raise ValueError(f"num_matrices {num_matrices} is out of range (cap {MAX_MATRICES})")
+        raise ValueError(f"{matrices_name} {num_matrices} is out of range (cap {MAX_MATRICES})")
     if num_samples < 2:
-        raise ValueError("need at least two samples")
+        raise ValueError(f"{samples_name} {num_samples} is too few: need at least two samples")
     if not 1 <= max_degree <= MAX_DEGREE:
         raise ValueError(f"{degree_name} {max_degree} is out of range (cap {MAX_DEGREE})")
     p = num_matrices

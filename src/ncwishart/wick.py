@@ -13,6 +13,16 @@ A block of vectors of the depth-L space is a complex array of shape
 (D, columns), D = 1 + dim + ... + dim^L, with degree-major rows (see
 :func:`tensor_word`).  The operators stay lazy, closures applied by rule
 rather than dense D x D matrices: the report composes over a hundred.
+
+One kernel does the work: F(d) = p(d) - psi(d) I, the sum of creation of
+d, annihilation of d* and preservation by d (:func:`centered_p`).  It
+writes every degree of one output array: creation as an in-place
+broadcast of d against the degree below, and both first-factor actions
+as one BLAS product per degree.  ``p(d)`` is F(d) + psi(d) I, and the
+Wick recursion applies each shorter product once, through F.  The
+command line runs BLAS on one thread (see :mod:`ncwishart.cli`); the
+products are a few rows by thousands of columns, where a second thread
+only waits.
 """
 
 from __future__ import annotations
@@ -202,15 +212,13 @@ def _degree_rows(dim: int, depth: int) -> list[slice]:
 
 def _on_first_factor(mat: np.ndarray, seg: np.ndarray) -> np.ndarray:
     """Apply ``mat`` (rows x dim) to the first tensor factor of the rows of
-    one degree.
+    one degree: one BLAS product ``mat @ seg.reshape(dim, -1)``.
 
-    A sum of ``dim`` scaled slices, not a BLAS product: the operands are a
-    few rows by thousands of columns, where a threaded BLAS call waits on
-    its threads for longer than the arithmetic takes.  Returns ``rows``
-    slices of ``seg.size // dim`` entries each.
+    Returns ``rows`` slices of ``seg.size // dim`` entries each.  The
+    operands are a few rows by thousands of columns; the command line runs
+    BLAS on one thread, so no product waits on a second one.
     """
-    slices = seg.reshape(mat.shape[1], -1)
-    return sum(mat[:, i, None] * slices[i] for i in range(mat.shape[1]))
+    return mat @ seg.reshape(mat.shape[1], -1)
 
 
 def vacuum(dim: int, depth: int) -> np.ndarray:
@@ -337,71 +345,54 @@ def identity_operator(dim: int, depth: int) -> FockOperator:
     return FockOperator(depth, dim, 0, lambda v: v)
 
 
-def creation(alg: TracialAlgebra, d_el: np.ndarray, depth: int) -> FockOperator:
-    """Left creation: prepend the element as a new first tensor factor.
+def _first_factor_actions(alg: TracialAlgebra, d_el: np.ndarray) -> np.ndarray:
+    """The two actions of F(d) on the first tensor factor, stacked as a
+    (dim + 1) x dim matrix.
 
-    Raises the degree by exactly one; mass in the top degree is dropped.
+    Row k < dim holds the coefficient of b_k in d b_i (preservation); the
+    last row holds psi(d b_i), the pairing of b_i against d* that
+    annihilation of the adjoint applies.
     """
+    left = np.tensordot(d_el, alg.mult, axes=(0, 0)).T  # [k, i] of d * b_i
+    return np.vstack([left, alg.psi_vec @ left])
+
+
+def centered_p(alg: TracialAlgebra, d_el: np.ndarray, depth: int) -> FockOperator:
+    """F(d) = p(d) - psi(d) I: creation of d, annihilation of d*, and
+    preservation by d, in one pass that writes every degree of one output.
+
+    Degree r of the output is d (x) degree r-1 of the input, written in
+    place by broadcasting (the top degree's image is dropped), plus the
+    first-factor actions of degree r (preservation) and r+1
+    (annihilation), both rows of one product per input degree.
+    """
+    if depth < 1:
+        raise ValueError("the depth cap must be at least 1")
     dim = alg.dim
-    # a (dim, 1) factor makes kron act on each column separately
-    d_col = np.asarray(d_el, dtype=complex).reshape(dim, 1)
+    d_el = np.asarray(d_el, dtype=complex)
+    actions = _first_factor_actions(alg, d_el)
+    d_col = d_el[:, None, None]
     rows = _degree_rows(dim, depth)
 
     def apply(v: np.ndarray) -> np.ndarray:
-        out = np.zeros(v.shape, dtype=complex)
+        cols = v.shape[1]
+        out = np.empty(v.shape, dtype=complex)
+        out[rows[0]] = 0.0
         for lower, upper in zip(rows, rows[1:]):
-            out[upper] = np.kron(d_col, v[lower])
+            top = out[upper]
+            np.multiply(d_col, v[lower][None], out=top.reshape(dim, -1, cols))
+            acted = _on_first_factor(actions, v[upper])
+            top += acted[:dim].reshape(top.shape)
+            out[lower] += acted[dim].reshape(-1, cols)
         return out
 
     return FockOperator(depth, dim, 1, apply)
 
 
-def annihilation(alg: TracialAlgebra, d_el: np.ndarray, depth: int) -> FockOperator:
-    """Left annihilation: pair the first tensor factor against the element.
-
-    Lowers the degree by exactly one and kills the vacuum.
-    """
-    dim = alg.dim
-    # pair[0, i] = psi(d* b_i), the inner product of basis element i with d
-    pair = (alg.gram @ np.conj(np.asarray(d_el, dtype=complex)))[None, :]
-    rows = _degree_rows(dim, depth)
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        out = np.zeros(v.shape, dtype=complex)
-        for lower, upper in zip(rows, rows[1:]):
-            out[lower] = _on_first_factor(pair, v[upper]).reshape(-1, v.shape[1])
-        return out
-
-    return FockOperator(depth, dim, 0, apply)
-
-
-def preservation(alg: TracialAlgebra, d_el: np.ndarray, depth: int) -> FockOperator:
-    """Multiply the first tensor factor on the left; kills the vacuum."""
-    d_el = np.asarray(d_el, dtype=complex)
-    dim = alg.dim
-    left = np.tensordot(d_el, alg.mult, axes=(0, 0)).T  # [k, i] of d * b_i
-    rows = _degree_rows(dim, depth)
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        out = np.zeros(v.shape, dtype=complex)
-        for degree in rows[1:]:
-            out[degree] = _on_first_factor(left, v[degree]).reshape(-1, v.shape[1])
-        return out
-
-    return FockOperator(depth, dim, 0, apply)
-
-
 def p_operator(alg: TracialAlgebra, d_el: np.ndarray, depth: int) -> FockOperator:
-    """Creation + annihilation-of-the-adjoint + preservation + state term."""
-    if depth < 1:
-        raise ValueError("the depth cap must be at least 1")
-    d_el = np.asarray(d_el, dtype=complex)
-    return (
-        creation(alg, d_el, depth)
-        + annihilation(alg, alg.star(d_el), depth)
-        + preservation(alg, d_el, depth)
-        + alg.psi(d_el) * identity_operator(alg.dim, depth)
-    )
+    """Creation + annihilation-of-the-adjoint + preservation + state term:
+    F(d) + psi(d) I."""
+    return centered_p(alg, d_el, depth) + alg.psi(d_el) * identity_operator(alg.dim, depth)
 
 
 def wick(
@@ -410,8 +401,10 @@ def wick(
     """The Wick product of a tensor word: the unique polynomial in the
     ``p`` operators that maps the vacuum to the word.
 
-    Built by the four-term recursion that peels off the leftmost letter;
-    the empty word gives the identity.
+    Built by the recursion that peels off the leftmost letter a of the
+    word (a, b, rest): W = F(a) W(b, rest) - psi(ab) W(rest) - W(ab, rest),
+    so each level applies the shorter product once.  The empty word gives
+    the identity.
     """
     letters = tuple(np.asarray(w, dtype=complex) for w in word)
     if len(letters) > depth:
@@ -423,12 +416,12 @@ def _wick(alg, letters, depth):
     if not letters:
         return identity_operator(alg.dim, depth)
     head, rest = letters[0], letters[1:]
-    w_rest = _wick(alg, rest, depth)
-    op = p_operator(alg, head, depth) @ w_rest - alg.psi(head) * w_rest
+    op = centered_p(alg, head, depth)
     if rest:
         merged = alg.multiply(head, rest[0])
-        op = op - alg.psi(merged) * _wick(alg, rest[1:], depth)
-        op = op - _wick(alg, (merged,) + rest[1:], depth)
+        op = (op @ _wick(alg, rest, depth)
+              - alg.psi(merged) * _wick(alg, rest[1:], depth)
+              - _wick(alg, (merged,) + rest[1:], depth))
     return op
 
 

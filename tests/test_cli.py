@@ -21,7 +21,6 @@ from ncwishart.cli import (
     main,
     schema_path,
 )
-from ncwishart.dots import dot_decode, dot_encode, enum_dots
 from ncwishart.limits import MAX_DEGREE, MAX_MATRICES
 from ncwishart.halfperm import WeightRule, enum_ncc, enum_ncl, weighted_count
 from ncwishart.perms import enum_snc
@@ -342,37 +341,6 @@ def test_lineardecomp_mismatch_is_a_failed_record(capsys, monkeypatch):
     assert "[FAIL] block-weighted linear decomposition: n=1 (0)" in text.splitlines()
 
 
-# two structures of the cell n=4, k=1, j=1 and the halves they decode to
-DOTS = enum_dots(4, 1, 1)[:2]
-HALVES = tuple(dot_decode(d) for d in DOTS)
-
-
-def swapped_decode(d):
-    """A decoder that swaps its answers for the two structures."""
-    if d in DOTS:
-        return HALVES[1 - DOTS.index(d)]
-    return dot_decode(d)
-
-
-def merging_encode(h):
-    """An encoder that sends both halves to the first structure."""
-    return DOTS[0] if h in HALVES else dot_encode(h)
-
-
-@pytest.mark.parametrize(
-    "name,broken",
-    [("dot_decode", swapped_decode), ("dot_encode", merging_encode)],
-    ids=["decode swaps two answers", "encode merges two halves"],
-)
-def test_a_broken_dot_bijection_fails_its_round_trip(capsys, monkeypatch, name, broken):
-    monkeypatch.setattr(cli, name, broken)
-    _, report = verify(capsys, "bijections", "--max-n", "5")
-    validate(report, "verify")
-    assert [(r["identity"], r["instance"]) for r in report["checks"] if not r["pass"]] == [
-        ("dot-structure round trip", "n=4,k=1,j=1")
-    ]
-
-
 # the cells of the linear recursion's terms: case 1 takes an open singleton
 # (k >= 1), case 2 grows an open block (k >= 1), case 3 takes a closed
 # singleton and case 4 opens a closed block, each into a cell of size n - 1
@@ -421,6 +389,20 @@ def test_the_degree_cap_names_the_flag(capsys, argv, flag):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {flag} {MAX_DEGREE + 1} is out of range (cap {MAX_DEGREE})\n"
+
+
+def test_the_matrix_cap_names_the_flag(capsys):
+    assert main(["mc", "diagonalize", "--p", str(MAX_MATRICES + 1), "--N", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --p {MAX_MATRICES + 1} is out of range (cap {MAX_MATRICES})\n"
+
+
+def test_too_few_samples_names_the_flag(capsys):
+    assert main(["mc", "diagonalize", "--samples", "1", "--N", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --samples 1 is too few: need at least two samples\n"
 
 
 @pytest.mark.parametrize(

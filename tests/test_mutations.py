@@ -1,6 +1,6 @@
 """The mutation matrix: each mutant of an enumerator, a bijection, a weight
-rule, a recurrence constant or an exact formula fails at least one record
-of a `verify` suite at a small size.
+rule, a recurrence constant, an exact formula or a Fock operator fails at
+least one record of a `verify` suite at a small size.
 
 A mutant replaces one name where the suite reads it, by `monkeypatch`.
 An enumerator's mutant leaves out, or repeats, the last diagram of one
@@ -14,9 +14,11 @@ import dataclasses
 import functools
 import importlib
 
+import numpy as np
 import pytest
 
-from ncwishart import cli, halfperm
+from ncwishart import cli, halfperm, perms, wick
+from ncwishart.dots import dot_decode, enum_dots
 from ncwishart.families import RECURRENCES
 from ncwishart.halfperm import CircularHalfPerm
 from ncwishart.polyc import PolyC
@@ -80,19 +82,49 @@ def designating_the_block_of_one(fn):
     return mutant
 
 
-def duplicating(key):
-    """A mutant of a map of linear halves that sends the last half of cell
-    (3, 1) where it sends the cell's first half with the same `key`: two
-    halves, one output."""
+def swapping(pick):
+    """A mutant of a map that swaps its outputs on the two argument tuples
+    `pick()` gives."""
     def mutate(fn):
         @functools.wraps(fn)
-        def mutant(h):
-            cell = halfperm.enum_ncl(3, 1)
-            if h == cell[-1]:
-                h = next(g for g in cell if key(g) == key(h))
-            return fn(h)
+        def mutant(*args):
+            first, second = pick()
+            return fn(*{first: second, second: first}.get(args, args))
         return mutant
     return mutate
+
+
+def merging(pick):
+    """A mutant of a map that sends the second argument tuple `pick()` gives
+    where it sends the first: two inputs, one output."""
+    def mutate(fn):
+        @functools.wraps(fn)
+        def mutant(*args):
+            first, second = pick()
+            return fn(*first) if args == second else fn(*args)
+        return mutant
+    return mutate
+
+
+def last_of_cell_3_1(key):
+    """The first half of cell (3, 1) with the `key` of the cell's last half,
+    and the last half."""
+    cell = halfperm.enum_ncl(3, 1)
+    return (next(g for g in cell if key(g) == key(cell[-1])),), (cell[-1],)
+
+
+def two_fibers_of_cell_3_2(args):
+    """Two annuli of cell (3, 2) that `cut` sends to different fibers, as
+    `args` makes them into argument tuples from an annulus and its cut."""
+    elems = perms.enum_snc(3, 2)
+    first = elems[0]
+    second = next(a for a in elems if halfperm.cut(a) != halfperm.cut(first))
+    return args(first), args(second)
+
+
+# two structures of the cell n=4, k=1, j=1 and the halves they decode to
+DOTS = enum_dots(4, 1, 1)[:2]
+HALVES = tuple(dot_decode(d) for d in DOTS)
 
 
 def case_3_as_case_2(fn):
@@ -101,6 +133,40 @@ def case_3_as_case_2(fn):
     def mutant(h):
         case = fn(h)
         return 2 if case == 3 and (h.n, h.k) == (3, 1) else case
+    return mutant
+
+
+def without_preservation(fn):
+    """F's first-factor actions with the preservation rows zeroed."""
+    @functools.wraps(fn)
+    def mutant(alg, d_el):
+        actions = fn(alg, d_el).copy()
+        actions[:-1] = 0.0
+        return actions
+    return mutant
+
+
+def pairing_against_d(fn):
+    """F's first-factor actions with annihilation pairing each b_i against
+    d, psi(d* b_i), where the adjoint's annihilation pairs it against d*."""
+    @functools.wraps(fn)
+    def mutant(alg, d_el):
+        actions = fn(alg, d_el).copy()
+        actions[-1] = alg.gram @ np.conj(d_el)
+        return actions
+    return mutant
+
+
+def without_the_merged_word(fn):
+    """The Wick recursion without its term -W(ab, rest): the recursion plus
+    that term, whose own recursive calls reach the mutant too."""
+    @functools.wraps(fn)
+    def mutant(alg, letters, depth):
+        op = fn(alg, letters, depth)
+        if len(letters) < 2:
+            return op
+        merged = alg.multiply(letters[0], letters[1])
+        return op + wick._wick(alg, (merged,) + letters[2:], depth)
     return mutant
 
 
@@ -114,6 +180,8 @@ def with_constant(name, constant, term):
             old, **{constant: getattr(old, constant) + term})}
     return mutate
 
+
+WICK_SIZES = {"depth": 4, "seed": 0, "algebra": "all"}
 
 # the name each mutant replaces (module, then attributes), the mutation,
 # the suite and its sizes, and a text that every failed record's instance
@@ -134,12 +202,13 @@ MUTANTS = [
                  id="enum_ncl drops"),
     pytest.param("cli.enum_ncl", in_cell((3, 1), repeat), "bijections", {"max_n": 3}, "n=3",
                  id="enum_ncl repeats"),
-    pytest.param("cli.linear_remove", duplicating(halfperm.linear_case), "bijections",
-                 {"max_n": 3}, "n=3,k=1,case=2", id="linear_remove merges two halves"),
+    pytest.param("cli.linear_remove", merging(lambda: last_of_cell_3_1(halfperm.linear_case)),
+                 "bijections", {"max_n": 3}, "n=3,k=1,case=2",
+                 id="linear_remove merges two halves"),
     pytest.param("cli.linear_case", case_3_as_case_2, "bijections", {"max_n": 3}, "n=3,k=1",
                  id="linear_case calls case 3 case 2"),
-    pytest.param("cli.pair_up_odd", duplicating(lambda h: None), "bijections", {"max_n": 3},
-                 "n=3", id="pair_up_odd repeats an output"),
+    pytest.param("cli.pair_up_odd", merging(lambda: last_of_cell_3_1(lambda h: None)),
+                 "bijections", {"max_n": 3}, "n=3", id="pair_up_odd repeats an output"),
     pytest.param("cli.enum_dots", in_cell((3, 1, 1), drop), "bijections", {"max_n": 3},
                  "n=3,k=1,j=1", id="enum_dots drops"),
     pytest.param("cli.enum_dots", in_cell((3, 1, 1), repeat), "bijections", {"max_n": 3},
@@ -158,6 +227,22 @@ MUTANTS = [
                  {"max_n": 4}, "", id="shift_constant + c"),
     pytest.param("cli.dot_decode", designating_the_block_of_one, "bijections", {"max_n": 3},
                  "k=0", id="dot_decode designates the block of 1"),
+    pytest.param("cli.dot_decode", swapping(lambda: ((DOTS[0],), (DOTS[1],))), "bijections",
+                 {"max_n": 4}, "n=4,k=1,j=1", id="dot_decode swaps two answers"),
+    pytest.param("cli.dot_encode", merging(lambda: ((HALVES[0],), (HALVES[1],))), "bijections",
+                 {"max_n": 4}, "n=4,k=1,j=1", id="dot_encode merges two halves"),
+    pytest.param("cli.cut", swapping(lambda: two_fibers_of_cell_3_2(lambda a: (a,))),
+                 "cut-reassemble", {"max_total": 5}, "m=3,n=2", id="cut swaps two outputs"),
+    pytest.param("cli.reassemble",
+                 swapping(lambda: two_fibers_of_cell_3_2(lambda a: (*halfperm.cut(a), 1))),
+                 "cut-reassemble", {"max_total": 5}, "m=3,n=2",
+                 id="reassemble swaps two outputs"),
+    pytest.param("wick._first_factor_actions", without_preservation, "wick", WICK_SIZES, "L=4",
+                 id="F without its preservation term"),
+    pytest.param("wick._first_factor_actions", pairing_against_d, "wick", WICK_SIZES, "L=4",
+                 id="annihilation pairs against d, not d*"),
+    pytest.param("wick._wick", without_the_merged_word, "wick", WICK_SIZES, "L=4",
+                 id="_wick without its merged-word term"),
 ] + [
     pytest.param("families.RECURRENCES", with_constant(name, constant, term), "recursions",
                  {"max_n": 4}, "", id=f"{name} {constant} + {term}")

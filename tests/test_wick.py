@@ -12,9 +12,8 @@ from ncwishart.wick import (
     TracialAlgebra,
     adjoint_residual,
     all_ncl,
-    annihilation,
+    centered_p,
     convolution,
-    creation,
     function_algebra,
     gram_apply,
     identity_operator,
@@ -23,7 +22,6 @@ from ncwishart.wick import (
     operator_residual,
     p_operator,
     prepend_split_is_bijection,
-    preservation,
     scalar_algebra,
     split_images,
     tensor_word,
@@ -63,6 +61,92 @@ def live_degrees(v, dim, depth):
 def letters_for(alg, count, seed=7):
     rng = np.random.default_rng(seed)
     return [alg.random_element(rng) for _ in range(count)]
+
+
+# -- the oracle: the three primitive operators, one tensor factor at a time --
+#
+# `centered_p` fuses creation, annihilation of the adjoint and preservation
+# into one pass; these build each from its definition, degree by degree.
+
+
+def degree_slices(dim, depth):
+    return [slice(fock_rows(dim, r - 1), fock_rows(dim, r)) for r in range(depth + 1)]
+
+
+def first_factor(mat, seg):
+    """Apply mat (rows x dim) to the first tensor factor: a sum of scaled
+    slices."""
+    slices = seg.reshape(mat.shape[1], -1)
+    return sum(mat[:, i, None] * slices[i] for i in range(mat.shape[1]))
+
+
+def creation(alg, d_el, depth):
+    """Prepend the element as a new first tensor factor; mass in the top
+    degree is dropped."""
+    d_col = np.asarray(d_el, dtype=complex).reshape(alg.dim, 1)
+    rows = degree_slices(alg.dim, depth)
+
+    def apply(v):
+        out = np.zeros(v.shape, dtype=complex)
+        for lower, upper in zip(rows, rows[1:]):
+            out[upper] = np.kron(d_col, v[lower])
+        return out
+
+    return FockOperator(depth, alg.dim, 1, apply)
+
+
+def annihilation(alg, d_el, depth):
+    """Pair the first tensor factor against the element; kills the vacuum."""
+    # pair[0, i] = psi(d* b_i), the inner product of basis element i with d
+    pair = (alg.gram @ np.conj(np.asarray(d_el, dtype=complex)))[None, :]
+    rows = degree_slices(alg.dim, depth)
+
+    def apply(v):
+        out = np.zeros(v.shape, dtype=complex)
+        for lower, upper in zip(rows, rows[1:]):
+            out[lower] = first_factor(pair, v[upper]).reshape(-1, v.shape[1])
+        return out
+
+    return FockOperator(depth, alg.dim, 0, apply)
+
+
+def preservation(alg, d_el, depth):
+    """Multiply the first tensor factor on the left; kills the vacuum."""
+    left = np.tensordot(np.asarray(d_el, dtype=complex), alg.mult, axes=(0, 0)).T
+    rows = degree_slices(alg.dim, depth)
+
+    def apply(v):
+        out = np.zeros(v.shape, dtype=complex)
+        for degree in rows[1:]:
+            out[degree] = first_factor(left, v[degree]).reshape(-1, v.shape[1])
+        return out
+
+    return FockOperator(depth, alg.dim, 0, apply)
+
+
+def oracle_centered_p(alg, d_el, depth):
+    return creation(alg, d_el, depth) + annihilation(alg, alg.star(d_el), depth) + preservation(
+        alg, d_el, depth)
+
+
+def oracle_p(alg, d_el, depth):
+    return oracle_centered_p(alg, d_el, depth) + alg.psi(d_el) * identity_operator(alg.dim, depth)
+
+
+def oracle_wick(alg, letters, depth):
+    """The four-term recursion: p(a) W(r) - psi(a) W(r) - psi(ab) W(r')
+    - W(ab, r') for the word (a, b, r'), with r = (b, r')."""
+    letters = tuple(np.asarray(w, dtype=complex) for w in letters)
+    if not letters:
+        return identity_operator(alg.dim, depth)
+    head, rest = letters[0], letters[1:]
+    w_rest = oracle_wick(alg, rest, depth)
+    op = oracle_p(alg, head, depth) @ w_rest - alg.psi(head) * w_rest
+    if rest:
+        merged = alg.multiply(head, rest[0])
+        op = op - alg.psi(merged) * oracle_wick(alg, rest[1:], depth)
+        op = op - oracle_wick(alg, (merged,) + rest[1:], depth)
+    return op
 
 
 class TestAlgebra:
@@ -413,7 +497,7 @@ class TestBatchedOperators:
         (x,) = letters_for(alg, 1)
         block = random_block(alg.dim, L, 5)
         ops = [creation(alg, x, L), annihilation(alg, x, L), preservation(alg, x, L),
-               wick(alg, letters_for(alg, 2), L)]
+               centered_p(alg, x, L), wick(alg, letters_for(alg, 2), L)]
         for op in ops:
             out = op(block)
             assert out.shape == block.shape
@@ -472,3 +556,57 @@ class TestBatchedOperators:
         got = operator_residual(op, wrong)
         assert abs(got - oracle_operator_residual(op, wrong)) <= 1e-12
         assert got > 1e-3
+
+
+# -- the fused operators against the oracle ----------------------------------
+
+
+def whole_basis(dim, depth, columns=8 * BASIS_BLOCK):
+    """The coordinate basis of the whole depth-`depth` space, in blocks of
+    `columns` vectors."""
+    rows = fock_rows(dim, depth)
+    for start in range(0, rows, columns):
+        width = min(columns, rows - start)
+        block = np.zeros((rows, width), dtype=complex)
+        block[np.arange(start, start + width), np.arange(width)] = 1.0
+        yield block
+
+
+def assert_agree_on_every_block(op, oracle):
+    assert (op.depth, op.dim, op.creation_degree) == (
+        oracle.depth, oracle.dim, oracle.creation_degree)
+    for block in whole_basis(op.dim, op.depth):
+        got, want = op(block), oracle(block)
+        scale = max(np.linalg.norm(got), np.linalg.norm(want), 1e-30)
+        assert np.linalg.norm(got - want) <= 1e-12 * scale
+
+
+class TestFusedOperators:
+    @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: a.name)
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+    def test_centered_p_is_the_sum_of_the_three_operators(self, alg, depth):
+        for x in letters_for(alg, 2):
+            assert_agree_on_every_block(centered_p(alg, x, depth),
+                                        oracle_centered_p(alg, x, depth))
+
+    @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: a.name)
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+    def test_wick_matches_the_four_term_recursion(self, alg, depth):
+        # words of up to four letters, the longest the report applies; at
+        # depth 5 the oracle's tree takes seconds on a four-letter word
+        xs = letters_for(alg, 4)
+        for n in range(min(depth, 4 if depth < 5 else 3) + 1):
+            assert_agree_on_every_block(wick(alg, xs[:n], depth), oracle_wick(alg, xs[:n], depth))
+
+    def test_centered_p_reads_a_strided_block(self):
+        a = matrix_algebra()
+        (x,) = letters_for(a, 1)
+        block = random_block(a.dim, 3, 6)
+        op = centered_p(a, x, 3)
+        assert np.allclose(op(block[:, ::2]), op(np.ascontiguousarray(block[:, ::2])),
+                           rtol=0, atol=1e-12)
+
+    def test_depth_zero_is_rejected(self):
+        a = scalar_algebra()
+        with pytest.raises(ValueError, match="at least 1"):
+            centered_p(a, np.ones(1), 0)
