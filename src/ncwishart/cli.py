@@ -138,8 +138,8 @@ def __getattr__(name: str):
 # it needs tensor words of length 4 under the depth cap
 MIN_REPORT_DEPTH = 4
 # the truncated Fock basis grows by the algebra's dimension per level: the
-# 2x2 matrix algebra takes about 0.9 s at depth 5, and 7.5 s and 82 MB
-# peak RSS at depth 6, on a 2-core Xeon VM
+# 2x2 matrix algebra takes about 0.28 s at depth 5, and 1.7 s and 78 MB
+# peak RSS at depth 6 (all three algebras: 1.9 s), on a 2-core Xeon VM
 MAX_REPORT_DEPTH = 6
 # the exact suites' sizes grow their polynomial work as a power of the
 # size: `verify recursions --max-n 25` takes about 0.7 s (30: 0.9 s) and

@@ -14,15 +14,15 @@ A block of vectors of the depth-L space is a complex array of shape
 :func:`tensor_word`).  The operators stay lazy, closures applied by rule
 rather than dense D x D matrices: the report composes over a hundred.
 
-One kernel does the work: F(d) = p(d) - psi(d) I, the sum of creation of
-d, annihilation of d* and preservation by d (:func:`centered_p`).  It
-writes every degree of one output array: creation as an in-place
-broadcast of d against the degree below, and both first-factor actions
-as one BLAS product per degree.  ``p(d)`` is F(d) + psi(d) I, and the
-Wick recursion applies each shorter product once, through F.  The
-command line runs BLAS on one thread (see :mod:`ncwishart.cli`); the
-products are a few rows by thousands of columns, where a second thread
-only waits.
+One kernel does the work: the Wick product W of a word (:func:`wick`),
+applied by the product rule one letter at a time, right to left.  Each
+letter d writes its creation as an in-place broadcast of d against the
+degree below, and its preservation and the annihilation of d* as one
+BLAS product per degree.  ``p(d)`` is W(d) + psi(d) I, so a word of n
+letters costs n passes, and the one-letter product is the sum of
+creation, annihilation and preservation.  The command line runs BLAS on
+one thread (see :mod:`ncwishart.cli`); the products are a few rows by
+thousands of columns, where a second thread only waits.
 """
 
 from __future__ import annotations
@@ -332,9 +332,6 @@ class FockOperator:
             lambda v: self.fn(v) + other.fn(v),
         )
 
-    def __sub__(self, other: "FockOperator") -> "FockOperator":
-        return self + (-1.0) * other
-
     def __mul__(self, scalar: complex) -> "FockOperator":
         return self._like(self.creation_degree, lambda v: self.fn(v) * scalar)
 
@@ -346,8 +343,8 @@ def identity_operator(dim: int, depth: int) -> FockOperator:
 
 
 def _first_factor_actions(alg: TracialAlgebra, d_el: np.ndarray) -> np.ndarray:
-    """The two actions of F(d) on the first tensor factor, stacked as a
-    (dim + 1) x dim matrix.
+    """The two actions of a letter d on the first tensor factor, stacked as
+    a (dim + 1) x dim matrix.
 
     Row k < dim holds the coefficient of b_k in d b_i (preservation); the
     last row holds psi(d b_i), the pairing of b_i against d* that
@@ -357,72 +354,61 @@ def _first_factor_actions(alg: TracialAlgebra, d_el: np.ndarray) -> np.ndarray:
     return np.vstack([left, alg.psi_vec @ left])
 
 
-def centered_p(alg: TracialAlgebra, d_el: np.ndarray, depth: int) -> FockOperator:
-    """F(d) = p(d) - psi(d) I: creation of d, annihilation of d*, and
-    preservation by d, in one pass that writes every degree of one output.
-
-    Degree r of the output is d (x) degree r-1 of the input, written in
-    place by broadcasting (the top degree's image is dropped), plus the
-    first-factor actions of degree r (preservation) and r+1
-    (annihilation), both rows of one product per input degree.
-    """
-    if depth < 1:
-        raise ValueError("the depth cap must be at least 1")
-    dim = alg.dim
-    d_el = np.asarray(d_el, dtype=complex)
-    actions = _first_factor_actions(alg, d_el)
-    d_col = d_el[:, None, None]
-    rows = _degree_rows(dim, depth)
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        cols = v.shape[1]
-        out = np.empty(v.shape, dtype=complex)
-        out[rows[0]] = 0.0
-        for lower, upper in zip(rows, rows[1:]):
-            top = out[upper]
-            np.multiply(d_col, v[lower][None], out=top.reshape(dim, -1, cols))
-            acted = _on_first_factor(actions, v[upper])
-            top += acted[:dim].reshape(top.shape)
-            out[lower] += acted[dim].reshape(-1, cols)
-        return out
-
-    return FockOperator(depth, dim, 1, apply)
-
-
-def p_operator(alg: TracialAlgebra, d_el: np.ndarray, depth: int) -> FockOperator:
-    """Creation + annihilation-of-the-adjoint + preservation + state term:
-    F(d) + psi(d) I."""
-    return centered_p(alg, d_el, depth) + alg.psi(d_el) * identity_operator(alg.dim, depth)
-
-
 def wick(
     alg: TracialAlgebra, word: Sequence[np.ndarray], depth: int
 ) -> FockOperator:
     """The Wick product of a tensor word: the unique polynomial in the
     ``p`` operators that maps the vacuum to the word.
 
-    Built by the recursion that peels off the leftmost letter a of the
-    word (a, b, rest): W = F(a) W(b, rest) - psi(ab) W(rest) - W(ab, rest),
-    so each level applies the shorter product once.  The empty word gives
-    the identity.
+    With d' the word without its last letter d_m, the product rule reads
+    W(d) = C(d) + C(d') P(d_m) + W(d') A(d_m): C(w) creates the word w in
+    front, P(d_m) multiplies the first factor by d_m and A(d_m) pairs it
+    against d_m*.  Read right to left it is one pass per letter over two
+    arrays: x, the input with the letters passed so far annihilated, and
+    z, x plus the carry the passed letters created.  A pass sends z to
+    C(d_m) z + P(d_m) x + A(d_m) x in place, by a broadcast of d_m against
+    the degree below, and x to A(d_m) x, by one BLAS product per degree of
+    x with the stacked first-factor actions.  Each pass takes the top
+    degree off x, so x after the first pass lives in a buffer one degree
+    shorter than the input, and each BLAS loop stops at the degrees x
+    still holds.  Once the first letter is passed, z is the output.  No
+    intermediate degree exceeds both the input's and the output's, so on
+    any input the output is the exact image cut at the depth cap.  The
+    empty word gives the identity.
     """
     letters = tuple(np.asarray(w, dtype=complex) for w in word)
     if len(letters) > depth:
         raise ValueError(f"word of length {len(letters)} exceeds the depth cap {depth}")
-    return _wick(alg, letters, depth)
+    dim = alg.dim
+    passes = [(d[:, None, None], _first_factor_actions(alg, d)) for d in reversed(letters)]
+    rows = _degree_rows(dim, depth)
+    downward = list(zip(rows, rows[1:]))[::-1]
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        cols = v.shape[1]
+        z, x = v.copy(), v
+        shorter = np.empty((rows[-1].start, cols), dtype=complex)
+        # x holds degrees up to `top`, one fewer after each pass
+        for top, (d_col, actions) in zip(range(depth, 0, -1), passes):
+            for lower, upper in downward:
+                np.multiply(d_col, z[lower][None], out=z[upper].reshape(dim, -1, cols))
+            z[rows[0]] = 0.0
+            # upward, so each degree of x is read before it is overwritten
+            for lower, upper in zip(rows, rows[1:top + 1]):
+                acted = _on_first_factor(actions, x[upper])
+                z[upper] += acted[:dim].reshape(-1, cols)
+                shorter[lower] = acted[dim].reshape(-1, cols)
+                z[lower] += shorter[lower]
+            x = shorter
+        return z
+
+    return FockOperator(depth, dim, len(letters), apply)
 
 
-def _wick(alg, letters, depth):
-    if not letters:
-        return identity_operator(alg.dim, depth)
-    head, rest = letters[0], letters[1:]
-    op = centered_p(alg, head, depth)
-    if rest:
-        merged = alg.multiply(head, rest[0])
-        op = (op @ _wick(alg, rest, depth)
-              - alg.psi(merged) * _wick(alg, rest[1:], depth)
-              - _wick(alg, (merged,) + rest[1:], depth))
-    return op
+def p_operator(alg: TracialAlgebra, d_el: np.ndarray, depth: int) -> FockOperator:
+    """Creation + annihilation-of-the-adjoint + preservation + state term:
+    the one-letter Wick product plus psi(d) I."""
+    return wick(alg, (d_el,), depth) + alg.psi(d_el) * identity_operator(alg.dim, depth)
 
 
 def w_pi(
@@ -742,7 +728,8 @@ def verify_inductive_step(
 ) -> OperatorCheck:
     """Vector identity driving the product rule: applying a Wick product
     to a tensor word, minus the state-paired shortened application,
-    leaves the concatenation plus the boundary-merged word."""
+    leaves the concatenation plus the boundary-merged word.  It is the
+    recursion :func:`wick` applies, restated on tensor words."""
     d_let = tuple(np.asarray(w, dtype=complex) for w in d_word)
     e_let = tuple(np.asarray(w, dtype=complex) for w in e_word)
     if not d_let or not e_let:

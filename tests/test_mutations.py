@@ -1,6 +1,6 @@
 """The mutation matrix: each mutant of an enumerator, a bijection, a weight
-rule, a recurrence constant, an exact formula or a Fock operator fails at
-least one record of a `verify` suite at a small size.
+rule, a recurrence constant, an exact formula, a series or a Fock operator
+fails at least one record of a `verify` suite at a small size.
 
 A mutant replaces one name where the suite reads it, by `monkeypatch`.
 An enumerator's mutant leaves out, or repeats, the last diagram of one
@@ -17,10 +17,10 @@ import importlib
 import numpy as np
 import pytest
 
-from ncwishart import cli, halfperm, perms, wick
+from ncwishart import cli, halfperm, perms
 from ncwishart.dots import dot_decode, enum_dots
 from ncwishart.families import RECURRENCES
-from ncwishart.halfperm import CircularHalfPerm
+from ncwishart.halfperm import CircularHalfPerm, WeightRule
 from ncwishart.polyc import PolyC
 
 MODULES = ("families", "halfperm", "perms")
@@ -67,6 +67,25 @@ def plus(term):
             return fn(*args) + term(*args)
         return mutant
     return mutate
+
+
+def swapping_the_weight_rules(fn):
+    """A weighted count that weighs by closed blocks where it is asked for
+    all blocks, and the other way round."""
+    swap = {WeightRule.ALL_BLOCKS: WeightRule.CLOSED_BLOCKS,
+            WeightRule.CLOSED_BLOCKS: WeightRule.ALL_BLOCKS}
+    @functools.wraps(fn)
+    def mutant(diagrams, weight=WeightRule.ALL_BLOCKS):
+        return fn(diagrams, swap[weight])
+    return mutant
+
+
+def times_z(fn):
+    """A series map whose every value is shifted up one order of z."""
+    @functools.wraps(fn)
+    def mutant(*args):
+        return fn(*args).times_z()
+    return mutant
 
 
 def designating_the_block_of_one(fn):
@@ -157,17 +176,24 @@ def pairing_against_d(fn):
     return mutant
 
 
-def without_the_merged_word(fn):
-    """The Wick recursion without its term -W(ab, rest): the recursion plus
-    that term, whose own recursive calls reach the mutant too."""
-    @functools.wraps(fn)
-    def mutant(alg, letters, depth):
-        op = fn(alg, letters, depth)
-        if len(letters) < 2:
-            return op
-        merged = alg.multiply(letters[0], letters[1])
-        return op + wick._wick(alg, (merged,) + letters[2:], depth)
-    return mutant
+def on_longer_words(change):
+    """A mutant of the Wick product that applies `change` to its word when
+    it has two letters or more; one letter, the `p` operator, stays."""
+    def mutate(fn):
+        @functools.wraps(fn)
+        def mutant(alg, word, depth):
+            word = tuple(word)
+            return fn(alg, change(alg, word) if len(word) >= 2 else word, depth)
+        return mutant
+    return mutate
+
+
+def read_in_reverse(alg, word):
+    return word[::-1]
+
+
+def last_two_merged(alg, word):
+    return word[:-2] + (alg.multiply(word[-2], word[-1]),)
 
 
 def with_constant(name, constant, term):
@@ -225,6 +251,17 @@ MUTANTS = [
                  "cut-reassemble", {"max_total": 5}, "", id="predict_covariance + c^k"),
     pytest.param("families.shift_constant", plus(lambda n: PolyC.c()), "recursions",
                  {"max_n": 4}, "", id="shift_constant + c"),
+    pytest.param("cli.weighted_count", swapping_the_weight_rules, "bijections", {"max_n": 3},
+                 "", id="weighted_count swaps the weight rules"),
+    # the suite's one weighted count asks each annulus for a closed-block
+    # exponent, which an annulus does not have: the suite stops, no record fails
+    pytest.param("cli.weighted_count", swapping_the_weight_rules, "cut-reassemble",
+                 {"max_total": 5}, "", id="weighted_count swaps the weight rules (annuli)",
+                 marks=pytest.mark.xfail(strict=True, raises=AttributeError,
+                                         reason="the suite raises before any record")),
+    # one column up the ladder for every column climbed
+    pytest.param("families._ladder", times_z, "series", {"order": 6, "max_k": 3}, "k=",
+                 id="_ladder times z"),
     pytest.param("cli.dot_decode", designating_the_block_of_one, "bijections", {"max_n": 3},
                  "k=0", id="dot_decode designates the block of 1"),
     pytest.param("cli.dot_decode", swapping(lambda: ((DOTS[0],), (DOTS[1],))), "bijections",
@@ -241,8 +278,10 @@ MUTANTS = [
                  id="F without its preservation term"),
     pytest.param("wick._first_factor_actions", pairing_against_d, "wick", WICK_SIZES, "L=4",
                  id="annihilation pairs against d, not d*"),
-    pytest.param("wick._wick", without_the_merged_word, "wick", WICK_SIZES, "L=4",
-                 id="_wick without its merged-word term"),
+    pytest.param("wick.wick", on_longer_words(read_in_reverse), "wick", WICK_SIZES, "L=4",
+                 id="wick reads the word in reverse"),
+    pytest.param("wick.wick", on_longer_words(last_two_merged), "wick", WICK_SIZES, "L=4",
+                 id="wick merges the last two letters"),
 ] + [
     pytest.param("families.RECURRENCES", with_constant(name, constant, term), "recursions",
                  {"max_n": 4}, "", id=f"{name} {constant} + {term}")

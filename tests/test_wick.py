@@ -12,7 +12,6 @@ from ncwishart.wick import (
     TracialAlgebra,
     adjoint_residual,
     all_ncl,
-    centered_p,
     convolution,
     function_algebra,
     gram_apply,
@@ -65,8 +64,9 @@ def letters_for(alg, count, seed=7):
 
 # -- the oracle: the three primitive operators, one tensor factor at a time --
 #
-# `centered_p` fuses creation, annihilation of the adjoint and preservation
-# into one pass; these build each from its definition, degree by degree.
+# `wick` applies creation, annihilation of the adjoint and preservation of
+# each letter in one pass; these build each from its definition, degree by
+# degree.
 
 
 def degree_slices(dim, depth):
@@ -141,11 +141,11 @@ def oracle_wick(alg, letters, depth):
         return identity_operator(alg.dim, depth)
     head, rest = letters[0], letters[1:]
     w_rest = oracle_wick(alg, rest, depth)
-    op = oracle_p(alg, head, depth) @ w_rest - alg.psi(head) * w_rest
+    op = oracle_p(alg, head, depth) @ w_rest + (-1.0) * alg.psi(head) * w_rest
     if rest:
         merged = alg.multiply(head, rest[0])
-        op = op - alg.psi(merged) * oracle_wick(alg, rest[1:], depth)
-        op = op - oracle_wick(alg, (merged,) + rest[1:], depth)
+        op = op + (-1.0) * alg.psi(merged) * oracle_wick(alg, rest[1:], depth)
+        op = op + (-1.0) * oracle_wick(alg, (merged,) + rest[1:], depth)
     return op
 
 
@@ -278,7 +278,7 @@ class TestWickOperator:
         a = matrix_algebra()
         (x,) = letters_for(a, 1)
         lhs = wick(a, [x], L)
-        rhs = p_operator(a, x, L) - a.psi(x) * identity_operator(4, L)
+        rhs = p_operator(a, x, L) + (-1.0) * a.psi(x) * identity_operator(4, L)
         assert operator_residual(lhs, rhs) < 1e-15
 
     @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: a.name)
@@ -497,7 +497,7 @@ class TestBatchedOperators:
         (x,) = letters_for(alg, 1)
         block = random_block(alg.dim, L, 5)
         ops = [creation(alg, x, L), annihilation(alg, x, L), preservation(alg, x, L),
-               centered_p(alg, x, L), wick(alg, letters_for(alg, 2), L)]
+               wick(alg, [x], L), wick(alg, letters_for(alg, 2), L)]
         for op in ops:
             out = op(block)
             assert out.shape == block.shape
@@ -525,7 +525,8 @@ class TestBatchedOperators:
         p = lambda d: p_operator(alg, d, depth)  # noqa: E731
         operator_pairs = [
             (p(x) @ p(y), p(y) @ p(x)),  # not equal: a residual of order one
-            (wick(alg, [x], depth), p(x) - alg.psi(x) * identity_operator(alg.dim, depth)),
+            (wick(alg, [x], depth),
+             p(x) + (-1.0) * alg.psi(x) * identity_operator(alg.dim, depth)),
             (p(x) @ p(y) @ p(z), p(x) @ (p(y) @ p(z))),
         ]
         for lhs, rhs in operator_pairs:
@@ -558,24 +559,24 @@ class TestBatchedOperators:
         assert got > 1e-3
 
 
-# -- the fused operators against the oracle ----------------------------------
+# -- the Wick kernel against the oracle ---------------------------------------
 
 
-def whole_basis(dim, depth, columns=8 * BASIS_BLOCK):
-    """The coordinate basis of the whole depth-`depth` space, in blocks of
-    `columns` vectors."""
-    rows = fock_rows(dim, depth)
-    for start in range(0, rows, columns):
-        width = min(columns, rows - start)
+def basis_blocks(dim, depth, max_degree, columns=8 * BASIS_BLOCK):
+    """The coordinate basis vectors of degree at most `max_degree` of the
+    depth-`depth` space, in blocks of `columns` vectors."""
+    rows, cut = fock_rows(dim, depth), fock_rows(dim, max_degree)
+    for start in range(0, cut, columns):
+        width = min(columns, cut - start)
         block = np.zeros((rows, width), dtype=complex)
         block[np.arange(start, start + width), np.arange(width)] = 1.0
         yield block
 
 
-def assert_agree_on_every_block(op, oracle):
+def assert_agree_up_to_degree(op, oracle, max_degree):
     assert (op.depth, op.dim, op.creation_degree) == (
         oracle.depth, oracle.dim, oracle.creation_degree)
-    for block in whole_basis(op.dim, op.depth):
+    for block in basis_blocks(op.dim, op.depth, max_degree):
         got, want = op(block), oracle(block)
         scale = max(np.linalg.norm(got), np.linalg.norm(want), 1e-30)
         assert np.linalg.norm(got - want) <= 1e-12 * scale
@@ -585,28 +586,46 @@ class TestFusedOperators:
     @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: a.name)
     @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
     def test_centered_p_is_the_sum_of_the_three_operators(self, alg, depth):
+        # the one-letter Wick product, on the whole space
         for x in letters_for(alg, 2):
-            assert_agree_on_every_block(centered_p(alg, x, depth),
-                                        oracle_centered_p(alg, x, depth))
+            assert_agree_up_to_degree(wick(alg, (x,), depth),
+                                      oracle_centered_p(alg, x, depth), depth)
 
     @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: a.name)
     @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
     def test_wick_matches_the_four_term_recursion(self, alg, depth):
-        # words of up to four letters, the longest the report applies; at
-        # depth 5 the oracle's tree takes seconds on a four-letter word
+        # words of up to four letters, the longest the report applies, on
+        # the exact subspace: above it the recursion's truncated creations
+        # drop terms that a later annihilation would bring back under the cap
         xs = letters_for(alg, 4)
-        for n in range(min(depth, 4 if depth < 5 else 3) + 1):
-            assert_agree_on_every_block(wick(alg, xs[:n], depth), oracle_wick(alg, xs[:n], depth))
+        for n in range(min(depth, 4) + 1):
+            op = wick(alg, xs[:n], depth)
+            assert_agree_up_to_degree(op, oracle_wick(alg, xs[:n], depth),
+                                      op.exact_input_degree)
+
+    @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: a.name)
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_wick_is_the_deeper_product_cut_to_the_cap(self, alg, depth):
+        # on the whole space, an n-letter product at depth L gives the
+        # first L degrees of its exact image at depth L + n
+        xs = letters_for(alg, 3)
+        rows = fock_rows(alg.dim, depth)
+        for n in range(depth + 1):
+            deeper = wick(alg, xs[:n], depth + n)
+            padded = np.zeros((fock_rows(alg.dim, depth + n), rows), dtype=complex)
+            padded[:rows] = np.eye(rows)
+            got = wick(alg, xs[:n], depth)(padded[:rows])
+            assert np.allclose(got, deeper(padded)[:rows], rtol=0, atol=1e-12)
 
     def test_centered_p_reads_a_strided_block(self):
         a = matrix_algebra()
-        (x,) = letters_for(a, 1)
         block = random_block(a.dim, 3, 6)
-        op = centered_p(a, x, 3)
-        assert np.allclose(op(block[:, ::2]), op(np.ascontiguousarray(block[:, ::2])),
-                           rtol=0, atol=1e-12)
+        for n in (1, 3):
+            op = wick(a, letters_for(a, n), 3)
+            assert np.allclose(op(block[:, ::2]), op(np.ascontiguousarray(block[:, ::2])),
+                               rtol=0, atol=1e-12)
 
     def test_depth_zero_is_rejected(self):
         a = scalar_algebra()
-        with pytest.raises(ValueError, match="at least 1"):
-            centered_p(a, np.ones(1), 0)
+        with pytest.raises(ValueError, match="exceeds the depth cap"):
+            p_operator(a, np.ones(1), 0)
