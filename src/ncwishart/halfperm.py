@@ -40,7 +40,12 @@ half to the checked constructor.  Everything else validates: the
 `CircularHalfPerm` and `LinearHalfPerm` constructors (a linear build runs
 both classes' checks), `make_circular` and `make_linear` (and so
 `linear_remove` and `dots.dot_decode`), and `reassemble`, which builds a
-checked `AnnularPerm`.
+checked `AnnularPerm`.  The halves' permutations keep their cycles (see
+`perms`): those of `enum_ncc` and `enum_ncl` come seeded from
+`perms.enum_nc`, those of `make_linear`, `pair_up_odd` and
+`dots.dot_decode` from `perms.partition_to_perm`, and the halves of
+`cut` walk theirs on first use; `tests/test_cycle_cache.py` holds each
+to a fresh walk.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ from .perms import (
     _unchecked,
     complement,
     enum_nc,
+    format_blocks,
     is_noncrossing,
     partition_to_perm,
 )
@@ -69,11 +75,11 @@ def _perm_data(perm: Perm) -> tuple[bool, frozenset, frozenset]:
     """What validating a half needs of its permutation: whether it is
     non-crossing, its block sets and its complement's block sets.
 
-    Both cycle walks are done once; non-crossing is the genus bound
-    #(perm) + #(complement) == n + 1 read off them (the empty permutation
-    counts as non-crossing).  Checked builds of one permutation's halves
-    often come one after another (a decoded half and the next), so a
-    single entry serves them.
+    The permutation's cycles are the ones it keeps, and its complement is
+    walked once; non-crossing is the genus bound #(perm) + #(complement)
+    == n + 1 read off them (the empty permutation counts as non-crossing).
+    Checked builds of one permutation's halves often come one after
+    another (a decoded half and the next), so a single entry serves them.
     """
     blocks = perm.cycles()
     comp_blocks = complement(perm).cycles()
@@ -222,13 +228,11 @@ class CircularHalfPerm:
     def __str__(self) -> str:
         if self.n == 0:
             return "()"
-        closed = "".join(
-            "(" + ",".join(map(str, b)) + ")" for b in self.closed_blocks()
-        )
+        closed = format_blocks(self.closed_blocks())
         if self.opens:
-            return "".join("[" + ",".join(map(str, b)) + "]" for b in self.opens) + closed
+            return format_blocks(self.opens, "[", "]") + closed
         mark, block = ("c", self.bbar) if self.designated is None else ("", self.designated)
-        return closed + "*" + mark + "(" + ",".join(map(str, block)) + ")"
+        return closed + "*" + mark + format_blocks((block,))
 
 
 def _normal_opens(blocks, bbar) -> tuple[tuple[int, ...], ...]:
@@ -326,7 +330,10 @@ def enum_ncc(n: int, k: int) -> tuple[CircularHalfPerm, ...]:
 
 
 def enum_ncl(n: int, k: int) -> tuple[LinearHalfPerm, ...]:
-    """All linear half-permutations of [n] with k open blocks."""
+    """All linear half-permutations of [n] with k open blocks, in
+    `sort_key` order with no sort: the discs come in image order, each
+    with its one collecting cycle, and `combinations` picks the open
+    blocks in ascending order from the sorted exits."""
     _check_cell(n, k)
     if n == 0:
         return (make_linear(0, (), ()),)
@@ -336,7 +343,6 @@ def enum_ncl(n: int, k: int) -> tuple[LinearHalfPerm, ...]:
         exits = _normal_opens(map(perm.cycle_containing, bbar_t), bbar_t)
         for opens in combinations(exits, k):
             out.append(_circular(n, perm, opens, bbar_t, cls=LinearHalfPerm))
-    out.sort(key=lambda h: h.sort_key())
     return tuple(out)
 
 

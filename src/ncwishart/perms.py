@@ -21,11 +21,20 @@ other.  On the annulus every set partition is expanded into cyclic
 orderings of its blocks and each candidate goes through the saturation
 filter.
 
-Construction checks: `Perm` and the public `AnnularPerm(m, n, perm)`
-always validate.  `enum_snc` builds its annuli through `_unchecked`,
-skipping `AnnularPerm.__post_init__`, because every image it wraps has
-just passed the saturation filter; `halfperm` uses the same path for the
-halves its generators and `cut` build.
+Construction checks: the public `Perm(image)` and `AnnularPerm(m, n,
+perm)` always validate.  `enum_snc` builds its annuli and their
+permutations through `_unchecked`, skipping both `__post_init__`s,
+because every image it wraps has just passed the saturation filter;
+`halfperm` uses the same path for the halves its generators and `cut`
+build.  `complement`, `_annular_complement` and `Perm.induced` build
+unchecked too, since each maps a permutation to a permutation.
+
+A permutation keeps its cycles once walked, and two constructors seed
+them instead: `enum_nc` builds each surviving partition's permutation
+through `_from_blocks`, unchecked, with the partition's blocks as its
+cycles, and the checked `partition_to_perm` seeds the blocks it was
+given, sorted.  `tests/test_cycle_cache.py` holds the cycles of every
+permutation the diagram layer builds to a fresh walk of its image.
 """
 
 from __future__ import annotations
@@ -47,7 +56,8 @@ def _unchecked(cls, **fields):
     """
     obj = object.__new__(cls)
     # field by field, as the generated __init__ does: filling obj.__dict__
-    # instead costs about 200 more bytes per diagram
+    # instead costs about 180 more bytes per diagram (enum_ncl(9, 2) under
+    # tracemalloc, its discs' kept cycles included)
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
     return obj
@@ -55,9 +65,16 @@ def _unchecked(cls, **fields):
 
 @dataclass(frozen=True)
 class Perm:
-    """A permutation of {1, ..., n}, stored as its image tuple."""
+    """A permutation of {1, ..., n}, stored as its image tuple.
+
+    Its image is walked into cycles at most once: `cycles()` keeps them in
+    `_cycles`, which is no field, so equality, hashing and the repr read
+    the image alone.  A constructor that has the cycles in hand seeds them.
+    """
 
     image: tuple[int, ...]
+    # the cycles, once walked or seeded; set per instance
+    _cycles = None
 
     def __post_init__(self) -> None:
         n = len(self.image)
@@ -91,6 +108,8 @@ class Perm:
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Cycles rotated to start at their minimum, sorted by minimum."""
+        if self._cycles is not None:
+            return self._cycles
         image = self.image
         seen = [False] * (len(image) + 1)
         out = []
@@ -104,20 +123,12 @@ class Perm:
                     cyc.append(j)
                     j = image[j - 1]
                 out.append(tuple(cyc))
-        return tuple(out)
+        cycles = tuple(out)
+        object.__setattr__(self, "_cycles", cycles)
+        return cycles
 
     def num_cycles(self) -> int:
-        image = self.image
-        seen = [False] * (len(image) + 1)
-        count = 0
-        for i in range(1, len(image) + 1):
-            if not seen[i]:
-                count += 1
-                j = i
-                while not seen[j]:
-                    seen[j] = True
-                    j = image[j - 1]
-        return count
+        return len(self.cycles())
 
     def cycle_containing(self, i: int) -> tuple[int, ...]:
         cyc = [i]
@@ -139,10 +150,10 @@ class Perm:
             while q not in pset:
                 q = self.image[q - 1]
             img.append(index[q])
-        return Perm(tuple(img))
+        return _unchecked(Perm, image=tuple(img))
 
     def __str__(self) -> str:
-        return format_cycles(self.cycles())
+        return format_blocks(self.cycles())
 
 
 def _inverse_image(image: tuple[int, ...]) -> list[int]:
@@ -152,8 +163,32 @@ def _inverse_image(image: tuple[int, ...]) -> list[int]:
     return inv
 
 
-def format_cycles(cycles) -> str:
-    return "".join("(" + ",".join(str(p) for p in cyc) + ")" for cyc in cycles)
+# Blocks whose text `format_blocks` keeps at once: a few thousand, well
+# under 2 MB.
+_BLOCK_TEXTS_MAX = 4096
+
+
+class _BlockTexts(dict):
+    """Block -> its points, comma-separated; each text is formatted once,
+    and the table is cleared when full, so memory stays bounded."""
+
+    def __missing__(self, block: tuple[int, ...]) -> str:
+        if len(self) == _BLOCK_TEXTS_MAX:
+            self.clear()
+        text = self[block] = ",".join(map(str, block))
+        return text
+
+
+_block_text = _BlockTexts().__getitem__
+
+
+def format_blocks(blocks, left: str = "(", right: str = ")") -> str:
+    """The blocks as text, each between `left` and `right`: "(1,3)(2)".
+
+    Every diagram's text form is made here."""
+    if not blocks:
+        return ""
+    return left + (right + left).join(map(_block_text, blocks)) + right
 
 
 def long_cycle(n: int) -> Perm:
@@ -173,14 +208,14 @@ def complement(p: Perm) -> Perm:
     """The complement permutation on the disc: the long cycle composed
     with the inverse, i -> p^-1(i) mod n + 1."""
     n = p.size
-    return Perm(tuple(j % n + 1 for j in _inverse_image(p.image)))
+    return _unchecked(Perm, image=tuple([j % n + 1 for j in _inverse_image(p.image)]))
 
 
 def _annular_complement(m: int, n: int, p: Perm) -> Perm:
     """annular_rotation(m, n) composed with the inverse of p."""
-    return Perm(tuple(
+    return _unchecked(Perm, image=tuple([
         j % m + 1 if j <= m else m + (j - m) % n + 1 for j in _inverse_image(p.image)
-    ))
+    ]))
 
 
 def is_noncrossing(p: Perm) -> bool:
@@ -219,8 +254,25 @@ def set_partitions(n: int):
 
 
 def partition_to_perm(blocks) -> Perm:
-    n = sum(len(b) for b in blocks)
-    return Perm.from_cycles(n, [tuple(sorted(b)) for b in blocks])
+    """The permutation traversing each block in increasing order, checked
+    and seeded with its cycles: the blocks, sorted."""
+    cycles = tuple(sorted([tuple(sorted(b)) for b in blocks]))
+    p = Perm.from_cycles(sum(map(len, cycles)), cycles)
+    object.__setattr__(p, "_cycles", cycles)
+    return p
+
+
+def _from_blocks(n: int, blocks) -> Perm:
+    """The permutation whose cycles are `blocks`, increasing tuples that
+    partition 1..n listed by least point, built unchecked and seeded with
+    them."""
+    img = [0] * n
+    for b in blocks:
+        prev = b[-1]
+        for x in b:
+            img[prev - 1] = x
+            prev = x
+    return _unchecked(Perm, image=tuple(img), _cycles=blocks)
 
 
 def blocks_noncrossing(blocks) -> bool:
@@ -259,10 +311,9 @@ def enum_nc(n: int) -> tuple[Perm, ...]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return (Perm(()),)
+    # `set_partitions` lists each partition's blocks by least point
     found = [
-        partition_to_perm(blocks)
+        _from_blocks(n, blocks)
         for blocks in set_partitions(n)
         if blocks_noncrossing(blocks)
     ]
@@ -302,7 +353,7 @@ class AnnularPerm:
         return _annular_complement(self.m, self.n, self.perm)
 
     def __str__(self) -> str:
-        return format_cycles(self.perm.cycles())
+        return str(self.perm)
 
 
 def is_annular_noncrossing(m: int, n: int, p: Perm) -> bool:
@@ -416,4 +467,6 @@ def enum_snc(m: int, n: int) -> tuple[AnnularPerm, ...]:
     """
     _check_annulus(m, n)
     images = sorted(iter_snc_images(m, n))
-    return tuple(_unchecked(AnnularPerm, m=m, n=n, perm=Perm(img)) for img in images)
+    return tuple(
+        _unchecked(AnnularPerm, m=m, n=n, perm=_unchecked(Perm, image=img)) for img in images
+    )

@@ -8,11 +8,16 @@ cell only.  The `lru_cache`s of the package are cleared around each
 mutant, so no mutated value outlives it.  A mutant that fails no record
 is a gap of the suites: it would be listed as an expected failure,
 strictly, so that closing the gap shows.
+
+A permutation's seeded cycles are no record of any suite: their mutant
+fails the differential test of `test_cycle_cache.py` instead.
 """
 
 import dataclasses
 import functools
 import importlib
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,3 +312,29 @@ def test_every_mutant_fails_a_record(monkeypatch, path, mutate, suite, sizes, wh
     failed = [rec["instance"] for rec in builder(**sizes) if not rec["pass"]]
     assert failed, "no record fails"
     assert all(where in instance for instance in failed), failed
+
+
+def out_of_minimum_order(fn):
+    """A seeding that lists a partition's blocks from the last one."""
+    @functools.wraps(fn)
+    def mutant(n, blocks):
+        return fn(n, blocks[::-1])
+    return mutant
+
+
+def sibling_module(name):
+    """A sibling test module, loaded by its path."""
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).with_name(f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("mutate", [
+    pytest.param(out_of_minimum_order, id="enum_nc seeds cycles out of minimum order"),
+])
+def test_a_seeding_mutant_fails_the_differential_test(monkeypatch, mutate):
+    monkeypatch.setattr(perms, "_from_blocks", mutate(perms._from_blocks))
+    differential = sibling_module("test_cycle_cache")
+    with pytest.raises(AssertionError):
+        differential.test_enum_nc_seeds_the_walked_cycles(3)

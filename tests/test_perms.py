@@ -23,7 +23,7 @@ from ncwishart.perms import (
     complement,
     enum_nc,
     enum_snc,
-    format_cycles,
+    format_blocks,
     is_annular_noncrossing,
     is_noncrossing,
     iter_snc_images,
@@ -73,7 +73,9 @@ class TestPerm:
         p = Perm.from_cycles(5, [(1, 2, 3), (4,)])
         assert p.image == (2, 3, 1, 4, 5)
         assert str(p) == "(1,2,3)(4)(5)"
-        assert format_cycles(((2, 7), (1,))) == "(2,7)(1)"
+        assert format_blocks(((2, 7), (1,))) == "(2,7)(1)"
+        assert format_blocks(((2, 7), (1,)), "[", "]") == "[2,7][1]"
+        assert format_blocks(()) == ""
 
     def test_from_cycles_rejects_repeats(self):
         with pytest.raises(ValueError):
