@@ -38,7 +38,6 @@ _LAZY = {
     "halfperm": (
         "CircularHalfPerm",
         "LinearHalfPerm",
-        "WeightRule",
         "cut",
         "enum_ncc",
         "enum_ncl",

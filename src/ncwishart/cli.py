@@ -34,7 +34,6 @@ import re
 import sys
 import time
 from collections import Counter
-from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -78,7 +77,6 @@ _LAZY = {
         "transition_matrix",
     ),
     "halfperm": (
-        "WeightRule",
         "cut",
         "enum_ncc",
         "enum_ncl",
@@ -167,10 +165,11 @@ class UsageError(Exception):
 # built-in golden fixtures
 # ---------------------------------------------------------------------------
 
-# First five rows of the three inverse coefficient tables.  These are data,
-# not derived values: the exact-arithmetic tables are compared against them
-# by `tables --check`, by the two decomposition fixtures of `verify
-# bijections` and by the acceptance suite.
+# First five rows of the three inverse coefficient tables, each entry in the
+# canonical text form `str(PolyC)` prints.  These are data, not derived
+# values: `tables --check` and the two decomposition fixtures of `verify
+# bijections` compare the canonical text of the exact-arithmetic tables with
+# them, and so does the test suite.
 GOLDEN_ROWS = {
     "gamma-tilde-inverse": (
         ("1",),
@@ -458,7 +457,7 @@ def cmd_tables(args: argparse.Namespace) -> tuple[dict, int]:
         mismatches = []
         for n in range(depth):
             for k in range(n + 1):
-                if PolyC.parse(rows[n][k]) != PolyC.parse(fixture[n][k]):
+                if rows[n][k] != fixture[n][k]:
                     mismatches.append(
                         {"row": n, "col": k,
                          "computed": rows[n][k], "fixture": fixture[n][k]}
@@ -638,16 +637,11 @@ def check_product_decomposition_fixture() -> list[dict]:
                 "product decomposition fixture: cell weights",
                 f"opens {profile}",
                 got == sorted(want)
-                and weighted_count(members, WeightRule.CLOSED_BLOCKS) == table_product,
+                and weighted_count(members) == table_product,
                 detail="{" + ", ".join(got) + "}",
             )
         )
     return records
-
-
-def _entry(table: TransitionMatrix, n: int, k: int) -> PolyC:
-    """Entry (n, k) of a lower-triangular table, zero off the triangle."""
-    return table.entry(n, k) if 0 <= k <= n else PolyC.zero()
 
 
 def _three_term(f, n: int, a, b_n) -> tuple[PolyXC, PolyXC]:
@@ -694,11 +688,11 @@ def _recursion_records(max_n: int) -> list[dict]:
         records.append(_record("M @ M^-1 = I", instance, ok))
         records.append(_record("double inversion", instance, inverse.invert() == forward))
 
-    arcsine_entry = partial(_entry, inverse_table(Family.GAMMA_TILDE, size))
+    arcsine_entry = inverse_table(Family.GAMMA_TILDE, size).entry
     # (name, inverse entries, a_0, b_1)
     inverses = (
         ("arc-sine", arcsine_entry, one_plus_c, 2 * c),
-        ("second-kind", partial(_entry, inverse_table(Family.PI, size)), c, c),
+        ("second-kind", inverse_table(Family.PI, size).entry, c, c),
     )
     for n in range(max_n):
         for name, entry, a0, b1 in inverses:
@@ -734,7 +728,7 @@ def _recursion_records(max_n: int) -> list[dict]:
         if kk < 0 or kk > nn:
             return PolyC.zero()
         if (nn, kk) not in weights:
-            weights[nn, kk] = weighted_count(enum_ncc(nn, kk), WeightRule.CLOSED_BLOCKS)
+            weights[nn, kk] = weighted_count(enum_ncc(nn, kk))
         return weights[nn, kk]
 
     for n in range(1, min(max_n, MAX_ENUMERATED_N)):
@@ -764,8 +758,7 @@ def _linear_map_records(max_n: int) -> list[dict]:
         for k, cell in cells.items():
             records.append(_record("linear census equals the second-kind inverse table",
                                    f"n={n},k={k}",
-                                   weighted_count(cell, WeightRule.CLOSED_BLOCKS)
-                                   == pi_entry(n, k)))
+                                   weighted_count(cell) == pi_entry(n, k)))
             by_case: dict[int, list] = {}
             for h in cell:
                 by_case.setdefault(linear_case(h), []).append(h)
@@ -870,7 +863,7 @@ def _cut_reassemble_records(max_total: int) -> list[dict]:
                 size_ok = size_ok and len(members) == h1.k
                 rebuilt.update(glued)
             census_ok = rebuilt == Counter(a.perm.image for a in elems)
-            weight = weighted_count(elems, WeightRule.ALL_BLOCKS)
+            weight = weighted_count(elems)
             records.append(
                 _record(
                     "cut determines a unique reassembly index",
@@ -939,7 +932,7 @@ def _series_records(order: int, max_k: int) -> list[dict]:
     for k in range(max_k + 1):
         for name, series, table in columns:
             column = series(k, order)
-            ok = all(column.coeff(m) == _entry(table, m, k) for m in range(order + 1))
+            ok = all(column.coeff(m) == table.entry(m, k) for m in range(order + 1))
             records.append(
                 _record(f"{name} series column matches the inverse table", f"k={k}", ok)
             )

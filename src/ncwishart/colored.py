@@ -22,7 +22,6 @@ from .families import Family, transition_matrix
 from .halfperm import (
     CircularHalfPerm,
     LinearHalfPerm,
-    WeightRule,
     enum_ncc,
     make_linear,
     weighted_count,
@@ -327,13 +326,10 @@ def _contracted_sum(
                 continue
             if size not in annuli:
                 annuli[size] = enum_snc(*size)
-            w = weighted_count(
-                _select(
-                    annuli[size], u_vec, outer_colors, v_vec, inner_colors,
-                    outer_through, inner_through,
-                ),
-                WeightRule.ALL_BLOCKS,
-            )
+            w = weighted_count(_select(
+                annuli[size], u_vec, outer_colors, v_vec, inner_colors,
+                outer_through, inner_through,
+            ))
             total = total + factor * w
     return total
 
@@ -358,9 +354,7 @@ def product_variance_check(
     )
     # the sum's term with no interval shrunk (its coefficients are the
     # leading ones, all 1) has enumerated the full annulus
-    rhs = weighted_count(
-        _select_spec(annuli[spec.m, spec.n], spec), WeightRule.ALL_BLOCKS
-    )
+    rhs = weighted_count(_select_spec(annuli[spec.m, spec.n], spec))
     return lhs, rhs
 
 
@@ -379,13 +373,8 @@ def single_interval_variance_check(m: int, n: int) -> tuple[PolyC, PolyC]:
             if factor == PolyC.zero():
                 continue
             spec = ColoredAnnularSpec((u,), ("a",), (v,), ("a",))
-            lhs = lhs + factor * weighted_count(
-                enum_colored_snc(spec), WeightRule.ALL_BLOCKS
-            )
-    rhs = weighted_count(
-        enum_colored_snc(spoke_spec((m,), ("a",), (n,), ("a",))),
-        WeightRule.ALL_BLOCKS,
-    )
+            lhs = lhs + factor * weighted_count(enum_colored_snc(spec))
+    rhs = weighted_count(enum_colored_snc(spoke_spec((m,), ("a",), (n,), ("a",))))
     return lhs, rhs
 
 

@@ -188,11 +188,12 @@ class TransitionMatrix:
         return len(self.rows)
 
     def entry(self, n: int, k: int) -> PolyC:
+        """Entry (n, k) of a row 0..size-1: zero anywhere off the triangle."""
         if 0 <= k <= n < self.size:
             return self.rows[n][k]
-        if 0 <= n < self.size and 0 <= k < self.size:
+        if 0 <= n < self.size:
             return PolyC.zero()
-        raise IndexError(f"entry ({n}, {k}) outside a size-{self.size} matrix")
+        raise IndexError(f"row {n} outside a size-{self.size} matrix")
 
     def is_unitriangular(self) -> bool:
         return all(row[-1] == PolyC.one() for row in self.rows)

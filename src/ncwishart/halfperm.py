@@ -13,10 +13,14 @@ an annular permutation with k through-cycles cuts into two halves with k
 open blocks each, and a pair of such halves glues back together in
 exactly k ways.
 
-The weighted counts here (`weighted_count` over `enum_ncc` / `enum_ncl`)
-are the brute-force route to the same numbers the triangular transition
-matrices of `families` produce by exact linear algebra; the test suite
-holds the two routes against each other.
+A diagram weighs c to the number of its closed blocks,
+`closed_weight_exponent`: for a half, the blocks that are not open, less
+a designated one; for an annulus, every block, since all are closed.
+`weighted_count` sums that one statistic over any diagrams, halves or
+annuli.  Over `enum_ncc` / `enum_ncl` it is the brute-force route to the
+same numbers the triangular transition matrices of `families` produce by
+exact linear algebra; the test suite holds the two routes against each
+other.
 
 A linear half-permutation is a circular one whose collecting cycle
 contains 1, whatever k (so it designates no block), and `LinearHalfPerm`
@@ -50,7 +54,6 @@ to a fresh walk.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -116,13 +119,6 @@ def initial_point(perm: Perm, block, ref) -> int:
 def _rotate_to(block: tuple[int, ...], start: int) -> tuple[int, ...]:
     i = block.index(start)
     return block[i:] + block[:i]
-
-
-class WeightRule(enum.Enum):
-    """Which block statistic becomes the exponent of c."""
-
-    ALL_BLOCKS = "all"
-    CLOSED_BLOCKS = "closed"
 
 
 @dataclass(frozen=True)
@@ -213,8 +209,8 @@ class CircularHalfPerm:
         return tuple(b[0] for b in self.opens)
 
     def closed_weight_exponent(self) -> int:
-        """Exponent of c under the closed-blocks rule: the number of closed
-        blocks, less one for a designated block."""
+        """Exponent of c: the number of closed blocks, less one for a
+        designated block."""
         return self.perm.num_cycles() - self.k - (self.designated is not None)
 
     def sort_key(self):
@@ -346,19 +342,11 @@ def enum_ncl(n: int, k: int) -> tuple[LinearHalfPerm, ...]:
     return tuple(out)
 
 
-def weighted_count(diagrams, weight=WeightRule.ALL_BLOCKS) -> PolyC:
-    """Sum of c^(statistic) over the diagrams, the statistic picked by the
-    WeightRule `weight`: every block of `d.perm` (an annulus or a half), or
-    a half's closed-block weight exponent."""
-    if weight is WeightRule.ALL_BLOCKS:
-        def exponent(d) -> int:
-            return d.perm.num_cycles()
-    elif weight is WeightRule.CLOSED_BLOCKS:
-        def exponent(d) -> int:
-            return d.closed_weight_exponent()
-    else:
-        raise TypeError(f"unsupported weight {weight!r}")
-    return PolyC.census(map(exponent, diagrams))
+def weighted_count(diagrams) -> PolyC:
+    """Sum of c^(closed blocks) over the diagrams: a half's
+    `closed_weight_exponent`, or an annulus's, which counts all of its
+    blocks, since every block of an annulus is closed."""
+    return PolyC.census(d.closed_weight_exponent() for d in diagrams)
 
 
 # ---------------------------------------------------------------------------

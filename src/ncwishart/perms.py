@@ -97,15 +97,6 @@ class Perm:
                 img[a - 1] = b
         return cls(tuple(img))
 
-    def inverse(self) -> "Perm":
-        return Perm(tuple(_inverse_image(self.image)))
-
-    def compose(self, other: "Perm") -> "Perm":
-        """(self . other)(i) = self(other(i))."""
-        if self.size != other.size:
-            raise ValueError("size mismatch")
-        return Perm(tuple(self.image[j - 1] for j in other.image))
-
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Cycles rotated to start at their minimum, sorted by minimum."""
         if self._cycles is not None:
@@ -191,19 +182,6 @@ def format_blocks(blocks, left: str = "(", right: str = ")") -> str:
     return left + (right + left).join(map(_block_text, blocks)) + right
 
 
-def long_cycle(n: int) -> Perm:
-    if n == 0:
-        return Perm(())
-    return Perm(tuple(range(2, n + 1)) + (1,))
-
-
-def annular_rotation(m: int, n: int) -> Perm:
-    """The two-cycle rotation (1..m)(m+1..m+n)."""
-    outer = tuple(range(2, m + 1)) + (1,)
-    inner = tuple(range(m + 2, m + n + 1)) + (m + 1,)
-    return Perm(outer + inner)
-
-
 def complement(p: Perm) -> Perm:
     """The complement permutation on the disc: the long cycle composed
     with the inverse, i -> p^-1(i) mod n + 1."""
@@ -212,7 +190,7 @@ def complement(p: Perm) -> Perm:
 
 
 def _annular_complement(m: int, n: int, p: Perm) -> Perm:
-    """annular_rotation(m, n) composed with the inverse of p."""
+    """The rotation (1..m)(m+1..m+n) composed with the inverse of p."""
     return _unchecked(Perm, image=tuple([
         j % m + 1 if j <= m else m + (j - m) % n + 1 for j in _inverse_image(p.image)
     ]))
@@ -351,6 +329,10 @@ class AnnularPerm:
 
     def complement_perm(self) -> Perm:
         return _annular_complement(self.m, self.n, self.perm)
+
+    def closed_weight_exponent(self) -> int:
+        """Exponent of c: the number of blocks, all of them closed."""
+        return self.perm.num_cycles()
 
     def __str__(self) -> str:
         return str(self.perm)

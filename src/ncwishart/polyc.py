@@ -47,8 +47,6 @@ class PolyC:
     '1 + 4*c + c^2'
     >>> str(p - PolyC.of(0, 2))
     '1 + 2*c + c^2'
-    >>> p == PolyC.parse("1 + 4*c + c^2")
-    True
     >>> PolyC.of(0.5)
     Traceback (most recent call last):
     ...
@@ -243,49 +241,6 @@ class PolyC:
                 pieces.append(f"+ {body}" if a > 0 else f"- {body}")
         return " ".join(pieces)
 
-    @classmethod
-    def parse(cls, text: str) -> "PolyC":
-        """Parse the textual form produced by ``str``.
-
-        Accepts terms in any order, an optional ``*`` and integer
-        coefficients.
-
-        >>> PolyC.parse("c^2 - 2*c") == PolyC.of(0, -2, 1)
-        True
-        """
-        s = text.replace(" ", "")
-        if not s:
-            raise ValueError("empty polynomial text")
-        s = s.replace("-", "+-")
-        if s.startswith("+"):
-            s = s[1:]
-        terms: dict[int, int] = {}
-        for raw in s.split("+"):
-            if raw in ("", "-"):
-                raise ValueError(f"malformed polynomial text: {text!r}")
-            sign = 1
-            if raw.startswith("-"):
-                sign, raw = -1, raw[1:]
-            if "c" in raw:
-                head, _, tail = raw.partition("c")
-                head = head.rstrip("*")
-                coef = int(head) if head else 1
-                if tail == "":
-                    k = 1
-                elif tail.startswith("^"):
-                    k = int(tail[1:])
-                else:
-                    raise ValueError(f"malformed term {raw!r} in {text!r}")
-            else:
-                coef = int(raw)
-                k = 0
-            terms[k] = terms.get(k, 0) + sign * coef
-        size = max(terms) + 1 if terms else 0
-        out = [0] * size
-        for k, v in terms.items():
-            out[k] = v
-        return cls(tuple(out))
-
 
 @dataclass(frozen=True)
 class PolyXC:
@@ -477,10 +432,9 @@ class SeriesZ:
 
     __rmul__ = __mul__
 
-    def times_z(self, shift: int = 1) -> "SeriesZ":
-        """Multiply by z^shift (same truncation order; top terms fall off)."""
-        out = (PolyC.zero(),) * shift + self.coeffs[: self.order + 1 - shift]
-        return SeriesZ(self.order, out)
+    def times_z(self) -> "SeriesZ":
+        """Multiply by z (same truncation order; the top term falls off)."""
+        return SeriesZ(self.order, (PolyC.zero(),) + self.coeffs[: self.order])
 
     def div_polyc_exact(self, divisor: PolyC) -> "SeriesZ":
         """Divide every coefficient exactly by a fixed PolyC."""

@@ -338,7 +338,7 @@ def pi_pair_trace(samples: TraceSamples, i: int, j: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def centered_trace_mean_limit(n: int, c: Fraction, c_prime: Fraction) -> Fraction:
+def centered_trace_mean_limit(n: int, c_prime: Fraction) -> Fraction:
     """Limit of E Tr(g_n(X)) for the centered first-kind family."""
     if n < 1:
         raise ValueError("degree must be positive")
@@ -486,7 +486,7 @@ def evaluate_statistics(samples: TraceSamples) -> list[StatCheck]:
 
     checks = []
     for (n, i), values in gamma_traces.items():
-        limit = float(centered_trace_mean_limit(n, c, c_prime))
+        limit = float(centered_trace_mean_limit(n, c_prime))
         checks.append(mean_check(values, limit, cols, (key[n, i],)))
     for n, i in gamma_traces:
         values = polynomial_trace(samples, Family.PI, n, i)

@@ -221,13 +221,6 @@ def _on_first_factor(mat: np.ndarray, seg: np.ndarray) -> np.ndarray:
     return mat @ seg.reshape(mat.shape[1], -1)
 
 
-def vacuum(dim: int, depth: int) -> np.ndarray:
-    """The vacuum as a single column."""
-    v = np.zeros((_degree_rows(dim, depth)[-1].stop, 1), dtype=complex)
-    v[0, 0] = 1.0
-    return v
-
-
 def tensor_word(letters: Sequence[np.ndarray], dim: int, depth: int) -> np.ndarray:
     """The tensor product of the letters as a single column.
 
@@ -542,11 +535,10 @@ class OperatorCheck:
     theorem: str
     instance: str
     max_residual: float
-    tolerance: float = RESIDUAL_TOL
 
     @property
     def passed(self) -> bool:
-        return self.max_residual <= self.tolerance
+        return self.max_residual <= RESIDUAL_TOL
 
 
 _SCALE_FLOOR = 1e-30
@@ -616,8 +608,9 @@ def adjoint_residual(
 def verify_vacuum(
     alg: TracialAlgebra, word: Sequence[np.ndarray], depth: int
 ) -> OperatorCheck:
-    """Defining property: the Wick product maps the vacuum to its word."""
-    got = wick(alg, word, depth)(vacuum(alg.dim, depth))
+    """Defining property: the Wick product maps the vacuum, the empty
+    word, to its word."""
+    got = wick(alg, word, depth)(tensor_word((), alg.dim, depth))
     want = tensor_word(word, alg.dim, depth)
     residual = float(np.linalg.norm(got - want) / max(np.linalg.norm(want), _SCALE_FLOOR))
     return OperatorCheck(

@@ -24,7 +24,6 @@ from ncwishart.colored import (
 )
 from ncwishart.families import Family, inverse_table, transition_matrix
 from ncwishart.halfperm import (
-    WeightRule,
     enum_ncl,
     make_circular,
     weighted_count,
@@ -109,8 +108,8 @@ class TestFilteredEnumeration:
         els = enum_colored_snc(spec)
         assert len(els) == 4
         assert set(els) == set(enum_snc(2, 1))
-        w = weighted_count(els, WeightRule.ALL_BLOCKS)
-        assert w == PolyC.parse("2*c + 2*c^2")
+        w = weighted_count(els)
+        assert w == PolyC.of(0, 2, 2)
         assert w == C * gbar(2, 1) * gbar(1, 1)
 
     def test_profiles_match_declared_filter(self):
@@ -127,7 +126,7 @@ class TestFilteredEnumeration:
             spec = ColoredAnnularSpec(
                 (u,), ("a",), (v,), ("a",), through_filter=((x,), (x,))
             )
-            got = weighted_count(enum_colored_snc(spec), WeightRule.ALL_BLOCKS)
+            got = weighted_count(enum_colored_snc(spec))
             assert got == PolyC.monomial(x, x) * gbar(u, x) * gbar(v, x)
 
     def test_mismatched_pins_are_impossible(self):
@@ -145,11 +144,11 @@ class TestFilteredEnumeration:
         els = enum_colored_snc(spec)
         # one spoke diagram plus two through-and-two-singletons diagrams
         assert len(els) == 3
-        got = weighted_count(els, WeightRule.ALL_BLOCKS)
+        got = weighted_count(els)
         assert got == PolyC.monomial(2) + PolyC.monomial(3, 2)
         spokes = [a for a in els if is_spoke_diagram(a)]
         assert len(spokes) == 1
-        assert weighted_count(spokes, WeightRule.ALL_BLOCKS) == PolyC.monomial(2)
+        assert weighted_count(spokes) == PolyC.monomial(2)
 
     @settings(deadline=None, max_examples=30)
     @given(st.data())
@@ -183,7 +182,7 @@ class TestSpokeSets:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_single_color_spoke_weight(self, m, n):
         els = enum_colored_snc(spoke_spec((m,), ("a",), (n,), ("a",)))
-        got = weighted_count(els, WeightRule.ALL_BLOCKS)
+        got = weighted_count(els)
         assert got == (PolyC.monomial(m, m) if m == n else ZERO)
         assert all(is_spoke_diagram(a) for a in els)
 
@@ -210,12 +209,12 @@ class TestSpokeSets:
         els = enum_colored_snc(
             spoke_spec((2, 1), ("a", "b"), (2, 1), ("a", "b"))
         )
-        assert weighted_count(els, WeightRule.ALL_BLOCKS) == PolyC.monomial(3)
+        assert weighted_count(els) == PolyC.monomial(3)
         # reversed word on the inner circle: again exactly one rotation
         els = enum_colored_snc(
             spoke_spec((2, 1), ("a", "b"), (1, 2), ("b", "a"))
         )
-        assert weighted_count(els, WeightRule.ALL_BLOCKS) == PolyC.monomial(3)
+        assert weighted_count(els) == PolyC.monomial(3)
         # incompatible words: nothing survives
         els = enum_colored_snc(
             spoke_spec((2, 1), ("a", "b"), (1, 2), ("a", "b"))
@@ -363,7 +362,7 @@ class TestConnectionPatterns:
 
     def test_two_intervals_must_connect(self):
         # pairs across {1,2} x {3}: {13}{2}, {23}{1}, {123} crossing-free
-        assert connector_weight((2, 1)) == PolyC.parse("c + 2*c^2")
+        assert connector_weight((2, 1)) == PolyC.of(0, 1, 2)
 
     @pytest.mark.parametrize(
         "lengths,colors",

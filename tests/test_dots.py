@@ -43,21 +43,21 @@ def reference_dot_encode(h):
     unprimed = [BLACK] * n
     primed = [WHITE] * n
     perm = h.perm
-    inv = perm.inverse()
+    inv = {j: i for i, j in enumerate(perm.image, start=1)}
     if h.designated is None:
         open_sets = set(h.open_sets())
         for block in perm.cycles():
             init = initial_point(perm, block, h.bbar)
             unprimed[init - 1] = WHITE
             if frozenset(block) not in open_sets:
-                primed[inv.image[init - 1] - 1] = BLACK
+                primed[inv[init] - 1] = BLACK
     else:
         for block in perm.cycles():
             if frozenset(block) == frozenset(h.designated):
                 continue
             init = initial_point(perm, block, h.designated)
             unprimed[init - 1] = WHITE
-            primed[inv.image[init - 1] - 1] = BLACK
+            primed[inv[init] - 1] = BLACK
     return DotStructure(n, tuple(unprimed), tuple(primed))
 
 

@@ -165,6 +165,24 @@ def test_double_inversion(recursion_records, family):
     assert instance in checked(recursion_records, "double inversion")
 
 
+@pytest.mark.parametrize("size", [1, 2, 5])
+def test_entry_is_zero_off_the_triangle_of_a_valid_row(size):
+    table = inverse_table(Family.PI, size)
+    for n in range(size):
+        assert [table.entry(n, k) for k in range(n + 1)] == list(table.rows[n])
+        for k in (-2, -1, *range(n + 1, size + 3)):
+            assert table.entry(n, k) == PolyC.zero(), (n, k)
+
+
+@pytest.mark.parametrize("size", [1, 2, 5])
+def test_entry_of_a_row_outside_the_table_raises(size):
+    table = inverse_table(Family.PI, size)
+    for n in (-1, size, size + 1):
+        for k in (-1, 0, n, size):
+            with pytest.raises(IndexError):
+                table.entry(n, k)
+
+
 def test_inversion_rejects_non_unit_diagonal():
     m = TransitionMatrix(((PolyC.c(),),))
     with pytest.raises(ValueError):

@@ -1,5 +1,5 @@
-"""The mutation matrix: each mutant of an enumerator, a bijection, a weight
-rule, a recurrence constant, an exact formula, a series or a Fock operator
+"""The mutation matrix: each mutant of an enumerator, a bijection, a weight,
+a recurrence constant, an exact formula, a series or a Fock operator
 fails at least one record of a `verify` suite at a small size.
 
 A mutant replaces one name where the suite reads it, by `monkeypatch`.
@@ -7,7 +7,7 @@ An enumerator's mutant leaves out, or repeats, the last diagram of one
 cell only.  The `lru_cache`s of the package are cleared around each
 mutant, so no mutated value outlives it.  A mutant that fails no record
 is a gap of the suites: it would be listed as an expected failure,
-strictly, so that closing the gap shows.
+strictly, so that closing the gap shows.  None is listed.
 
 A permutation's seeded cycles are no record of any suite: their mutant
 fails the differential test of `test_cycle_cache.py` instead.
@@ -25,7 +25,7 @@ import pytest
 from ncwishart import cli, halfperm, perms
 from ncwishart.dots import dot_decode, enum_dots
 from ncwishart.families import RECURRENCES
-from ncwishart.halfperm import CircularHalfPerm, WeightRule
+from ncwishart.halfperm import CircularHalfPerm
 from ncwishart.polyc import PolyC
 
 MODULES = ("families", "halfperm", "perms")
@@ -74,14 +74,12 @@ def plus(term):
     return mutate
 
 
-def swapping_the_weight_rules(fn):
-    """A weighted count that weighs by closed blocks where it is asked for
-    all blocks, and the other way round."""
-    swap = {WeightRule.ALL_BLOCKS: WeightRule.CLOSED_BLOCKS,
-            WeightRule.CLOSED_BLOCKS: WeightRule.ALL_BLOCKS}
+def weighing_every_block(fn):
+    """A weighted count that weighs a diagram by all of its blocks, open and
+    designated ones too: right for an annulus, wrong for a half."""
     @functools.wraps(fn)
-    def mutant(diagrams, weight=WeightRule.ALL_BLOCKS):
-        return fn(diagrams, swap[weight])
+    def mutant(diagrams):
+        return PolyC.census(d.perm.num_cycles() for d in diagrams)
     return mutant
 
 
@@ -256,14 +254,10 @@ MUTANTS = [
                  "cut-reassemble", {"max_total": 5}, "", id="predict_covariance + c^k"),
     pytest.param("families.shift_constant", plus(lambda n: PolyC.c()), "recursions",
                  {"max_n": 4}, "", id="shift_constant + c"),
-    pytest.param("cli.weighted_count", swapping_the_weight_rules, "bijections", {"max_n": 3},
-                 "", id="weighted_count swaps the weight rules"),
-    # the suite's one weighted count asks each annulus for a closed-block
-    # exponent, which an annulus does not have: the suite stops, no record fails
-    pytest.param("cli.weighted_count", swapping_the_weight_rules, "cut-reassemble",
-                 {"max_total": 5}, "", id="weighted_count swaps the weight rules (annuli)",
-                 marks=pytest.mark.xfail(strict=True, raises=AttributeError,
-                                         reason="the suite raises before any record")),
+    pytest.param("cli.weighted_count", weighing_every_block, "bijections", {"max_n": 3},
+                 "", id="weighted_count weighs a half by all its blocks"),
+    pytest.param("perms.AnnularPerm.closed_weight_exponent", plus(lambda a: 1),
+                 "cut-reassemble", {"max_total": 5}, "", id="annulus closed_weight_exponent + 1"),
     # one column up the ladder for every column climbed
     pytest.param("families._ladder", times_z, "series", {"order": 6, "max_k": 3}, "k=",
                  id="_ladder times z"),

@@ -89,14 +89,6 @@ EXEMPT = {
         "colored.single_interval_variance_check",
         "colored.restrict_to_intervals",
     ),
-    # the tests hold `complement` and `_annular_complement` to the long
-    # cycle and the rotation composed with the inverse
-    "a test oracle": (
-        "perms.long_cycle",
-        "perms.annular_rotation",
-        "perms.Perm.inverse",
-        "perms.Perm.compose",
-    ),
     # the reports format diagrams and polynomials themselves
     "a value type's text form, for library use": (
         "perms.AnnularPerm.__str__",

@@ -24,7 +24,6 @@ from ncwishart.wick import (
     scalar_algebra,
     split_images,
     tensor_word,
-    vacuum,
     verify_decomposition,
     verify_inductive_step,
     verify_p_adjoint,
@@ -188,7 +187,7 @@ class TestAlgebra:
 
 class TestFockSpace:
     def test_vacuum_and_words(self):
-        v = vacuum(4, L)
+        v = tensor_word((), 4, L)
         assert v.shape == (fock_rows(4, L), 1)
         assert live_degrees(v, 4, L) == (0, 0)
         assert np.linalg.norm(v) == 1.0
@@ -223,7 +222,7 @@ class TestPrimitiveOperators:
         a = matrix_algebra()
         x, y = letters_for(a, 2)
         w2 = tensor_word([x, y], 4, L)
-        vac = vacuum(4, L)
+        vac = tensor_word((), 4, L)
         assert live_degrees(creation(a, x, L)(w2), 4, L) == (3, 3)
         assert live_degrees(annihilation(a, x, L)(w2), 4, L) == (1, 1)
         assert live_degrees(preservation(a, x, L)(w2), 4, L) == (2, 2)
@@ -247,7 +246,7 @@ class TestPrimitiveOperators:
     def test_p_on_the_vacuum(self):
         a = matrix_algebra()
         (x,) = letters_for(a, 1)
-        out = p_operator(a, x, L)(vacuum(4, L))
+        out = p_operator(a, x, L)(tensor_word((), 4, L))
         assert np.allclose(out[0], a.psi(x))
         assert np.allclose(degree_part(out, 4, 1)[:, 0], x)
         assert live_degrees(out, 4, L) == (0, 1)
@@ -257,9 +256,9 @@ class TestPrimitiveOperators:
         (x,) = letters_for(a, 1)
         p = p_operator(a, x, L)
         with pytest.raises(ValueError, match="rows by columns"):
-            p(vacuum(4, L)[:, 0])
+            p(tensor_word((), 4, L)[:, 0])
         with pytest.raises(ValueError, match="rows by columns"):
-            p(vacuum(4, L - 1))
+            p(tensor_word((), 4, L - 1))
         with pytest.raises(ValueError, match="rows by columns"):
             FockOperator(L, 4, 0, lambda v: v)(np.zeros((fock_rows(4, L), 1, 1)))
 
